@@ -21,7 +21,7 @@ must stay at or above 40% (the acceptance floor for this scenario; in
 practice a 1% delta on BA strands 50-80% of paths depending on how
 many hub edges the delta hits).  Results land in
 ``benchmarks/results/bench_dynamic.json``; the CI gate
-(``benchmarks/check_dynamic_regression.py``) re-checks the floor and
+(``benchmarks/check_regression.py --floor 0.40``) re-checks the floor and
 fails on a >25% relative drop against the checked-in baseline.
 """
 

@@ -21,7 +21,7 @@ finishes in well under a second, so the ratios are pure
 startup-and-scheduler noise — smoke checks mechanics, not speed.
 
 Results land in ``benchmarks/results/bench_epoch.json``; the CI
-regression gate (``benchmarks/check_epoch_regression.py``) compares a
+regression gate (``benchmarks/check_regression.py``) compares a
 fresh bench-preset run against the checked-in artifact and fails on a
 >25% regression.  The gate tracks the *batch/epoch* ratio rather than
 the pool/epoch one: batch and epoch wall-clocks are stable run-to-run

@@ -23,7 +23,7 @@ hence the hard multiple is pinned to the bench workload the CI gate
 tracks.)
 
 Results land in ``benchmarks/results/bench_wavefront_weighted.json``;
-``benchmarks/check_wavefront_regression.py`` gates CI on the exported
+``benchmarks/check_regression.py`` gates CI on the exported
 ``speedup_wavefront_vs_grouped`` meta entry.
 """
 

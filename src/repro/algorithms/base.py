@@ -114,7 +114,8 @@ class SamplingAlgorithm(GBCAlgorithm):
     engine:
         Name of the execution engine (:data:`repro.engine.ENGINES`)
         every sample set is drawn through.  The default ``"serial"``
-        reproduces historical seeded runs bit-for-bit.
+        draws packed cohorts, bit-identical to ``"batch"`` with the
+        ``"wavefront"`` or ``"scalar"`` kernel.
     workers:
         Worker-process count for the ``"process"`` engine (ignored by
         in-process engines); ``None`` means all available cores.
@@ -124,8 +125,8 @@ class SamplingAlgorithm(GBCAlgorithm):
         Runs are bit-identical across ``"wavefront"`` and
         ``"scalar"`` — the knob trades speed, never results.
     cache_sources:
-        Forward-BFS tree cache size forwarded to the engines (``0``
-        disables caching).
+        Forward-BFS tree cache size forwarded to the engines, used by
+        the ``"grouped"`` kernel only (``0`` disables caching).
     epoch_size:
         Samples per epoch for the ``"epoch"`` engine (ignored by the
         other engines; ``None`` keeps the engine default).  Part of the

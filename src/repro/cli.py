@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=0,
             metavar="N",
-            help="LRU-cache up to N forward-BFS trees in the sampler "
-            "(default 0 = off)",
+            help="LRU-cache up to N forward-BFS trees for the grouped "
+            "kernel (default 0 = off)",
         )
         parser_.add_argument(
             "--log-json",
@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--cache-sources", type=int, default=0, metavar="N",
-        help="forward-BFS tree cache size per sampler",
+        help="forward-BFS tree cache size per sampler (grouped kernel)",
     )
     serve.add_argument(
         "--mmap",

@@ -134,10 +134,10 @@ class CoverageInstance:
         (``offsets[0] == 0``, ``offsets[-1] == flat.size``); segment
         ``i`` is ``flat[offsets[i]:offsets[i+1]]``.  **Each segment
         must already be sorted and deduplicated** — the layout
-        :func:`repro.engine.wire.pack_samples` produces — because the
-        per-path ``np.unique`` is skipped here; that is the point: one
-        vectorized append per epoch instead of one Python call per
-        path.  Empty segments (null samples) are fine.
+        :meth:`repro.paths.packed.PackedSamples.coverage` produces —
+        because the per-path ``np.unique`` is skipped here; that is the
+        point: one vectorized append per draw instead of one Python
+        call per path.  Empty segments (null samples) are fine.
         """
         flat = np.ascontiguousarray(flat, dtype=np.int64)
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)

@@ -4,12 +4,17 @@ All sampling algorithms draw their paths through a
 :class:`~repro.engine.base.SampleEngine`, selected by name:
 
 ``serial``
-    One traversal per sample (with the historical large-draw batch
-    shortcut) — the default, matching seeded runs from before the
-    engine layer existed.
+    The default: every draw is one packed cohort draw — pairs up
+    front, wavefront searches in chunks, one vectorized walk per
+    chunk — returned as a :class:`~repro.paths.packed.PackedSamples`
+    record and ingested by ``extend`` in one vectorized append.
+    Samples are bit-identical to ``batch`` with the ``wavefront`` or
+    ``scalar`` kernel (seeded outputs changed once when the engine
+    moved to this design; the sample law did not).
 ``batch``
-    Serve every draw as one batch through the selected traversal
-    kernel (wavefront cohorts by default).
+    The same in-process draw with the traversal ``kernel`` selectable
+    (``scalar`` is the per-sample oracle, ``grouped`` the legacy
+    source-grouped sampler).
 ``process``
     Fan chunks of samples out to a pool of worker processes over a
     shared-memory graph; results are bit-identical across worker
@@ -23,7 +28,12 @@ All sampling algorithms draw their paths through a
 The ``kernel`` knob (``wavefront`` / ``scalar`` / ``grouped``, see
 :data:`~repro.engine.base.KERNELS`) selects how the batch, process,
 and epoch engines traverse; ``cache_sources`` sizes the forward-BFS
-tree cache.
+tree cache of the ``grouped`` kernel.
+
+A draw holds its output, the sparse search state of one chunk (the
+nodes its queries discovered short of their outermost levels) and the
+cohort's two ``(cohort_size, n)`` sigma planes — never a length-``n``
+row per sample.
 """
 
 from __future__ import annotations
@@ -31,19 +41,20 @@ from __future__ import annotations
 from ..exceptions import ParameterError
 from ..graph.csr import CSRGraph
 from ..obs import as_telemetry
+from ..paths.packed import PackedSamples
 from .base import (
     KERNELS,
     EngineStats,
     SampleEngine,
-    cohort_kernel,
     coverage_nodes,
+    draw_packed,
     resolve_kernel,
+    sampler_work,
 )
 from .epoch import EpochEngine
 from .pool import ProcessPoolEngine
 from .serial import BatchEngine, SerialEngine
 from .shm import SharedGraphBlocks, attach_graph
-from .wire import PackedSamples, pack_samples, unpack_samples
 
 __all__ = [
     "EngineStats",
@@ -53,8 +64,6 @@ __all__ = [
     "ProcessPoolEngine",
     "EpochEngine",
     "PackedSamples",
-    "pack_samples",
-    "unpack_samples",
     "SharedGraphBlocks",
     "attach_graph",
     "ENGINES",
@@ -62,7 +71,8 @@ __all__ = [
     "create_engine",
     "coverage_nodes",
     "resolve_kernel",
-    "cohort_kernel",
+    "draw_packed",
+    "sampler_work",
 ]
 
 #: Name -> engine class registry used by ``create_engine`` and the CLI.

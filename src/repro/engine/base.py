@@ -4,8 +4,8 @@ Every path-sampling algorithm (AdaAlg, HEDGE, CentRa, EXHAUST) needs
 the same primitive: *draw ``count`` independent uniform shortest-path
 samples and fold them into a coverage instance*.  The engine layer
 isolates that primitive behind one interface so the execution strategy
-— serial traversals, source-grouped batches, or a pool of worker
-processes — is a runtime knob instead of per-algorithm code.
+— packed in-process cohort draws, source-grouped batches, or a pool
+of worker processes — is a runtime knob instead of per-algorithm code.
 
 The contract every engine honors:
 
@@ -40,7 +40,7 @@ from ..exceptions import CheckpointError, ParameterError
 from ..graph.csr import CSRGraph
 from ..obs import NULL_TELEMETRY, check_instance, check_sample
 from ..paths._dispatch import is_weighted
-from ..paths.sampler import PathSample
+from ..paths.sampler import PackedSamples, PathSample, PathSampler
 
 __all__ = [
     "EngineStats",
@@ -48,7 +48,8 @@ __all__ = [
     "coverage_nodes",
     "KERNELS",
     "resolve_kernel",
-    "cohort_kernel",
+    "draw_packed",
+    "sampler_work",
 ]
 
 #: Traversal kernels an engine can route batched draws through.
@@ -108,12 +109,33 @@ def resolve_kernel(kernel: str, graph: CSRGraph, method: str) -> str:
     return kernel
 
 
-def cohort_kernel(kernel: str, graph: CSRGraph, method: str) -> str | None:
-    """The :meth:`~repro.paths.sampler.PathSampler.sample_cohort`
-    kernel to use, or ``None`` when the draw must take the legacy
-    grouped path."""
-    resolved = resolve_kernel(kernel, graph, method)
-    return None if resolved == "grouped" else resolved
+def draw_packed(
+    sampler: PathSampler,
+    kernel: str,
+    count: int,
+    cohort_size: int | None = None,
+    delta: int | None = None,
+) -> PackedSamples:
+    """One draw of ``count`` samples through a resolved ``kernel``
+    (see :func:`resolve_kernel`) — the body every engine shares."""
+    if kernel == "grouped":
+        return sampler.sample_batch(count)
+    return sampler.sample_cohort(
+        count, kernel=kernel, cohort_size=cohort_size, delta=delta
+    )
+
+
+def sampler_work(sampler: PathSampler) -> tuple[int, ...]:
+    """A sampler's cumulative work counters, in the order
+    :meth:`EngineStats.add_work` folds them."""
+    return (
+        sampler.total_traversals,
+        sampler.total_edges_explored,
+        sampler.cache_hits,
+        sampler.cache_misses,
+        sampler.total_weighted_cohorts,
+        sampler.total_bucket_relaxations,
+    )
 
 
 def coverage_nodes(sample: PathSample, include_endpoints: bool) -> np.ndarray:
@@ -137,9 +159,8 @@ class EngineStats:
         Graph traversals executed (a source-grouped batch serves many
         samples per traversal, so this can be far below ``samples``).
     batches:
-        Work units dispatched: amortized-BFS batches for the batch
-        path, chunks for the process pool, epochs for the epoch
-        engine, one per sample serially.
+        Work units dispatched: one per non-empty in-process draw,
+        chunks for the process pool, epochs for the epoch engine.
     epochs:
         Fixed-size sample epochs *ingested* into the stream, in index
         order (epoch engine only; 0 elsewhere).
@@ -197,6 +218,16 @@ class EngineStats:
     coverage_rebuilds: int = 0
     coverage_rebuilt_elements: int = 0
 
+    def add_work(self, work: tuple[int, ...]) -> None:
+        """Fold a :func:`sampler_work` difference into the counters."""
+        traversals, edges, hits, misses, cohorts, relaxations = work
+        self.traversals += traversals
+        self.edges_explored += edges
+        self.cache_hits += hits
+        self.cache_misses += misses
+        self.weighted_cohorts += cohorts
+        self.bucket_relaxations += relaxations
+
     def as_dict(self) -> dict:
         """A JSON-friendly copy for ``GBCResult.diagnostics``."""
         return {
@@ -221,7 +252,7 @@ class EngineStats:
 
 
 class SampleEngine(abc.ABC):
-    """Abstract sampling engine: ``draw(count) -> list[PathSample]``.
+    """Abstract sampling engine: ``draw(count) -> PackedSamples``.
 
     Parameters
     ----------
@@ -237,8 +268,9 @@ class SampleEngine(abc.ABC):
         Endpoint convention applied by :meth:`extend`.
     cache_sources:
         Size of the forward-BFS tree cache forwarded to the engine's
-        :class:`~repro.paths.sampler.PathSampler` instances (``0``
-        disables caching, the default).
+        :class:`~repro.paths.sampler.PathSampler` instances, used by
+        the ``"grouped"`` kernel only (``0`` disables caching, the
+        default).
 
     Attributes
     ----------
@@ -358,13 +390,20 @@ class SampleEngine(abc.ABC):
 
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def draw(self, count: int) -> list[PathSample]:
-        """Draw ``count`` independent uniform shortest-path samples."""
+    def draw(self, count: int) -> PackedSamples:
+        """Draw ``count`` independent uniform shortest-path samples.
+
+        The result is one :class:`~repro.paths.packed.PackedSamples`
+        record, which also reads as a sequence of
+        :class:`~repro.paths.sampler.PathSample` objects.
+        """
 
     def extend(self, instance: CoverageInstance, upto: int) -> None:
         """Grow ``instance`` to hold ``upto`` samples.
 
-        Applies the engine's endpoint convention to every drawn path;
+        Applies the engine's endpoint convention to every drawn path
+        and appends the whole draw in one
+        :meth:`~repro.coverage.CoverageInstance.add_paths_packed` call;
         a no-op when the instance already holds enough samples.  The
         draw is reported to :attr:`telemetry` (a ``draw`` span plus
         ``engine.*`` counter deltas), and :attr:`debug` mode validates
@@ -402,8 +441,7 @@ class SampleEngine(abc.ABC):
         if self.debug:
             for sample in samples:
                 check_sample(self.graph, sample)
-        for sample in samples:
-            instance.add_path(coverage_nodes(sample, self.include_endpoints))
+        instance.add_paths_packed(*samples.coverage(self.include_endpoints))
         if self.debug:
             check_instance(instance)
         self._flush_coverage(instance)

@@ -1,8 +1,8 @@
 """Epoch-based asynchronous sampling over persistent worker loops.
 
 The process-pool engine answers each ``draw`` with a fresh fan-out:
-chunk the request, submit one task per chunk, pickle one
-``list[PathSample]`` back per chunk.  That request/response rhythm puts
+chunk the request, submit one task per chunk, pickle one packed
+chunk back per task.  That request/response rhythm puts
 the pool's dispatch overhead *inside* every stopping-rule evaluation —
 the reason ``workers=1`` lost to the in-process batch engine on the
 bench sweep.  This engine inverts the loop, following the low-sync
@@ -22,12 +22,11 @@ Sampling with almost no Synchronization"):
   irrelevant.  The parent ingests epochs strictly in index order;
   that is the whole determinism argument, and it holds for 0 (in
   process), 1, or 8 workers.
-* **Compact deltas.**  Workers return each epoch as one
-  :class:`~repro.engine.wire.PackedSamples` — flat arrays, one pickle
-  per epoch — with the coverage node sets pre-deduplicated, so the
-  parent folds an epoch into the
-  :class:`~repro.coverage.CoverageInstance` with a single vectorized
-  append instead of ``epoch_size`` Python calls.
+* **Compact deltas.**  Workers return each epoch as the
+  :class:`~repro.paths.packed.PackedSamples` record the sampler drew —
+  flat arrays, one pickle per epoch — and the parent folds a draw into
+  the :class:`~repro.coverage.CoverageInstance` with a single
+  vectorized append, like every engine.
 * **Speculative lookahead.**  While the stopping rule deliberates,
   workers keep sampling: the parent keeps ``lookahead`` epochs per
   worker in flight beyond current demand.  Epochs that were sampled
@@ -55,12 +54,10 @@ from .._rng import indexed_seed, stream_entropy
 from ..coverage.hypergraph import CoverageInstance
 from ..exceptions import CheckpointError, EngineError, ParameterError
 from ..graph.csr import CSRGraph
-from ..obs import check_instance, check_sample
-from ..paths.sampler import PathSample
-from .base import SampleEngine, coverage_nodes, resolve_kernel
+from ..paths.sampler import PackedSamples
+from .base import SampleEngine, resolve_kernel
 from .pool import _chunk_samples, _materialize_graph, _pickle_payload
 from .shm import SharedGraphBlocks
-from .wire import PackedSamples, pack_samples, unpack_samples
 
 __all__ = ["EpochEngine"]
 
@@ -87,7 +84,6 @@ def _epoch_worker(
     cohort_size: int | None,
     delta: int | None,
     cache_sources: int,
-    include_endpoints: bool,
     tasks,
     results,
 ) -> None:
@@ -96,9 +92,10 @@ def _epoch_worker(
 
     Each ticket is ``(epoch_index, seed, size)``; each answer is
     ``(epoch_index, pid, PackedSamples | None, info)`` where ``info``
-    is the work-counter tuple on success and the formatted exception
-    on failure (a failed epoch never kills the loop — the parent
-    re-runs it in-process to surface the real traceback).
+    is the work-counter tuple (:func:`~repro.engine.base.sampler_work`)
+    on success and the formatted exception on failure (a failed epoch
+    never kills the loop — the parent re-runs it in-process to surface
+    the real traceback).
     """
     graph, handles = _materialize_graph(transport, payload)
     pid = os.getpid()
@@ -109,7 +106,7 @@ def _epoch_worker(
                 break
             index, seed, size = ticket
             try:
-                samples, *info = _chunk_samples(
+                packed, work = _chunk_samples(
                     graph,
                     method,
                     kernel,
@@ -122,8 +119,7 @@ def _epoch_worker(
             except Exception as exc:
                 results.put((index, pid, None, repr(exc)))
                 continue
-            packed = pack_samples(samples, include_endpoints)
-            results.put((index, pid, packed, tuple(info)))
+            results.put((index, pid, packed, work))
     finally:
         del graph
         for handle in handles:
@@ -149,8 +145,7 @@ class EpochEngine(SampleEngine):
         Traversal kernel each epoch runs through (see
         :data:`repro.engine.base.KERNELS`) and its cohort width; on
         weighted graphs the cohort kernels run the delta-stepping
-        wavefront, whose results pack through the same
-        :class:`~repro.engine.wire.PackedSamples` wire format.
+        wavefront.
     delta:
         Weighted delta-stepping bucket width forwarded to each epoch
         (result-invariant; ``None`` auto-tunes).
@@ -208,7 +203,7 @@ class EpochEngine(SampleEngine):
         self._dispatched = 0  # epoch tickets currently issued
         self._arrived: dict[int, tuple] = {}  # finished, not yet ingested
         self._failed: set[int] = set()  # epochs a worker reported failed
-        self._carry: list[PathSample] = []  # tail of a partially drawn epoch
+        self._carry = PackedSamples.empty()  # tail of a partially drawn epoch
         self._procs: list = []
         self._tasks = None
         self._results = None
@@ -255,7 +250,6 @@ class EpochEngine(SampleEngine):
                         self.cohort_size,
                         self.delta,
                         self.cache_sources,
-                        self.include_endpoints,
                         self._tasks,
                         self._results,
                     ),
@@ -347,7 +341,7 @@ class EpochEngine(SampleEngine):
         self.stats.dispatches += 1
         self.telemetry.count("engine.epoch.dispatches", 1)
         try:
-            samples, *info = _chunk_samples(
+            packed, work = _chunk_samples(
                 self.graph,
                 self.method,
                 self.kernel,
@@ -362,8 +356,7 @@ class EpochEngine(SampleEngine):
                 f"epoch {index} (size={self.epoch_size}, seed={seed}) "
                 f"failed: {exc}"
             ) from exc
-        packed = pack_samples(samples, self.include_endpoints)
-        return packed, tuple(info), os.getpid()
+        return packed, work, os.getpid()
 
     def _await(self, index: int):
         """Block until epoch ``index`` arrives from the workers,
@@ -408,14 +401,8 @@ class EpochEngine(SampleEngine):
         return entry
 
     def _fold_info(self, entry: tuple) -> None:
-        packed, info, pid = entry
-        traversals, edges, hits, misses, cohorts, relaxations = info
-        self.stats.traversals += traversals
-        self.stats.edges_explored += edges
-        self.stats.cache_hits += hits
-        self.stats.cache_misses += misses
-        self.stats.weighted_cohorts += cohorts
-        self.stats.bucket_relaxations += relaxations
+        packed, work, pid = entry
+        self.stats.add_work(work)
         self.stats.worker_samples[pid] = self.stats.worker_samples.get(
             pid, 0
         ) + len(packed)
@@ -447,7 +434,7 @@ class EpochEngine(SampleEngine):
     # ------------------------------------------------------------------
     # SampleEngine interface
     # ------------------------------------------------------------------
-    def draw(self, count: int) -> list[PathSample]:
+    def draw(self, count: int) -> PackedSamples:
         """Exactly ``count`` samples off the epoch stream.
 
         Whole epochs are ingested; the unconsumed tail is carried into
@@ -455,25 +442,20 @@ class EpochEngine(SampleEngine):
         sample) is independent of how requests slice it.
         """
         self._check_count(count)
-        samples: list[PathSample] = []
-        if count == 0:
-            self.stats.draw_calls += 1
-            return samples
-        take = min(count, len(self._carry))
-        if take:
-            samples.extend(self._carry[:take])
-            del self._carry[:take]
+        parts = [self._carry[:count]]
+        self._carry = self._carry[count:]
+        drawn = len(parts[0])
         with self._reap_on_error():
-            while len(samples) < count:
-                packed, _info, _pid = self._next_epoch()
-                epoch_samples = unpack_samples(packed)
-                need = count - len(samples)
-                samples.extend(epoch_samples[:need])
-                self._carry.extend(epoch_samples[need:])
+            while drawn < count:
+                packed, _work, _pid = self._next_epoch()
+                need = count - drawn
+                parts.append(packed[:need])
+                self._carry = packed[need:]
+                drawn += len(parts[-1])
         self.stats.samples += count
         self.stats.draw_calls += 1
         self._update_worker_stat()
-        return samples
+        return PackedSamples.concat(parts)
 
     def effective_target(self, upto: int, current: int) -> int:
         """Where an ``extend(instance, upto)`` will actually leave an
@@ -490,11 +472,8 @@ class EpochEngine(SampleEngine):
         """Grow ``instance`` to at least ``upto`` samples, landing on
         an epoch boundary.
 
-        This is the aggregated-delta ingestion path: each epoch's
-        pre-deduplicated coverage sets are appended in one vectorized
-        call (:meth:`~repro.coverage.CoverageInstance.add_paths_packed`)
-        instead of per-sample ``add_path`` loops.  Telemetry mirrors
-        the base engine's ``engine.*`` deltas and adds one
+        The carried tail plus whole epochs are drawn and ingested like
+        any engine's draw (one vectorized append); telemetry adds one
         ``engine.epoch.barrier`` event per evaluation boundary.
         """
         self._flush_coverage(instance)
@@ -502,61 +481,16 @@ class EpochEngine(SampleEngine):
             return
         target = self.effective_target(upto, instance.num_paths)
         needed = target - instance.num_paths
-        epochs_needed = (needed - len(self._carry)) // self.epoch_size
-        telemetry = self.telemetry
-        stats = self.stats
-        before = (
-            stats.traversals,
-            stats.edges_explored,
-            stats.weighted_cohorts,
-            stats.bucket_relaxations,
-        )
-        appended = 0
-        with telemetry.span("draw", engine=self.name, count=needed):
-            with self._reap_on_error():
-                if self._carry:
-                    for sample in self._carry:
-                        if self.debug:
-                            check_sample(self.graph, sample)
-                        instance.add_path(
-                            coverage_nodes(sample, self.include_endpoints)
-                        )
-                    appended += len(self._carry)
-                    self._carry.clear()
-                for _ in range(epochs_needed):
-                    packed, _info, _pid = self._next_epoch()
-                    if self.debug:
-                        for sample in unpack_samples(packed):
-                            check_sample(self.graph, sample)
-                    instance.add_paths_packed(
-                        packed.cov_flat, packed.cov_offsets
-                    )
-                    appended += len(packed)
-        stats.samples += appended
-        stats.draw_calls += 1
-        telemetry.count("engine.samples", appended)
-        telemetry.count("engine.draw_calls", 1)
-        telemetry.count("engine.traversals", stats.traversals - before[0])
-        telemetry.count("engine.edges_explored", stats.edges_explored - before[1])
-        if stats.weighted_cohorts != before[2]:
-            telemetry.count(
-                "paths.weighted_cohorts", stats.weighted_cohorts - before[2]
-            )
-        if stats.bucket_relaxations != before[3]:
-            telemetry.count(
-                "paths.bucket_relaxations",
-                stats.bucket_relaxations - before[3],
-            )
-        telemetry.event(
+        epochs = (needed - len(self._carry)) // self.epoch_size
+        with self._reap_on_error():
+            super().extend(instance, target)
+        self.telemetry.event(
             "engine.epoch.barrier",
-            epochs=epochs_needed,
-            samples=appended,
+            epochs=epochs,
+            samples=needed,
             requested=int(upto),
             reached=int(instance.num_paths),
         )
-        if self.debug:
-            check_instance(instance)
-        self._flush_coverage(instance)
         self._update_worker_stat()
 
     # ------------------------------------------------------------------
@@ -566,7 +500,7 @@ class EpochEngine(SampleEngine):
         """The stream position as a composite, JSON-serializable state:
         the entropy word, the next epoch index, and the master
         generator's state.  Only defined at epoch boundaries."""
-        if self._carry:
+        if len(self._carry):
             raise CheckpointError(
                 "cannot snapshot an epoch engine mid-epoch "
                 f"({len(self._carry)} undelivered samples); snapshot at an "
@@ -608,7 +542,7 @@ class EpochEngine(SampleEngine):
         self._shutdown_workers()
         self._arrived.clear()
         self._failed.clear()
-        self._carry.clear()
+        self._carry = PackedSamples.empty()
         if discarded > 0:
             self.telemetry.count("engine.epoch.discarded", discarded)
         self._dispatched = self._ingested

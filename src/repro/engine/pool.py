@@ -38,8 +38,8 @@ from .._rng import spawn_seeds
 from ..exceptions import EngineError, ParameterError
 from ..graph.csr import CSRGraph
 from ..graph.weighted import WeightedCSRGraph
-from ..paths.sampler import PathSample, PathSampler
-from .base import SampleEngine, cohort_kernel, resolve_kernel
+from ..paths.sampler import PackedSamples, PathSampler
+from .base import SampleEngine, draw_packed, resolve_kernel, sampler_work
 from .shm import SharedGraphBlocks, attach_graph
 
 __all__ = ["ProcessPoolEngine"]
@@ -110,33 +110,19 @@ def _chunk_samples(
     cache_sources: int,
     seed: int,
     count: int,
-) -> tuple[list[PathSample], int, int, int, int, int, int]:
+) -> tuple[PackedSamples, tuple[int, ...]]:
     """One chunk of samples from its own seeded stream.
 
     The single chunk body shared by pool workers, epoch workers, and
     the in-process fallback — the reason results are bit-identical
-    across worker counts.  Returns ``(samples, traversals, edges,
-    hits, misses, weighted_cohorts, bucket_relaxations)``.
+    across worker counts.  Returns the packed samples and the chunk's
+    work counters (:func:`~repro.engine.base.sampler_work`).
     """
     sampler = PathSampler(
         graph, seed=seed, method=method, cache_sources=cache_sources
     )
-    cohort = cohort_kernel(kernel, graph, method)
-    if cohort is None:
-        samples = sampler.sample_batch(count)
-    else:
-        samples = sampler.sample_cohort(
-            count, kernel=cohort, cohort_size=cohort_size, delta=delta
-        )
-    return (
-        samples,
-        sampler.total_traversals,
-        sampler.total_edges_explored,
-        sampler.cache_hits,
-        sampler.cache_misses,
-        sampler.total_weighted_cohorts,
-        sampler.total_bucket_relaxations,
-    )
+    packed = draw_packed(sampler, kernel, count, cohort_size, delta)
+    return packed, sampler_work(sampler)
 
 
 def _draw_chunk(seed: int, count: int):
@@ -279,11 +265,11 @@ class ProcessPoolEngine(SampleEngine):
         full, rest = divmod(count, size)
         return [size] * full + ([rest] if rest else [])
 
-    def draw(self, count: int) -> list[PathSample]:
+    def draw(self, count: int) -> PackedSamples:
         self._check_count(count)
         if count == 0:
             self.stats.draw_calls += 1
-            return []
+            return PackedSamples.empty()
         sizes = self._chunk_sizes(count)
         seeds = spawn_seeds(self._rng, len(sizes))
         if self.kernel == "grouped" and self.requested_kernel != "grouped":
@@ -344,16 +330,8 @@ class ProcessPoolEngine(SampleEngine):
                     ) from exc
                 results.append((os.getpid(), *chunk))
 
-        samples: list[PathSample] = []
-        for result in results:
-            pid, chunk, traversals, edges, hits, misses, cohorts, relaxations = result
-            samples.extend(chunk)
-            self.stats.traversals += traversals
-            self.stats.edges_explored += edges
-            self.stats.cache_hits += hits
-            self.stats.cache_misses += misses
-            self.stats.weighted_cohorts += cohorts
-            self.stats.bucket_relaxations += relaxations
+        for pid, chunk, work in results:
+            self.stats.add_work(work)
             self.stats.worker_samples[pid] = (
                 self.stats.worker_samples.get(pid, 0) + len(chunk)
             )
@@ -363,7 +341,7 @@ class ProcessPoolEngine(SampleEngine):
         self.stats.workers = (
             0 if (self._pool_broken or self.workers == 0) else self.workers
         )
-        return samples
+        return PackedSamples.concat([chunk for _pid, chunk, _work in results])
 
     # ------------------------------------------------------------------
     def _release_segments(self) -> None:

@@ -1,35 +1,43 @@
-"""In-process engines: serial traversals, amortized and cohort batches.
+"""In-process engines: packed cohort draws.
 
-:class:`SerialEngine` reproduces the historical behavior of the
-algorithms' ``_extend`` plumbing bit-for-bit: small requests are served
-one balanced traversal per sample, while requests of at least ``n``
-samples switch to the source-grouped batch sampler (one full BFS per
-distinct source).  :class:`BatchEngine` always batches, and carries the
-``kernel`` knob: the default ``"wavefront"`` routes every draw through
-a vectorized multi-query kernel — the level-synchronous bidirectional
-BFS (:mod:`repro.paths.wavefront`) on unweighted graphs, the bucketed
+:class:`SerialEngine`, the default everywhere, serves every draw as one
+packed cohort draw
+(:meth:`~repro.paths.sampler.PathSampler.sample_cohort`): the ``count``
+ordered pairs are drawn up front, resolved in sample-order chunks by
+the wavefront kernel — the level-synchronous bidirectional BFS
+(:mod:`repro.paths.wavefront`) on unweighted graphs, the bucketed
 delta-stepping cohort (:mod:`repro.paths.wavefront_weighted`) on
-weighted ones — ``"scalar"`` runs the same cohort schedule one search
-at a time (bit-identical samples), and ``"grouped"`` keeps the legacy
-source-grouped amortization.
+weighted ones — and each chunk's paths are drawn by one vectorized
+walk into a single :class:`~repro.paths.packed.PackedSamples` record,
+which :meth:`~repro.engine.base.SampleEngine.extend` ingests with one
+vectorized append.  A draw holds the sparse search state of one chunk
+(the nodes its queries discovered) plus the cohort's two
+``(cohort_size, n)`` sigma planes, never a dense row per sample.
+
+:class:`BatchEngine` is the same draw with the ``kernel`` knob exposed:
+``"wavefront"`` (the default, identical to ``SerialEngine``),
+``"scalar"`` — the same cohort schedule with one scalar search and one
+scalar walk per sample, bit-identical samples, kept as the oracle — and
+``"grouped"``, the legacy source-grouped amortization.
 """
 
 from __future__ import annotations
 
 from ..graph.csr import CSRGraph
-from ..paths.sampler import PathSample, PathSampler
-from .base import SampleEngine, cohort_kernel, resolve_kernel
+from ..paths.sampler import PackedSamples, PathSampler
+from .base import SampleEngine, draw_packed, resolve_kernel, sampler_work
 
 __all__ = ["SerialEngine", "BatchEngine"]
 
 
 class SerialEngine(SampleEngine):
-    """One traversal per sample, with the historical large-draw shortcut.
+    """Packed cohort draws through the wavefront kernel, in process.
 
-    Draws of at least ``graph.n`` samples are served by the
-    source-grouped amortized BFS (statistically identical, far fewer
-    traversals) — exactly the heuristic the sampling algorithms used
-    before the engine layer existed, so seeded runs are unchanged.
+    Samples are bit-identical to ``BatchEngine`` with
+    ``kernel="wavefront"`` or ``kernel="scalar"`` for the same seed.
+    The unweighted ``"forward"`` method has no cohort schedule and
+    draws through the source-grouped sampler instead; ``cache_sources``
+    only affects that grouped path.
     """
 
     name = "serial"
@@ -52,54 +60,42 @@ class SerialEngine(SampleEngine):
         self._sampler = PathSampler(
             graph, seed=self._rng, method=method, cache_sources=cache_sources
         )
+        self.kernel = resolve_kernel("wavefront", graph, method)
+        self.requested_kernel = self.kernel
+        self.cohort_size: int | None = None
+        self.delta: int | None = None
 
-    def _use_batch(self, count: int) -> bool:
-        return count >= self.graph.n
-
-    def _draw_samples(self, count: int) -> list[PathSample]:
-        if self._use_batch(count):
-            self.stats.batches += 1
-            return self._sampler.sample_batch(count)
-        self.stats.batches += count
-        return [self._sampler.sample() for _ in range(count)]
-
-    def draw(self, count: int) -> list[PathSample]:
+    def draw(self, count: int) -> PackedSamples:
         self._check_count(count)
+        if count and self.kernel != self.requested_kernel:
+            self._note_kernel_fallback(self.requested_kernel)
         sampler = self._sampler
-        edges_before = sampler.total_edges_explored
-        traversals_before = sampler.total_traversals
-        hits_before = sampler.cache_hits
-        misses_before = sampler.cache_misses
-        cohorts_before = sampler.total_weighted_cohorts
-        relaxations_before = sampler.total_bucket_relaxations
-        samples = self._draw_samples(count)
+        before = sampler_work(sampler)
+        packed = draw_packed(
+            sampler, self.kernel, count, self.cohort_size, self.delta
+        )
+        self.stats.add_work(
+            tuple(b - a for a, b in zip(before, sampler_work(sampler)))
+        )
         self.stats.samples += count
         self.stats.draw_calls += 1
-        self.stats.traversals += sampler.total_traversals - traversals_before
-        self.stats.edges_explored += sampler.total_edges_explored - edges_before
-        self.stats.cache_hits += sampler.cache_hits - hits_before
-        self.stats.cache_misses += sampler.cache_misses - misses_before
-        self.stats.weighted_cohorts += (
-            sampler.total_weighted_cohorts - cohorts_before
-        )
-        self.stats.bucket_relaxations += (
-            sampler.total_bucket_relaxations - relaxations_before
-        )
-        return samples
+        self.stats.batches += 1 if count else 0
+        return packed
 
 
 class BatchEngine(SerialEngine):
-    """Always batch; route draws through the selected traversal kernel.
+    """The in-process draw with the traversal kernel selectable.
 
     Parameters
     ----------
     kernel:
         ``"wavefront"`` (default) or ``"scalar"`` use the pair-first
-        cohort schedule (bit-identical samples to each other) on both
-        unweighted and weighted graphs; ``"grouped"`` keeps the legacy
-        source-grouped amortized sampler.  Only the unweighted
-        ``"forward"`` method still falls back to ``"grouped"`` (noted
-        via the ``paths.kernel_fallbacks`` counter and a warning).
+        cohort schedule (bit-identical samples to each other and to
+        :class:`SerialEngine`) on both unweighted and weighted graphs;
+        ``"grouped"`` keeps the legacy source-grouped amortized
+        sampler.  Only the unweighted ``"forward"`` method still falls
+        back to ``"grouped"`` (noted via the ``paths.kernel_fallbacks``
+        counter and a warning).
     cohort_size:
         Concurrent queries per wavefront cohort (``None`` = the
         kernel's default).
@@ -133,20 +129,3 @@ class BatchEngine(SerialEngine):
         self.kernel = resolve_kernel(kernel, graph, method)
         self.cohort_size = cohort_size
         self.delta = delta
-
-    def _use_batch(self, count: int) -> bool:
-        return count > 0
-
-    def _draw_samples(self, count: int) -> list[PathSample]:
-        kernel = cohort_kernel(self.kernel, self.graph, self.method)
-        if kernel is None or count == 0:
-            if kernel is None and count and self.requested_kernel != "grouped":
-                self._note_kernel_fallback(self.requested_kernel)
-            return super()._draw_samples(count)
-        self.stats.batches += 1
-        return self._sampler.sample_cohort(
-            count,
-            kernel=kernel,
-            cohort_size=self.cohort_size,
-            delta=self.delta,
-        )

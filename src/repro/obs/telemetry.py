@@ -113,6 +113,11 @@ class Telemetry:
         (the hub always keeps its own in-memory copy regardless).
     clock:
         Monotonic time source (overridable for tests).
+    retain_events:
+        Keep every event in :attr:`events` (the default).  A
+        long-lived hub — the daemon's — passes ``False``: its events
+        still reach the sinks, but memory and :meth:`snapshot` cost
+        stop growing with its lifetime.
 
     Attributes
     ----------
@@ -128,8 +133,9 @@ class Telemetry:
     #: an isinstance check in hot paths.
     enabled = True
 
-    def __init__(self, sinks=(), clock=time.perf_counter):
+    def __init__(self, sinks=(), clock=time.perf_counter, retain_events=True):
         self._sinks = list(sinks)
+        self.retain_events = bool(retain_events)
         self._clock = clock
         self._start = clock()
         self._stack: list[str] = []
@@ -190,7 +196,8 @@ class Telemetry:
             "name": name,
         }
         record.update({k: _jsonable(v) for k, v in fields.items()})
-        self.events.append(record)
+        if self.retain_events:
+            self.events.append(record)
         self._emit(record)
         return record
 

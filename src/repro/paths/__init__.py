@@ -7,8 +7,9 @@ from .brandes import betweenness_centrality
 from .dijkstra import dijkstra_sigma, weighted_distances
 from .exact_gbc import exact_gbc, normalized_gbc
 from .pair_sampler import PairSample, PairSampler, shortest_path_dag
+from .packed import PackedSamples
 from .sampler import PathSample, PathSampler
-from .wavefront import DEFAULT_COHORT, wavefront_search
+from .wavefront import DEFAULT_COHORT, WavefrontResults, wavefront_search
 from .wavefront_weighted import WeightedSearchResult, wavefront_weighted_search
 
 __all__ = [
@@ -23,11 +24,13 @@ __all__ = [
     "exact_gbc",
     "normalized_gbc",
     "PathSample",
+    "PackedSamples",
     "PairSample",
     "PairSampler",
     "shortest_path_dag",
     "PathSampler",
     "DEFAULT_COHORT",
+    "WavefrontResults",
     "wavefront_search",
     "WeightedSearchResult",
     "wavefront_weighted_search",

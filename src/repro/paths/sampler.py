@@ -21,7 +21,6 @@ products leave every concrete path with probability ``1 / sigma_st``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,36 +28,75 @@ from .._rng import as_generator
 from ..exceptions import GraphError, ParameterError
 from ..graph.csr import CSRGraph
 from ._dispatch import is_weighted
-from .bfs import bfs_sigma
+from .bfs import bfs_sigma, cohort_neighbors
 from .bidirectional import BidirectionalResult, bidirectional_search
 from .dijkstra import dijkstra_sigma
-from .wavefront import wavefront_search
+from .packed import PackedSamples, PathSample
+from .wavefront import WavefrontResults, wavefront_search
 from .wavefront_weighted import WeightedSearchResult, wavefront_weighted_search
 
-__all__ = ["PathSample", "PathSampler"]
+__all__ = ["PathSample", "PackedSamples", "PathSampler"]
+
+#: Samples resolved per search call of a cohort draw.  The unweighted
+#: kernel hands back sparse state (the nodes each query discovered),
+#: the weighted one two dense length-``n`` rows per query, so what a
+#: draw holds besides its output is bounded by these, not by ``count``.
+_CHUNK = 512
+_WEIGHTED_CHUNK = 64
+
+#: Arcs a walk step gathers at once.  Hubs sit on many shortest paths,
+#: so the walks of one chunk can meet at a few high-degree nodes; the
+#: step then runs over slices of walks so its temporaries stay bounded.
+_WALK_ARCS = 1 << 14
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """One sampled shortest path (or a null sample).
+def _spans(weights: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Split ``range(len(weights))`` into contiguous spans whose weight
+    sums stay near ``budget`` (a single heavier item gets its own)."""
+    ends = np.cumsum(weights)
+    marks = np.searchsorted(ends, np.arange(budget, ends[-1], budget), side="right")
+    bounds = np.unique(np.concatenate(([0], marks, [weights.size]))).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
 
-    ``nodes`` lists the path from source to target inclusive; it is
-    empty for a null sample (unreachable pair).  ``edges_explored``
-    records the traversal work, which the bidirectional-vs-forward
-    ablation aggregates.
+
+def _segmented_pick(
+    counts: np.ndarray, weights: np.ndarray, draws: np.ndarray
+) -> np.ndarray:
+    """Vectorized :meth:`PathSampler._weighted_pick` over segments.
+
+    ``weights`` concatenates one non-empty candidate segment per row
+    (``counts[i]`` entries each); row ``i`` draws with ``draws[i]``.
+    Returns each row's chosen position within its segment.  The
+    cumulative weights come from a zero-padded 2-D ``np.cumsum`` along
+    the rows, which adds left to right exactly like the 1-D cumsum of
+    each segment, so the choices are bit-identical to the scalar pick.
     """
-
-    source: int
-    target: int
-    nodes: np.ndarray = field(repr=False)
-    distance: int
-    sigma_st: float
-    edges_explored: int
-
-    @property
-    def is_null(self) -> bool:
-        """Whether the pair was disconnected (sample covers nothing)."""
-        return self.nodes.size == 0
+    picks = np.zeros(counts.size, dtype=np.int64)
+    multi = np.flatnonzero(counts > 1)  # a single candidate is always chosen
+    if multi.size == 0:
+        return picks
+    starts = np.cumsum(counts) - counts
+    sizes = counts[multi]
+    # pad rows of similar length together so one long segment cannot
+    # blow every row up to its width
+    groups = [multi]
+    if multi.size * int(sizes.max()) > 4 * int(sizes.sum()) + 4096:
+        bits = np.ceil(np.log2(sizes)).astype(np.int64)
+        groups = [multi[bits == b] for b in np.unique(bits)]
+    for rows in groups:
+        size = counts[rows]
+        total = int(size.sum())
+        line = np.repeat(np.arange(rows.size), size)
+        col = np.arange(total) - np.repeat(np.cumsum(size) - size, size)
+        grid = np.zeros((rows.size, int(size.max())))
+        grid[line, col] = weights[np.repeat(starts[rows], size) + col]
+        cumulative = np.cumsum(grid, axis=1)
+        # padding repeats the row total, which only ever matters when
+        # the draw reaches the total — and then the clip below applies
+        bound = draws[rows] * cumulative[np.arange(rows.size), size - 1]
+        chosen = np.count_nonzero(cumulative <= bound[:, None], axis=1)
+        picks[rows] = np.minimum(chosen, size - 1)
+    return picks
 
 
 class PathSampler:
@@ -147,7 +185,14 @@ class PathSampler:
             raise ParameterError("sample count must be non-negative")
         return [self.sample() for _ in range(count)]
 
-    def sample_batch(self, count: int) -> list[PathSample]:
+    def _draw_pairs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` i.i.d. uniform ordered pairs with ``s != t``."""
+        n = self.graph.n
+        sources = self._rng.integers(0, n, size=count)
+        targets = self._rng.integers(0, n - 1, size=count)
+        return sources, np.where(targets >= sources, targets + 1, targets)
+
+    def sample_batch(self, count: int) -> PackedSamples:
         """Draw ``count`` independent samples, amortizing traversals.
 
         Statistically identical to :meth:`sample_many` — the ``count``
@@ -155,8 +200,7 @@ class PathSampler:
         source are served by a *single* full BFS from that source
         instead of one bidirectional search each.  When ``count`` is
         large relative to ``n`` (the regime of HEDGE/CentRa/EXHAUST),
-        this replaces ~``count`` traversals with at most ``n``, which
-        is substantially faster in pure Python.
+        this replaces ~``count`` traversals with at most ``n``.
 
         Only available for unweighted graphs; weighted graphs fall
         back to per-sample Dijkstra.  Samples are returned in draw
@@ -165,18 +209,18 @@ class PathSampler:
         if count < 0:
             raise ParameterError("sample count must be non-negative")
         if self.method == "dijkstra":
-            return [self.sample() for _ in range(count)]
-        n = self.graph.n
-        rng = self._rng
-        sources = rng.integers(0, n, size=count)
-        targets = rng.integers(0, n - 1, size=count)
-        targets = np.where(targets >= sources, targets + 1, targets)
+            return PackedSamples.from_samples(self.sample() for _ in range(count))
+        sources, targets = self._draw_pairs(count)
 
         by_source: dict[int, list[int]] = {}
-        for index, s in enumerate(sources):
-            by_source.setdefault(int(s), []).append(index)
+        for index, s in enumerate(sources.tolist()):
+            by_source.setdefault(s, []).append(index)
 
-        samples: list[PathSample | None] = [None] * count
+        empty = np.empty(0, dtype=np.int64)
+        paths: list[np.ndarray] = [empty] * count
+        distances = np.full(count, -1, dtype=np.int64)
+        sigmas = np.zeros(count)
+        edges = np.zeros(count, dtype=np.int64)
         traversals = 0
         for source, indices in by_source.items():
             dist, sigma, total_work, cached = self._forward_tree(source)
@@ -187,24 +231,20 @@ class PathSampler:
             # (a cache hit executed no traversal, so its samples carry 0)
             share, remainder = divmod(0 if cached else total_work, len(indices))
             for position, index in enumerate(indices):
-                explored = share + (1 if position < remainder else 0)
+                edges[index] = share + (1 if position < remainder else 0)
                 target = int(targets[index])
                 if dist[target] == -1:
-                    samples[index] = self._null(source, target, explored)
                     continue
                 head = self._walk_up(target, dist, sigma)
-                samples[index] = PathSample(
-                    source=source,
-                    target=target,
-                    nodes=np.asarray(head[::-1], dtype=np.int64),
-                    distance=int(dist[target]),
-                    sigma_st=float(sigma[target]),
-                    edges_explored=explored,
-                )
+                paths[index] = np.asarray(head[::-1], dtype=np.int64)
+                distances[index] = dist[target]
+                sigmas[index] = sigma[target]
         self.total_samples += count
         self.total_traversals += traversals
-        self.total_edges_explored += sum(s.edges_explored for s in samples)
-        return samples
+        self.total_edges_explored += int(edges.sum())
+        return PackedSamples.from_paths(
+            sources, targets, distances, sigmas, edges, paths
+        )
 
     def sample_cohort(
         self,
@@ -212,31 +252,34 @@ class PathSampler:
         kernel: str = "wavefront",
         cohort_size: int | None = None,
         delta: int | None = None,
-    ) -> list[PathSample]:
+    ) -> PackedSamples:
         """Draw ``count`` samples through the pair-first cohort schedule.
 
         Statistically identical to :meth:`sample_many`; the draw order
         is restructured for batching: all ``count`` ordered pairs are
-        drawn i.i.d. up front, **all** searches are resolved next, and
-        the uniform path walks run last, in sample order.  With
-        ``kernel="wavefront"`` the searches execute through a
-        vectorized multi-query kernel — the level-synchronous
+        drawn i.i.d. up front, then resolved in sample-order chunks —
+        each chunk's searches first, then its uniform path walks, in
+        sample order.  With ``kernel="wavefront"`` the searches execute
+        through a vectorized multi-query kernel — the level-synchronous
         bidirectional BFS (:func:`~repro.paths.wavefront.wavefront_search`)
         on unweighted graphs, the bucketed delta-stepping cohort
         (:func:`~repro.paths.wavefront_weighted.wavefront_weighted_search`)
-        on weighted ones.  With ``kernel="scalar"`` each query runs its
-        own scalar search
+        on weighted ones — and on unweighted graphs one vectorized walk
+        draws every path of the chunk.  With ``kernel="scalar"`` each
+        query runs its own scalar search
         (:func:`~repro.paths.bidirectional.bidirectional_search` /
-        :func:`~repro.paths.dijkstra.dijkstra_sigma`).  The two kernels
-        consume the generator identically and yield bit-identical
-        samples — the cross-kernel determinism contract the engines
-        rely on.
+        :func:`~repro.paths.dijkstra.dijkstra_sigma`) and its own walk.
+        The kernels consume the generator identically — each reachable
+        sample takes ``distance + 1`` uniforms: the separator pick,
+        then the steps toward the source, then those toward the target
+        — and yield bit-identical samples, the cross-kernel
+        determinism contract the engines rely on.
 
         ``delta`` is the weighted kernel's bucket width
         (result-invariant; ``None`` auto-tunes from the mean edge
         weight); it is ignored on unweighted graphs.  Only the
-        ``"forward"`` method lacks a cohort schedule; engines fall back
-        to :meth:`sample_batch` for it.
+        ``"forward"`` method lacks a cohort schedule; engines use
+        :meth:`sample_batch` for it.
         """
         if count < 0:
             raise ParameterError("sample count must be non-negative")
@@ -245,39 +288,140 @@ class PathSampler:
                 "cohort sampling requires the 'bidirectional' or "
                 "'dijkstra' method"
             )
-        n = self.graph.n
-        rng = self._rng
-        sources = rng.integers(0, n, size=count)
-        targets = rng.integers(0, n - 1, size=count)
-        targets = np.where(targets >= sources, targets + 1, targets)
-
+        if kernel not in ("wavefront", "scalar"):
+            raise ParameterError(f"unknown traversal kernel {kernel!r}")
+        sources, targets = self._draw_pairs(count)
         if self.method == "dijkstra":
-            return self._weighted_cohort(
+            packed = self._weighted_cohort(
                 sources, targets, kernel, cohort_size, delta
             )
-
-        if kernel == "wavefront":
-            searched = wavefront_search(
-                self.graph, sources, targets, cohort_size=cohort_size
-            )
-        elif kernel == "scalar":
-            searched = [
-                bidirectional_search(self.graph, int(s), int(t))
-                for s, t in zip(sources, targets)
-            ]
         else:
-            raise ParameterError(f"unknown traversal kernel {kernel!r}")
-
-        samples = []
-        for source, target, (result, explored) in zip(sources, targets, searched):
-            if result is None:
-                samples.append(self._null(int(source), int(target), explored))
-            else:
-                samples.append(self._assemble(result))
+            parts = []
+            for lo in range(0, count, _CHUNK):
+                chunk = slice(lo, lo + _CHUNK)
+                if kernel == "wavefront":
+                    found = wavefront_search(
+                        self.graph,
+                        sources[chunk],
+                        targets[chunk],
+                        cohort_size=cohort_size,
+                        frontiers=False,
+                    )
+                    parts.append(self._walk_cohort(found))
+                else:
+                    parts.append(
+                        self._scalar_cohort(sources[chunk], targets[chunk])
+                    )
+            packed = PackedSamples.concat(parts)
         self.total_samples += count
         self.total_traversals += count
-        self.total_edges_explored += sum(s.edges_explored for s in samples)
-        return samples
+        self.total_edges_explored += int(packed.edges.sum())
+        return packed
+
+    def _scalar_cohort(
+        self, sources: np.ndarray, targets: np.ndarray
+    ) -> PackedSamples:
+        """One scalar search and one scalar walk per pair, in order."""
+        empty = np.empty(0, dtype=np.int64)
+        paths, distances, sigmas, edges = [], [], [], []
+        for source, target in zip(sources.tolist(), targets.tolist()):
+            result, explored = bidirectional_search(self.graph, source, target)
+            edges.append(explored)
+            if result is None:
+                paths.append(empty)
+                distances.append(-1)
+                sigmas.append(0.0)
+            else:
+                paths.append(self._path_nodes(result))
+                distances.append(result.distance)
+                sigmas.append(result.sigma_st)
+        return PackedSamples.from_paths(
+            sources, targets, distances, sigmas, edges, paths
+        )
+
+    def _walk_cohort(self, found: WavefrontResults) -> PackedSamples:
+        """Draw one uniform path per reachable query of ``found``, all
+        at once.
+
+        Sample ``i`` at distance ``d`` takes the ``d + 1`` uniforms at
+        its own path offset in one ``random`` block, in the order
+        :meth:`_path_nodes` consumes them: the separator pick, the
+        ``cut_level`` steps toward the source, then the steps toward
+        the target.  Every step advances all the walks still under way
+        with one neighbor gather and one segmented pick.
+        """
+        distance = found.distance
+        reach = np.flatnonzero(distance >= 0)
+        offsets = np.zeros(len(found) + 1, dtype=np.int64)
+        np.cumsum(np.where(distance >= 0, distance + 1, 0), out=offsets[1:])
+        nodes = np.empty(int(offsets[-1]), dtype=np.int64)
+        uniforms = self._rng.random(nodes.size)
+
+        start = offsets[reach]
+        cut_level = found.cut_level[reach]
+        cut_lo = found.cut_offsets[reach]
+        # unreachable queries have empty separators, so the reachable
+        # ones' segments are the whole cut array
+        pick = _segmented_pick(
+            found.cut_offsets[reach + 1] - cut_lo, found.cut_weights, uniforms[start]
+        )
+        pivot = found.cut_nodes[cut_lo + pick]
+        nodes[start + cut_level] = pivot
+        graph = self.graph
+        for side, (indptr, indices), depth, step, base in (
+            (0, (graph.rev_indptr, graph.rev_indices), cut_level, -1, start),
+            (1, (graph.indptr, graph.indices), distance[reach] - cut_level, 1,
+             start + cut_level),
+        ):
+            self._walk_side(
+                found, side, indptr, indices, reach, pivot, depth,
+                start + cut_level, step, base, uniforms, nodes,
+            )
+        return PackedSamples(
+            found.sources,
+            found.targets,
+            distance,
+            found.sigma_st,
+            found.edges,
+            nodes,
+            offsets,
+        )
+
+    def _walk_side(
+        self, found, side, indptr, indices, query, node, depth, position,
+        step, base, uniforms, nodes,
+    ) -> None:
+        """Advance every walk of one side ``depth`` levels from the
+        separator toward that side's root, writing the path nodes at
+        ``position + step * k`` and drawing step ``k`` with
+        ``uniforms[base + k]``."""
+        n = self.graph.n
+        keys, dist, sigma = found.keys[side], found.dist[side], found.sigma[side]
+        live = depth > 0
+        query, node, depth = query[live], node[live], depth[live]
+        position, base = position[live], base[live]
+        k = 0
+        while node.size:
+            k += 1
+            level = depth - k
+            draws = uniforms[base + k]
+            for lo, hi in _spans(indptr[node + 1] - indptr[node], _WALK_ARCS):
+                heads, _, owner = cohort_neighbors(
+                    indptr, indices, node[lo:hi], np.arange(hi - lo)
+                )
+                # the candidates a scalar walk keeps: neighbors this side
+                # discovered exactly one level closer to its root
+                probe = query[lo:hi][owner] * n + heads
+                at = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
+                on_level = (keys[at] == probe) & (dist[at] == level[lo:hi][owner])
+                counts = np.bincount(owner[on_level], minlength=hi - lo)
+                pick = _segmented_pick(counts, sigma[at[on_level]], draws[lo:hi])
+                node[lo:hi] = heads[on_level][np.cumsum(counts) - counts + pick]
+            nodes[position + step * k] = node
+            live = depth > k
+            if not live.all():
+                query, node, depth = query[live], node[live], depth[live]
+                position, base = position[live], base[live]
 
     def _weighted_cohort(
         self,
@@ -286,15 +430,39 @@ class PathSampler:
         kernel: str,
         cohort_size: int | None,
         delta: int | None,
-    ) -> list[PathSample]:
-        """The weighted half of :meth:`sample_cohort`: resolve every
-        (s, t) query first, then run the backward walks in sample
-        order.  Both kernels produce bit-identical
+    ) -> PackedSamples:
+        """The weighted half of :meth:`sample_cohort`: per chunk,
+        resolve every (s, t) query, then run the backward walks in
+        sample order.  Both kernels produce bit-identical
         :class:`~repro.paths.wavefront_weighted.WeightedSearchResult`
         rows and consume the generator only through the walks, so the
         samples are bit-identical across kernels (and across the
         engines' chunkings)."""
-        count = int(sources.size)
+        empty = np.empty(0, dtype=np.int64)
+        paths, distances, sigmas, edges = [], [], [], []
+        for lo in range(0, sources.size, _WEIGHTED_CHUNK):
+            chunk = slice(lo, lo + _WEIGHTED_CHUNK)
+            for result in self._weighted_search(
+                sources[chunk], targets[chunk], kernel, cohort_size, delta
+            ):
+                edges.append(result.edges_explored)
+                distances.append(result.distance)
+                sigmas.append(result.sigma_st)
+                paths.append(
+                    self._walk_weighted(
+                        result.source, result.target, result.dist, result.sigma
+                    )
+                    if result.reachable
+                    else empty
+                )
+        self.total_weighted_cohorts += 1
+        return PackedSamples.from_paths(
+            sources, targets, distances, sigmas, edges, paths
+        )
+
+    def _weighted_search(
+        self, sources, targets, kernel, cohort_size, delta
+    ) -> list[WeightedSearchResult]:
         if kernel == "wavefront":
             counters: dict = {}
             searched = wavefront_weighted_search(
@@ -308,57 +476,23 @@ class PathSampler:
             self.total_bucket_relaxations += counters.get(
                 "bucket_relaxations", 0
             )
-        elif kernel == "scalar":
-            searched = []
-            for source, target in zip(sources, targets):
-                source, target = int(source), int(target)
-                dist, sigma, order = dijkstra_sigma(
-                    self.graph, source, target=target
-                )
-                explored = int(
-                    sum(self.graph.out_degree(int(v)) for v in order)
-                )
-                searched.append(
-                    WeightedSearchResult(
-                        source=source,
-                        target=target,
-                        distance=int(dist[target]),
-                        sigma_st=float(sigma[target]),
-                        dist=dist,
-                        sigma=sigma,
-                        edges_explored=explored,
-                    )
-                )
-        else:
-            raise ParameterError(f"unknown traversal kernel {kernel!r}")
-
-        samples = []
-        for result in searched:
-            if not result.reachable:
-                samples.append(
-                    self._null(
-                        result.source, result.target, result.edges_explored
-                    )
-                )
-                continue
-            nodes = self._walk_weighted(
-                result.source, result.target, result.dist, result.sigma
-            )
-            samples.append(
-                PathSample(
-                    source=result.source,
-                    target=result.target,
-                    nodes=nodes,
-                    distance=result.distance,
-                    sigma_st=result.sigma_st,
-                    edges_explored=result.edges_explored,
+            return searched
+        searched = []
+        for source, target in zip(sources.tolist(), targets.tolist()):
+            dist, sigma, order = dijkstra_sigma(self.graph, source, target=target)
+            explored = int(sum(self.graph.out_degree(int(v)) for v in order))
+            searched.append(
+                WeightedSearchResult(
+                    source=source,
+                    target=target,
+                    distance=int(dist[target]),
+                    sigma_st=float(sigma[target]),
+                    dist=dist,
+                    sigma=sigma,
+                    edges_explored=explored,
                 )
             )
-        self.total_samples += count
-        self.total_traversals += count
-        self.total_weighted_cohorts += 1
-        self.total_edges_explored += sum(s.edges_explored for s in samples)
-        return samples
+        return searched
 
     def sample_pair(self, source: int, target: int) -> PathSample:
         """Draw a uniform shortest path for a *given* ordered pair."""
@@ -408,22 +542,21 @@ class PathSampler:
             # unreachable: both searches exhausted their closure — that
             # work is real, so the ablation must see it
             return self._null(source, target, explored)
-        return self._assemble(result)
-
-    def _assemble(self, result: BidirectionalResult) -> PathSample:
-        """Draw one uniform path from a completed bidirectional search."""
-        pivot = self._weighted_pick(result.cut_nodes, result.cut_weights)
-        head = self._walk_up(pivot, result.dist_forward, result.sigma_forward)
-        tail = self._walk_down(pivot, result.dist_backward, result.sigma_backward)
-        nodes = np.asarray(head[::-1] + tail[1:], dtype=np.int64)
         return PathSample(
             source=result.source,
             target=result.target,
-            nodes=nodes,
+            nodes=self._path_nodes(result),
             distance=result.distance,
             sigma_st=result.sigma_st,
             edges_explored=result.edges_explored,
         )
+
+    def _path_nodes(self, result: BidirectionalResult) -> np.ndarray:
+        """Draw one uniform path from a completed bidirectional search."""
+        pivot = self._weighted_pick(result.cut_nodes, result.cut_weights)
+        head = self._walk_up(pivot, result.dist_forward, result.sigma_forward)
+        tail = self._walk_down(pivot, result.dist_backward, result.sigma_backward)
+        return np.asarray(head[::-1] + tail[1:], dtype=np.int64)
 
     def _sample_forward(self, source: int, target: int) -> PathSample:
         dist, sigma = bfs_sigma(self.graph, source, target=target)

@@ -88,10 +88,15 @@ class _LockedTelemetry(Telemetry):
     counters).  Counter updates, event appends, and sink emission are
     serialized; span aggregation stays compute-thread-only, and the
     loop thread reads counters only through
-    :meth:`counters_snapshot`."""
+    :meth:`counters_snapshot`.
+
+    The hub lives as long as the daemon, so it keeps no event history
+    (events still reach the ``--log-json`` sink): every computed query
+    takes a :meth:`snapshot` for its diagnostics, and copying the whole
+    history made each query's cost grow with the daemon's age."""
 
     def __init__(self, sinks=()):
-        super().__init__(sinks=sinks)
+        super().__init__(sinks=sinks, retain_events=False)
         self._lock = threading.RLock()
 
     def count(self, name: str, value: int = 1) -> None:
@@ -105,6 +110,12 @@ class _LockedTelemetry(Telemetry):
     def _emit(self, record: dict) -> None:
         with self._lock:
             super()._emit(record)
+
+    def snapshot(self) -> dict:
+        """Counters and span totals, copied under the lock so a
+        counter the loop thread inserts mid-copy cannot break it."""
+        with self._lock:
+            return super().snapshot()
 
     def counters_snapshot(self) -> dict:
         """Point-in-time counter copy, safe against the compute thread
@@ -549,6 +560,12 @@ class GBCServer:
                     await writer.drain()
                 except ConnectionError:
                     break
+        except asyncio.CancelledError:
+            # the loop's shutdown after a drain cancels connections that
+            # are still open; end them like a client hang-up — a task
+            # left cancelled makes asyncio's stream callback log a
+            # traceback
+            pass
         finally:
             writer.close()
             try:

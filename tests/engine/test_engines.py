@@ -13,6 +13,7 @@ The engine contract under test:
 from __future__ import annotations
 
 import os
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ class TestDrawBasics:
     @pytest.mark.parametrize("name", ENGINE_NAMES)
     def test_zero_draw(self, grid3x3, name):
         with _engine(name, grid3x3) as engine:
-            assert engine.draw(0) == []
+            assert list(engine.draw(0)) == []
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
     def test_null_samples_on_disconnected(self, two_triangles, name):
@@ -326,17 +327,21 @@ class TestStats:
         )
 
 
-class TestSerialMatchesHistorical:
-    def test_serial_equals_grouped_batch_for_large_draws(self, grid3x3):
-        """At counts >= n the serial engine takes the grouped batch
-        path, so the two in-process engines coincide exactly."""
+class TestSerialMatchesBatch:
+    @pytest.mark.parametrize("count", [5, 100])
+    def test_serial_equals_cohort_batch_kernels(self, grid3x3, count):
+        """Below and above n alike, the serial engine draws packed
+        cohorts: it coincides exactly with both cohort kernels of the
+        batch engine."""
         with SerialEngine(grid3x3, seed=13) as serial:
-            a = serial.draw(100)
-        with BatchEngine(grid3x3, seed=13, kernel="grouped") as batch:
-            b = batch.draw(100)
-        for x, y in zip(a, b):
-            assert x.source == y.source and x.target == y.target
-            assert np.array_equal(x.nodes, y.nodes)
+            a = serial.draw(count)
+        for kernel in ("wavefront", "scalar"):
+            with BatchEngine(grid3x3, seed=13, kernel=kernel) as batch:
+                b = batch.draw(count)
+            assert len(a) == len(b) == count
+            for x, y in zip(a, b):
+                assert x.source == y.source and x.target == y.target
+                assert np.array_equal(x.nodes, y.nodes)
 
 
 def _segment_paths(engine):
@@ -418,7 +423,11 @@ class TestPoolLifecycle:
         if engine._pool is None:  # pragma: no cover - sandbox without pools
             engine.close()
             pytest.skip("process pool unavailable")
-        engine._pool.submit(os._exit, 1)  # simulate a worker crash
+        crash = engine._pool.submit(os._exit, 1)  # simulate a worker crash
+        # let the executor register the death first: otherwise a fast
+        # surviving worker can finish the next draw before it does
+        with pytest.raises(BrokenExecutor):
+            crash.result(timeout=60)
         second = engine.draw(64)
         assert len(first) == len(second) == 64
         assert engine.stats.workers == 0  # degraded to in-process
@@ -447,11 +456,14 @@ class TestPoolLifecycle:
 class TestTreeCache:
     def test_cache_counts_and_sample_identity(self, grid3x3):
         """Caching forward-BFS trees changes work accounting only —
-        the sampled paths are bit-identical."""
-        with SerialEngine(grid3x3, seed=21) as plain:
+        the sampled paths are bit-identical.  The cache serves the
+        grouped kernel only."""
+        with BatchEngine(grid3x3, seed=21, kernel="grouped") as plain:
             a = plain.draw(100) + plain.draw(100)
             assert plain.stats.cache_hits == plain.stats.cache_misses == 0
-        with SerialEngine(grid3x3, seed=21, cache_sources=9) as cached:
+        with BatchEngine(
+            grid3x3, seed=21, kernel="grouped", cache_sources=9
+        ) as cached:
             b = cached.draw(100) + cached.draw(100)
             stats = cached.stats
         assert stats.cache_misses <= grid3x3.n
@@ -461,7 +473,9 @@ class TestTreeCache:
             assert np.array_equal(x.nodes, y.nodes)
 
     def test_cache_eviction_is_bounded(self, grid3x3):
-        with SerialEngine(grid3x3, seed=21, cache_sources=2) as engine:
+        with BatchEngine(
+            grid3x3, seed=21, kernel="grouped", cache_sources=2
+        ) as engine:
             engine.draw(100)
             assert len(engine._sampler._tree_cache) <= 2
 

@@ -21,12 +21,7 @@ import numpy as np
 import pytest
 
 from repro.coverage import CoverageInstance
-from repro.engine import (
-    EpochEngine,
-    create_engine,
-    pack_samples,
-    unpack_samples,
-)
+from repro.engine import EpochEngine, PackedSamples, create_engine
 from repro.engine.serial import SerialEngine
 from repro.exceptions import CheckpointError, ParameterError
 from repro.graph import barabasi_albert
@@ -214,29 +209,29 @@ class TestStats:
 class TestWire:
     def test_pack_unpack_round_trip(self, ba200):
         with SerialEngine(ba200, seed=5) as serial:
-            samples = serial.draw(40)
-        packed = pack_samples(samples, include_endpoints=True)
+            samples = list(serial.draw(40))
+        packed = PackedSamples.from_samples(samples)
         assert len(packed) == 40
-        _assert_same_samples(unpack_samples(packed), samples)
+        _assert_same_samples(list(packed), samples)
 
     def test_packed_coverage_is_deduplicated(self, two_triangles):
         # null samples (disconnected pairs) pack to empty coverage rows
         with SerialEngine(two_triangles, seed=3) as serial:
-            samples = serial.draw(60)
-        packed = pack_samples(samples, include_endpoints=True)
-        for i, sample in enumerate(samples):
-            row = packed.cov_flat[packed.cov_offsets[i]:packed.cov_offsets[i + 1]]
-            expected = np.unique(sample.nodes)
-            assert np.array_equal(row, expected)
+            packed = serial.draw(60)
+        for include_endpoints in (True, False):
+            flat, offsets = packed.coverage(include_endpoints)
+            for i, sample in enumerate(packed):
+                row = flat[offsets[i]:offsets[i + 1]]
+                inner = sample.nodes if include_endpoints else sample.nodes[1:-1]
+                assert np.array_equal(row, np.unique(inner))
 
     def test_pickle_round_trip(self, grid3x3):
         import pickle
 
         with SerialEngine(grid3x3, seed=5) as serial:
-            samples = serial.draw(10)
-        packed = pack_samples(samples, include_endpoints=False)
+            packed = serial.draw(10)
         clone = pickle.loads(pickle.dumps(packed))
-        _assert_same_samples(unpack_samples(clone), unpack_samples(packed))
+        _assert_same_samples(list(clone), list(packed))
 
 
 class TestCheckpoint:

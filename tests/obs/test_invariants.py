@@ -154,18 +154,16 @@ class TestAlgorithmDebugMode:
 
         g = erdos_renyi(40, 0.15, seed=13)
         engine = create_engine("serial", g, seed=14, debug=True)
-        original = PathSampler.sample_batch
+        original = PathSampler.sample_cohort
 
-        def corrupt(self, count):
-            return [
-                s if s.is_null else _corrupted(s, distance=s.distance + 1)
-                for s in original(self, count)
-            ]
+        def corrupt(self, count, **kwargs):
+            packed = original(self, count, **kwargs)
+            reachable = packed.distances >= 0
+            packed.distances[reachable] += 1
+            return packed
 
-        monkeypatch.setattr(PathSampler, "sample_batch", corrupt)
+        monkeypatch.setattr(PathSampler, "sample_cohort", corrupt)
         instance = CoverageInstance(g.n)
         with pytest.raises(InvariantViolation):
-            # >= n samples so the serial engine takes the batch path
-            # the monkeypatch intercepts
-            engine.extend(instance, g.n + 10)
+            engine.extend(instance, 10)
         engine.close()

@@ -150,7 +150,7 @@ class TestSampleBatch:
             PathSampler(path5, seed=0).sample_batch(-1)
 
     def test_zero_count(self, path5):
-        assert PathSampler(path5, seed=0).sample_batch(0) == []
+        assert len(PathSampler(path5, seed=0).sample_batch(0)) == 0
 
     def test_weighted_graph_falls_back(self):
         from repro.graph import from_weighted_edges

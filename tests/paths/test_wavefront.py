@@ -106,9 +106,10 @@ class TestCohortEdgeCases:
         _assert_matches_scalar(two_triangles, sources, targets, cohort_size=2)
 
     def test_empty_query_set(self, grid3x3):
-        assert wavefront_search(
+        results = wavefront_search(
             grid3x3, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        ) == []
+        )
+        assert len(results) == 0
 
     def test_source_equals_target_rejected(self, grid3x3):
         with pytest.raises(ParameterError):

@@ -195,6 +195,32 @@ class TestAnswerPaths:
             assert stats["counters"]["serve.computed"] == 1
 
 
+class TestTelemetryHistory:
+    def test_snapshot_work_does_not_grow_with_events(self, ba60):
+        """Regression: every computed query snapshots the daemon's hub
+        for its diagnostics; that copy must not include (and so must
+        not grow with) the events the daemon has emitted so far."""
+        with _Harness(_config(ba60)) as daemon:
+            hub = daemon.server.telemetry
+            copied = []
+            original = hub.snapshot
+
+            def spy():
+                snap = original()
+                copied.append(len(snap["events"]))
+                return snap
+
+            hub.snapshot = spy
+            with daemon.client() as client:
+                client.query("ba", k=1, eps=0.6, gamma=0.1, seed=3)
+                for i in range(2000):
+                    hub.event("test.filler", index=i)
+                client.query("ba", k=2, eps=0.6, gamma=0.1, seed=3)
+            assert len(copied) == 2
+            assert copied == [0, 0]
+            assert hub.events == []
+
+
 class TestErrors:
     def test_bad_frames_answer_without_poisoning_the_connection(self, ba60):
         with _Harness(_config(ba60)) as daemon:
@@ -360,6 +386,56 @@ class TestSigterm:
             assert code == 0, stderr
             assert "drained" in stderr
             assert list(warm.glob("*.warm.npz"))
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+
+    def test_sigterm_with_idle_connection_is_quiet(self, tmp_path):
+        """Regression: a client still connected when SIGTERM arrives
+        is closed without an asyncio traceback in the daemon's log."""
+        ready = tmp_path / "ready.json"
+        env = dict(os.environ)
+        root = os.path.dirname(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        )
+        env["PYTHONPATH"] = os.path.join(root, "src")
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "serve",
+                "--dataset",
+                "SyntheticNetwork-BA",
+                "--port",
+                "0",
+                "--ready-file",
+                str(ready),
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not ready.exists():
+                assert proc.poll() is None, (
+                    f"daemon died early: {proc.stderr.read().decode()}"
+                )
+                assert time.monotonic() < deadline, "daemon never came up"
+                time.sleep(0.05)
+            port = json.loads(ready.read_text())["port"]
+            with ServeClient(port=port) as client:
+                assert client.ping()["pong"] is True
+                proc.send_signal(signal.SIGTERM)
+                code = proc.wait(timeout=120)
+            stderr = proc.stderr.read().decode()
+            assert code == 0, stderr
+            assert "drained" in stderr
+            assert "Traceback" not in stderr
+            assert "CancelledError" not in stderr
         finally:
             if proc.poll() is None:
                 proc.kill()
