@@ -46,13 +46,7 @@ from .exceptions import (
     ReproError,
     SessionInterrupted,
 )
-from .engine import (
-    BatchEngine,
-    ProcessPoolEngine,
-    SampleEngine,
-    SerialEngine,
-    create_engine,
-)
+from .engine import EpochEngine, SampleEngine, SerialEngine, create_engine
 from .graph import CSRGraph, WeightedCSRGraph, from_edges, from_weighted_edges
 from .paths import PathSampler, betweenness_centrality, exact_gbc, normalized_gbc
 from .session import SampleStore, SamplingSession
@@ -76,8 +70,7 @@ __all__ = [
     "PathSampler",
     "SampleEngine",
     "SerialEngine",
-    "BatchEngine",
-    "ProcessPoolEngine",
+    "EpochEngine",
     "create_engine",
     "betweenness_centrality",
     "exact_gbc",

@@ -69,7 +69,7 @@ class AdaAlg(SamplingAlgorithm):
         Error probability (success probability is ``1 - gamma``).
     b_min:
         Floor for the geometric base ``b`` (Eq. 13; paper uses 1.1).
-    include_endpoints, sampler_method, seed:
+    include_endpoints, seed:
         See :class:`~repro.algorithms.base.SamplingAlgorithm`.
     max_samples:
         Optional safety cap on the size of *each* sample set; when hit,
@@ -96,14 +96,10 @@ class AdaAlg(SamplingAlgorithm):
         gamma: float = 0.01,
         b_min: float = 1.1,
         include_endpoints: bool = True,
-        sampler_method: str = "bidirectional",
         seed=None,
         engine: str = "serial",
         workers: int | None = None,
-        kernel: str = "wavefront",
-        cache_sources: int = 0,
         epoch_size: int | None = None,
-        delta: int | None = None,
         max_samples: int | None = None,
         validation_set: bool = True,
         telemetry=None,
@@ -118,14 +114,10 @@ class AdaAlg(SamplingAlgorithm):
             eps=eps,
             gamma=gamma,
             include_endpoints=include_endpoints,
-            sampler_method=sampler_method,
             seed=seed,
             engine=engine,
             workers=workers,
-            kernel=kernel,
-            cache_sources=cache_sources,
             epoch_size=epoch_size,
-            delta=delta,
             telemetry=telemetry,
             debug=debug,
             session=session,

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._rng import as_generator, spawn
-from ..engine import ENGINES, KERNELS, SampleEngine, coverage_nodes, create_engine
+from .._rng import as_generator
+from ..engine import ENGINES, SampleEngine, coverage_nodes
 from ..exceptions import CheckpointError, ParameterError, SessionInterrupted
 from ..graph.csr import CSRGraph
 from ..obs import as_telemetry, monotonic
@@ -114,29 +114,16 @@ class SamplingAlgorithm(GBCAlgorithm):
     engine:
         Name of the execution engine (:data:`repro.engine.ENGINES`)
         every sample set is drawn through.  The default ``"serial"``
-        draws packed cohorts, bit-identical to ``"batch"`` with the
-        ``"wavefront"`` or ``"scalar"`` kernel.
+        draws packed cohorts in process; ``"epoch"`` draws the same
+        kind of cohorts in persistent worker processes.
     workers:
-        Worker-process count for the ``"process"`` engine (ignored by
-        in-process engines); ``None`` means all available cores.
-    kernel:
-        Traversal kernel for the batch/process engines
-        (:data:`repro.engine.KERNELS`); ``"wavefront"`` by default.
-        Runs are bit-identical across ``"wavefront"`` and
-        ``"scalar"`` — the knob trades speed, never results.
-    cache_sources:
-        Forward-BFS tree cache size forwarded to the engines, used by
-        the ``"grouped"`` kernel only (``0`` disables caching).
+        Worker-process count for the ``"epoch"`` engine (ignored by
+        ``"serial"``); ``None`` means all available cores.
     epoch_size:
-        Samples per epoch for the ``"epoch"`` engine (ignored by the
-        other engines; ``None`` keeps the engine default).  Part of the
+        Samples per epoch for the ``"epoch"`` engine (ignored by
+        ``"serial"``; ``None`` keeps the engine default).  Part of the
         determinism contract: results are a pure function of
         ``(seed, epoch_size)``, never of the worker count.
-    delta:
-        Bucket width of the weighted delta-stepping wavefront kernel
-        (ignored on unweighted graphs; ``None`` auto-tunes from the
-        mean edge weight).  Result-invariant — any value >= 1 yields
-        bit-identical runs, the knob only shifts kernel work.
     telemetry:
         An optional :class:`~repro.obs.Telemetry` hub the run reports
         to: timed spans around sampling/greedy phases, per-iteration
@@ -181,14 +168,10 @@ class SamplingAlgorithm(GBCAlgorithm):
         eps: float = 0.3,
         gamma: float = 0.01,
         include_endpoints: bool = True,
-        sampler_method: str = "bidirectional",
         seed=None,
         engine: str = "serial",
         workers: int | None = None,
-        kernel: str = "wavefront",
-        cache_sources: int = 0,
         epoch_size: int | None = None,
-        delta: int | None = None,
         telemetry=None,
         debug: bool = False,
         session: SamplingSession | None = None,
@@ -206,19 +189,8 @@ class SamplingAlgorithm(GBCAlgorithm):
             raise ParameterError(
                 f"unknown engine {engine!r}; expected one of: {known}"
             )
-        if kernel not in KERNELS:
-            known = ", ".join(KERNELS)
-            raise ParameterError(
-                f"unknown traversal kernel {kernel!r}; expected one of: {known}"
-            )
-        if cache_sources < 0:
-            raise ParameterError(
-                f"cache_sources must be non-negative, got {cache_sources}"
-            )
         if epoch_size is not None and epoch_size < 1:
             raise ParameterError(f"epoch_size must be >= 1, got {epoch_size}")
-        if delta is not None and delta < 1:
-            raise ParameterError(f"delta must be >= 1, got {delta}")
         if checkpoint_every < 1:
             raise ParameterError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
@@ -241,13 +213,9 @@ class SamplingAlgorithm(GBCAlgorithm):
         self.eps = eps
         self.gamma = gamma
         self.include_endpoints = include_endpoints
-        self.sampler_method = sampler_method
         self.engine = engine
         self.workers = workers
-        self.kernel = kernel
-        self.cache_sources = cache_sources
         self.epoch_size = epoch_size
-        self.delta = delta
         self.telemetry = as_telemetry(telemetry)
         self.debug = debug
         self.session = session
@@ -290,13 +258,9 @@ class SamplingAlgorithm(GBCAlgorithm):
             lanes=lanes,
             seed=self._rng,
             engine=self.engine,
-            method=self.sampler_method,
             include_endpoints=self.include_endpoints,
             workers=self.workers,
-            kernel=self.kernel,
-            cache_sources=self.cache_sources,
             epoch_size=self.epoch_size,
-            delta=self.delta,
             telemetry=self.telemetry,
             debug=self.debug,
         )
@@ -372,9 +336,7 @@ class SamplingAlgorithm(GBCAlgorithm):
             "eps": self.eps,
             "gamma": self.gamma,
             "include_endpoints": self.include_endpoints,
-            "sampler_method": self.sampler_method,
             "epoch_size": self.epoch_size,
-            "delta": self.delta,
         }
 
     def _checkpoint(
@@ -435,26 +397,6 @@ class SamplingAlgorithm(GBCAlgorithm):
         }
 
     # ------------------------------------------------------------------
-    def _make_engines(self, graph: CSRGraph, count: int) -> list[SampleEngine]:
-        """Independent engines (one per sample set the algorithm keeps)."""
-        return [
-            create_engine(
-                self.engine,
-                graph,
-                seed=child,
-                method=self.sampler_method,
-                include_endpoints=self.include_endpoints,
-                workers=self.workers,
-                kernel=self.kernel,
-                cache_sources=self.cache_sources,
-                epoch_size=self.epoch_size,
-                delta=self.delta,
-                telemetry=self.telemetry,
-                debug=self.debug,
-            )
-            for child in spawn(self._rng, count)
-        ]
-
     def _coverage_nodes(self, sample: PathSample) -> np.ndarray:
         """Path nodes that count as covering, per the endpoint convention."""
         return coverage_nodes(sample, self.include_endpoints)
@@ -464,14 +406,7 @@ class SamplingAlgorithm(GBCAlgorithm):
         stats = [eng.stats.as_dict() for eng in engines]
         return {
             "edges_explored": sum(s["edges_explored"] for s in stats),
-            "engine": {
-                "name": self.engine,
-                # the kernel the engines actually run (after the
-                # forward-method fallback — weighted graphs now run the
-                # cohort kernels natively); None for kernel-less engines
-                "kernel": getattr(engines[0], "kernel", None) if engines else None,
-                "stats": stats,
-            },
+            "engine": {"name": self.engine, "stats": stats},
             **self._telemetry_diagnostics(),
         }
 
@@ -486,11 +421,6 @@ class SamplingAlgorithm(GBCAlgorithm):
         if not self.telemetry.enabled:
             return {}
         return {"telemetry": self.telemetry.snapshot()}
-
-    @staticmethod
-    def _close_all(engines: list[SampleEngine]) -> None:
-        for eng in engines:
-            eng.close()
 
     @staticmethod
     def _timer() -> float:

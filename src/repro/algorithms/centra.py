@@ -44,14 +44,10 @@ class CentRa(Hedge):
         gamma: float = 0.01,
         guess_base: float = 2.0,
         include_endpoints: bool = True,
-        sampler_method: str = "bidirectional",
         seed=None,
         engine: str = "serial",
         workers: int | None = None,
-        kernel: str = "wavefront",
-        cache_sources: int = 0,
         epoch_size: int | None = None,
-        delta: int | None = None,
         max_samples: int | None = None,
         empirical_stop: bool = False,
         era_draws: int = 8,
@@ -68,14 +64,10 @@ class CentRa(Hedge):
             gamma=gamma,
             guess_base=guess_base,
             include_endpoints=include_endpoints,
-            sampler_method=sampler_method,
             seed=seed,
             engine=engine,
             workers=workers,
-            kernel=kernel,
-            cache_sources=cache_sources,
             epoch_size=epoch_size,
-            delta=delta,
             max_samples=max_samples,
             telemetry=telemetry,
             debug=debug,

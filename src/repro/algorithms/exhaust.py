@@ -41,14 +41,10 @@ class Exhaust(Hedge):
         gamma: float = 1e-4,
         num_samples: int | None = _DEFAULT_SAMPLES,
         include_endpoints: bool = True,
-        sampler_method: str = "bidirectional",
         seed=None,
         engine: str = "serial",
         workers: int | None = None,
-        kernel: str = "wavefront",
-        cache_sources: int = 0,
         epoch_size: int | None = None,
-        delta: int | None = None,
         max_samples: int | None = None,
         telemetry=None,
         debug: bool = False,
@@ -62,14 +58,10 @@ class Exhaust(Hedge):
             eps=eps,
             gamma=gamma,
             include_endpoints=include_endpoints,
-            sampler_method=sampler_method,
             seed=seed,
             engine=engine,
             workers=workers,
-            kernel=kernel,
-            cache_sources=cache_sources,
             epoch_size=epoch_size,
-            delta=delta,
             max_samples=max_samples,
             telemetry=telemetry,
             debug=debug,

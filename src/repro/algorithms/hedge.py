@@ -50,14 +50,10 @@ class Hedge(SamplingAlgorithm):
         gamma: float = 0.01,
         guess_base: float = 2.0,
         include_endpoints: bool = True,
-        sampler_method: str = "bidirectional",
         seed=None,
         engine: str = "serial",
         workers: int | None = None,
-        kernel: str = "wavefront",
-        cache_sources: int = 0,
         epoch_size: int | None = None,
-        delta: int | None = None,
         max_samples: int | None = None,
         telemetry=None,
         debug: bool = False,
@@ -71,14 +67,10 @@ class Hedge(SamplingAlgorithm):
             eps=eps,
             gamma=gamma,
             include_endpoints=include_endpoints,
-            sampler_method=sampler_method,
             seed=seed,
             engine=engine,
             workers=workers,
-            kernel=kernel,
-            cache_sources=cache_sources,
             epoch_size=epoch_size,
-            delta=delta,
             telemetry=telemetry,
             debug=debug,
             session=session,

@@ -70,7 +70,6 @@ class YoshidaSketch(SamplingAlgorithm):
             eps=eps,
             gamma=gamma,
             include_endpoints=include_endpoints,
-            sampler_method="bidirectional",  # unused; pair sampler below
             seed=seed,
         )
         if guess_base <= 1.0:

@@ -129,7 +129,7 @@ def _acquisition(
         return "mkstemp-fd", frozenset({"close"}), 0
     if tail == "SharedGraphBlocks":
         return "shared-graph-blocks", frozenset({"close"}), -1
-    if tail in ("EpochEngine", "ProcessPoolEngine", "create_engine"):
+    if tail in ("EpochEngine", "create_engine"):
         return "engine", frozenset({"close"}), -1
     if dotted is not None and dotted.endswith(".SamplingSession.resume"):
         return "session", frozenset({"close"}), 0

@@ -77,7 +77,6 @@ _SINK_CONSTRUCTORS = {
     "PathSampler",
     "create_engine",
     "EpochEngine",
-    "ProcessPoolEngine",
     "SerialEngine",
     "SamplingSession",
 }

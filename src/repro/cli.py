@@ -71,7 +71,7 @@ from .algorithms import (
     YoshidaSketch,
 )
 from .datasets import DATASETS, load
-from .engine import ENGINES, KERNELS
+from .engine import ENGINES
 from .exceptions import CheckpointError, SessionInterrupted
 from .experiments import (
     BENCH,
@@ -183,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=None,
-            help="worker processes for --engine process/epoch "
-            "(default: all cores)",
+            help="worker processes for --engine epoch (default: all cores)",
         )
         parser_.add_argument(
             "--epoch-size",
@@ -207,33 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
             "workers attach read-only without copying. An --edge-list "
             "pointing at an existing mmap directory is opened "
             "directly.",
-        )
-        parser_.add_argument(
-            "--kernel",
-            choices=list(KERNELS),
-            default="wavefront",
-            help="traversal kernel for the batch/process/epoch engines "
-            "(default wavefront; results are identical across "
-            "wavefront and scalar, on unweighted and weighted graphs "
-            "alike — weighted inputs run the delta-stepping cohort)",
-        )
-        parser_.add_argument(
-            "--delta",
-            type=int,
-            default=None,
-            metavar="W",
-            help="bucket width of the weighted delta-stepping kernel "
-            "(default: auto-tuned from the mean edge weight; any value "
-            ">= 1 yields identical results — the knob only shifts "
-            "kernel work)",
-        )
-        parser_.add_argument(
-            "--cache-sources",
-            type=int,
-            default=0,
-            metavar="N",
-            help="LRU-cache up to N forward-BFS trees for the grouped "
-            "kernel (default 0 = off)",
         )
         parser_.add_argument(
             "--log-json",
@@ -414,23 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for --engine process/epoch",
-    )
-    serve.add_argument(
-        "--kernel", choices=list(KERNELS), default="wavefront",
-        help="traversal kernel (default wavefront)",
+        help="worker processes for --engine epoch",
     )
     serve.add_argument(
         "--epoch-size", type=int, default=None, metavar="N",
         help="samples per epoch for --engine epoch",
-    )
-    serve.add_argument(
-        "--delta", type=int, default=None, metavar="W",
-        help="weighted delta-stepping bucket width",
-    )
-    serve.add_argument(
-        "--cache-sources", type=int, default=0, metavar="N",
-        help="forward-BFS tree cache size per sampler (grouped kernel)",
     )
     serve.add_argument(
         "--mmap",
@@ -573,10 +533,7 @@ def _make_algorithm(
     seed: int,
     engine: str = "serial",
     workers: int | None = None,
-    kernel: str = "wavefront",
-    cache_sources: int = 0,
     epoch_size: int | None = None,
-    delta: int | None = None,
     telemetry=None,
     debug: bool = False,
     checkpoint_path: str | None = None,
@@ -587,10 +544,7 @@ def _make_algorithm(
     sampling = {
         "engine": engine,
         "workers": workers,
-        "kernel": kernel,
-        "cache_sources": cache_sources,
         "epoch_size": epoch_size,
-        "delta": delta,
         "telemetry": telemetry,
         "debug": debug,
         "checkpoint_path": checkpoint_path,
@@ -693,7 +647,6 @@ def _print_result(result, graph, args, k: int) -> None:
     print(f"algorithm   : {result.algorithm}")
     print(f"engine      : {args.engine}"
           + (f" (workers={args.workers})" if args.workers else "")
-          + f" kernel={args.kernel}"
           + (f" epoch_size={args.epoch_size}"
              if getattr(args, "epoch_size", None) else ""))
     print(f"graph       : n={graph.n} m={graph.num_edges} "
@@ -743,10 +696,7 @@ def _cmd_run(args) -> int:
         args.seed,
         args.engine,
         args.workers,
-        args.kernel,
-        args.cache_sources,
         epoch_size=args.epoch_size,
-        delta=args.delta,
         telemetry=telemetry,
         debug=args.debug_invariants,
         checkpoint_path=args.checkpoint,
@@ -766,10 +716,7 @@ def _cmd_run(args) -> int:
             "algorithm": args.algorithm,
             "engine": args.engine,
             "workers": args.workers,
-            "kernel": args.kernel,
-            "cache_sources": args.cache_sources,
             "epoch_size": args.epoch_size,
-            "delta": args.delta,
             "mmap": args.mmap,
         }
     try:
@@ -810,10 +757,7 @@ def _cmd_resume(args) -> int:
         saved.get("seed", 0),
         saved.get("engine", "serial"),
         saved.get("workers"),
-        saved.get("kernel", "wavefront"),
-        saved.get("cache_sources", 0),
         epoch_size=saved.get("epoch_size"),
-        delta=saved.get("delta"),
         telemetry=telemetry,
         debug=args.debug_invariants,
         checkpoint_path=args.checkpoint or path,
@@ -823,9 +767,7 @@ def _cmd_resume(args) -> int:
     )
     args.engine = saved.get("engine", "serial")
     args.workers = saved.get("workers")
-    args.kernel = saved.get("kernel", "wavefront")
     args.epoch_size = saved.get("epoch_size")
-    args.delta = saved.get("delta")
     print(f"resuming    : {path} ({state['algorithm']}, "
           f"K={state['k']}, {sum(meta['num_paths'])} samples banked)")
     try:
@@ -849,10 +791,7 @@ def _cmd_compare(args) -> int:
                 args.seed,
                 args.engine,
                 args.workers,
-                args.kernel,
-                args.cache_sources,
                 epoch_size=args.epoch_size,
-                delta=args.delta,
                 telemetry=telemetry,
                 debug=args.debug_invariants,
             )
@@ -923,10 +862,7 @@ def _cmd_serve(args) -> int:
         socket_path=args.socket,
         engine=args.engine,
         workers=args.workers,
-        kernel=args.kernel,
-        cache_sources=args.cache_sources,
         epoch_size=args.epoch_size,
-        delta=args.delta,
         cache_size=args.cache_size,
         warm_dir=args.warm_dir,
         log_json=args.log_json,

@@ -4,8 +4,8 @@ Every path-sampling algorithm (AdaAlg, HEDGE, CentRa, EXHAUST) needs
 the same primitive: *draw ``count`` independent uniform shortest-path
 samples and fold them into a coverage instance*.  The engine layer
 isolates that primitive behind one interface so the execution strategy
-— packed in-process cohort draws, source-grouped batches, or a pool
-of worker processes — is a runtime knob instead of per-algorithm code.
+— in process, or fanned out to persistent worker processes — is a
+runtime knob instead of per-algorithm code.
 
 The contract every engine honors:
 
@@ -13,9 +13,9 @@ The contract every engine honors:
   uniform shortest-path law (Sec. III-D) — engines differ in *how*
   the traversals are executed, never in the sampled distribution;
 * a fixed construction seed makes the engine's sample sequence
-  deterministic, and :class:`~repro.engine.pool.ProcessPoolEngine`
-  is additionally deterministic *across worker counts* (see its
-  docstring for the chunked sub-stream scheme);
+  deterministic, and :class:`~repro.engine.epoch.EpochEngine` is
+  additionally deterministic *across worker counts* (see its
+  docstring for the indexed epoch-stream scheme);
 * ``extend(instance, upto)`` applies the endpoint convention
   (``include_endpoints``) and appends to a
   :class:`~repro.coverage.CoverageInstance` — the plumbing that used
@@ -28,7 +28,6 @@ The contract every engine honors:
 from __future__ import annotations
 
 import abc
-import warnings
 import weakref
 from dataclasses import dataclass, field
 
@@ -39,90 +38,14 @@ from ..coverage.hypergraph import CoverageInstance
 from ..exceptions import CheckpointError, ParameterError
 from ..graph.csr import CSRGraph
 from ..obs import NULL_TELEMETRY, check_instance, check_sample
-from ..paths._dispatch import is_weighted
 from ..paths.sampler import PackedSamples, PathSample, PathSampler
 
 __all__ = [
     "EngineStats",
     "SampleEngine",
     "coverage_nodes",
-    "KERNELS",
-    "resolve_kernel",
-    "draw_packed",
     "sampler_work",
 ]
-
-#: Traversal kernels an engine can route batched draws through.
-#:
-#: ``"wavefront"``
-#:     Vectorized multi-query cohort search — the level-synchronous
-#:     bidirectional BFS (:mod:`repro.paths.wavefront`) on unweighted
-#:     graphs, the bucketed delta-stepping kernel
-#:     (:mod:`repro.paths.wavefront_weighted`) on weighted ones; many
-#:     queries advanced per numpy call either way.
-#: ``"scalar"``
-#:     The same pair-first cohort schedule, one scalar search
-#:     (:func:`~repro.paths.bidirectional.bidirectional_search` /
-#:     :func:`~repro.paths.dijkstra.dijkstra_sigma`) per query.
-#:     Bit-identical samples to ``"wavefront"``.
-#: ``"grouped"``
-#:     The legacy source-grouped amortized batch sampler
-#:     (:meth:`~repro.paths.sampler.PathSampler.sample_batch`) — a
-#:     *different* (equally valid) restructuring of the draw order, so
-#:     its concrete samples differ from the cohort kernels.
-KERNELS = ("wavefront", "scalar", "grouped")
-
-#: (requested kernel, method) pairs already warned about in this
-#: process.  The *warning* is process-wide — a daemon building many
-#: engines must not repeat it per engine — while the stats field and
-#: the ``paths.kernel_fallbacks`` counter still tick once per engine.
-_FALLBACK_WARNED: set[tuple[str, str]] = set()
-
-
-def _reset_fallback_warnings() -> None:
-    """Forget which kernel fallbacks were warned about (test hook)."""
-    _FALLBACK_WARNED.clear()
-
-
-def resolve_kernel(kernel: str, graph: CSRGraph, method: str) -> str:
-    """Validate ``kernel`` and apply the automatic fallbacks.
-
-    Both graph classes run the cohort kernels now — weighted graphs
-    route ``"wavefront"``/``"scalar"`` through the delta-stepping
-    cohort path instead of silently degrading.  The only remaining
-    fallback is the unweighted ``"forward"`` method, which has no
-    cohort schedule and degrades to ``"grouped"`` (engines surface
-    that via the ``paths.kernel_fallbacks`` counter and a warning).
-    Unknown names raise :class:`~repro.exceptions.ParameterError`.
-    """
-    if kernel not in KERNELS:
-        known = ", ".join(KERNELS)
-        raise ParameterError(
-            f"unknown traversal kernel {kernel!r}; expected one of: {known}"
-        )
-    if kernel == "grouped":
-        return "grouped"
-    if is_weighted(graph):
-        return kernel
-    if method != "bidirectional":
-        return "grouped"
-    return kernel
-
-
-def draw_packed(
-    sampler: PathSampler,
-    kernel: str,
-    count: int,
-    cohort_size: int | None = None,
-    delta: int | None = None,
-) -> PackedSamples:
-    """One draw of ``count`` samples through a resolved ``kernel``
-    (see :func:`resolve_kernel`) — the body every engine shares."""
-    if kernel == "grouped":
-        return sampler.sample_batch(count)
-    return sampler.sample_cohort(
-        count, kernel=kernel, cohort_size=cohort_size, delta=delta
-    )
 
 
 def sampler_work(sampler: PathSampler) -> tuple[int, ...]:
@@ -131,8 +54,6 @@ def sampler_work(sampler: PathSampler) -> tuple[int, ...]:
     return (
         sampler.total_traversals,
         sampler.total_edges_explored,
-        sampler.cache_hits,
-        sampler.cache_misses,
         sampler.total_weighted_cohorts,
         sampler.total_bucket_relaxations,
     )
@@ -156,11 +77,10 @@ class EngineStats:
     draw_calls:
         Number of ``draw`` invocations served.
     traversals:
-        Graph traversals executed (a source-grouped batch serves many
-        samples per traversal, so this can be far below ``samples``).
+        Graph traversals executed (one search per sample).
     batches:
-        Work units dispatched: one per non-empty in-process draw,
-        chunks for the process pool, epochs for the epoch engine.
+        Work units dispatched: one per non-empty serial draw, one per
+        epoch for the epoch engine.
     epochs:
         Fixed-size sample epochs *ingested* into the stream, in index
         order (epoch engine only; 0 elsewhere).
@@ -177,21 +97,14 @@ class EngineStats:
         breakdown for the parallel engine (empty when in-process).
     pool_startups:
         Worker-pool launches — stays at 1 across many ``draw`` /
-        ``extend`` calls when the executor is reused correctly.
-    cache_hits, cache_misses:
-        Forward-BFS tree cache activity (``cache_sources`` knob);
-        both zero when the cache is disabled.
+        ``extend`` calls when the persistent workers are reused.
     weighted_cohorts:
         Weighted cohort draws executed
         (:meth:`~repro.paths.sampler.PathSampler.sample_cohort` on a
         weighted graph); 0 on unweighted inputs.
     bucket_relaxations:
         Per-query level relaxation rounds of the weighted
-        delta-stepping kernel — its main work counter (0 for the
-        scalar kernel, which has no buckets).
-    kernel_fallbacks:
-        Requested cohort kernels that degraded to ``"grouped"``
-        (at most 1 per engine; also warned about once).
+        delta-stepping kernel — its main work counter.
     coverage_rebuilds, coverage_rebuilt_elements:
         Node→path CSR rebuilds of the coverage instances this engine
         extends, and the total flat-array elements re-argsorted by
@@ -210,21 +123,16 @@ class EngineStats:
     workers: int = 0
     worker_samples: dict[int, int] = field(default_factory=dict)
     pool_startups: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     weighted_cohorts: int = 0
     bucket_relaxations: int = 0
-    kernel_fallbacks: int = 0
     coverage_rebuilds: int = 0
     coverage_rebuilt_elements: int = 0
 
     def add_work(self, work: tuple[int, ...]) -> None:
         """Fold a :func:`sampler_work` difference into the counters."""
-        traversals, edges, hits, misses, cohorts, relaxations = work
+        traversals, edges, cohorts, relaxations = work
         self.traversals += traversals
         self.edges_explored += edges
-        self.cache_hits += hits
-        self.cache_misses += misses
         self.weighted_cohorts += cohorts
         self.bucket_relaxations += relaxations
 
@@ -241,11 +149,8 @@ class EngineStats:
             "workers": self.workers,
             "worker_samples": dict(self.worker_samples),
             "pool_startups": self.pool_startups,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "weighted_cohorts": self.weighted_cohorts,
             "bucket_relaxations": self.bucket_relaxations,
-            "kernel_fallbacks": self.kernel_fallbacks,
             "coverage_rebuilds": self.coverage_rebuilds,
             "coverage_rebuilt_elements": self.coverage_rebuilt_elements,
         }
@@ -261,16 +166,8 @@ class SampleEngine(abc.ABC):
     seed:
         Anything accepted by :func:`repro._rng.as_generator`; the
         engine's whole sample sequence is a pure function of it.
-    method:
-        Traversal method forwarded to
-        :class:`~repro.paths.sampler.PathSampler`.
     include_endpoints:
         Endpoint convention applied by :meth:`extend`.
-    cache_sources:
-        Size of the forward-BFS tree cache forwarded to the engine's
-        :class:`~repro.paths.sampler.PathSampler` instances, used by
-        the ``"grouped"`` kernel only (``0`` disables caching, the
-        default).
 
     Attributes
     ----------
@@ -286,25 +183,12 @@ class SampleEngine(abc.ABC):
         recount (:mod:`repro.obs.invariants`) — slow, opt-in.
     """
 
-    #: Registry name, set by subclasses ("serial", "batch", "process").
+    #: Registry name, set by subclasses ("serial", "epoch").
     name: str = "abstract"
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        seed=None,
-        method: str = "bidirectional",
-        include_endpoints: bool = True,
-        cache_sources: int = 0,
-    ):
-        if cache_sources < 0:
-            raise ParameterError(
-                f"cache_sources must be non-negative, got {cache_sources}"
-            )
+    def __init__(self, graph: CSRGraph, seed=None, include_endpoints: bool = True):
         self.graph = graph
-        self.method = method
         self.include_endpoints = include_endpoints
-        self.cache_sources = int(cache_sources)
         self._rng = as_generator(seed)
         self.stats = EngineStats()
         self.telemetry = NULL_TELEMETRY
@@ -315,39 +199,13 @@ class SampleEngine(abc.ABC):
         self._coverage_seen: weakref.WeakKeyDictionary = (
             weakref.WeakKeyDictionary()
         )
-        self._fallback_noted = False
-
-    # ------------------------------------------------------------------
-    def _note_kernel_fallback(self, requested: str) -> None:
-        """Record — once per engine, at draw time, after telemetry is
-        attached — that the requested cohort kernel degraded to the
-        legacy grouped path, so fallbacks are observable instead of
-        silent.  The stats field and counter tick for every engine; the
-        ``RuntimeWarning`` is emitted at most once per process per
-        (kernel, method) pair so long-lived daemons don't spam stderr.
-        """
-        if self._fallback_noted:
-            return
-        self._fallback_noted = True
-        self.stats.kernel_fallbacks += 1
-        self.telemetry.count("paths.kernel_fallbacks", 1)
-        key = (requested, self.method)
-        if key in _FALLBACK_WARNED:
-            return
-        _FALLBACK_WARNED.add(key)
-        warnings.warn(
-            f"traversal kernel {requested!r} has no cohort schedule for "
-            f"method={self.method!r}; falling back to the 'grouped' sampler",
-            RuntimeWarning,
-            stacklevel=4,
-        )
 
     # ------------------------------------------------------------------
     def rng_state(self) -> dict:
         """The engine's random-stream state, as a JSON-serializable dict.
 
         Every engine's sample sequence is a pure function of this state
-        (the pool engine derives its per-chunk child seeds from the same
+        (the epoch engine derives its epoch streams from the same
         stream), so capturing it at a draw boundary and restoring it
         with :meth:`set_rng_state` continues the sequence bit-identically
         — the contract :class:`~repro.session.SamplingSession`
@@ -457,7 +315,7 @@ class SampleEngine(abc.ABC):
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(graph={self.graph!r}, method={self.method!r})"
+        return f"{type(self).__name__}(graph={self.graph!r})"
 
     # ------------------------------------------------------------------
     def _check_count(self, count: int) -> None:

@@ -1,19 +1,19 @@
 """Epoch-based asynchronous sampling over persistent worker loops.
 
-The process-pool engine answers each ``draw`` with a fresh fan-out:
-chunk the request, submit one task per chunk, pickle one packed
-chunk back per task.  That request/response rhythm puts
-the pool's dispatch overhead *inside* every stopping-rule evaluation —
-the reason ``workers=1`` lost to the in-process batch engine on the
-bench sweep.  This engine inverts the loop, following the low-sync
-recipe of van der Grinten, Angriman & Meyerhenke ("Parallel Adaptive
-Sampling with almost no Synchronization"):
+A request/response pool — chunk each ``draw``, submit one task per
+chunk, pickle one chunk back per task — puts its dispatch overhead
+*inside* every stopping-rule evaluation.  This engine inverts the loop,
+following the low-sync recipe of van der Grinten, Angriman & Meyerhenke
+("Parallel Adaptive Sampling with almost no Synchronization"):
 
 * **Persistent workers.**  Each worker is one long-lived process
-  running a task loop — attach the graph once (shared memory, or a
-  re-opened memory map for out-of-core graphs), then consume
+  running a task loop — attach the graph once (shared memory, a
+  re-opened memory map for out-of-core graphs, or pickled arrays
+  where ``/dev/shm`` is unavailable), then consume
   ``(epoch_index, seed, size)`` tickets from a queue forever.  No
-  executor round-trips, no per-draw initializer.
+  executor round-trips, no per-draw initializer.  The parent owns the
+  shared-memory blocks and unlinks them on :meth:`EpochEngine.close`,
+  including after a worker crash.
 * **Fixed-size epochs.**  The unit of work is an *epoch* of
   ``epoch_size`` samples.  Epoch ``i`` is sampled from the child
   stream ``indexed_seed(entropy, i)`` (:mod:`repro._rng`), so the
@@ -54,10 +54,10 @@ from .._rng import indexed_seed, stream_entropy
 from ..coverage.hypergraph import CoverageInstance
 from ..exceptions import CheckpointError, EngineError, ParameterError
 from ..graph.csr import CSRGraph
-from ..paths.sampler import PackedSamples
-from .base import SampleEngine, resolve_kernel
-from .pool import _chunk_samples, _materialize_graph, _pickle_payload
-from .shm import SharedGraphBlocks
+from ..graph.weighted import WeightedCSRGraph
+from ..paths.sampler import PackedSamples, PathSampler
+from .base import SampleEngine, sampler_work
+from .shm import SharedGraphBlocks, attach_graph
 
 __all__ = ["EpochEngine"]
 
@@ -76,17 +76,43 @@ _POLL_SECONDS = 0.1
 _JOIN_SECONDS = 5.0
 
 
-def _epoch_worker(
-    transport: str,
-    payload: dict,
-    method: str,
-    kernel: str,
-    cohort_size: int | None,
-    delta: int | None,
-    cache_sources: int,
-    tasks,
-    results,
-) -> None:
+def _pickle_payload(graph: CSRGraph) -> dict:
+    """Fallback graph description when shared memory is unavailable."""
+    return {
+        "arrays": graph.export_arrays(),
+        "directed": graph.directed,
+        "weighted": isinstance(graph, WeightedCSRGraph),
+    }
+
+
+def _materialize_graph(transport: str, payload: dict):
+    """Rebuild the worker's graph; returns ``(graph, shm_handles)``."""
+    if transport == "shm":
+        return attach_graph(payload)
+    if transport == "mmap":
+        from ..graph.mmap import load_mmap  # deferred: graph.mmap is cold-path
+
+        return load_mmap(payload["path"]), []
+    cls = WeightedCSRGraph if payload["weighted"] else CSRGraph
+    return cls.from_arrays(payload["arrays"], directed=payload["directed"]), []
+
+
+def _epoch_samples(
+    graph: CSRGraph, seed: int, count: int
+) -> tuple[PackedSamples, tuple[int, ...]]:
+    """One epoch of samples from its own seeded stream.
+
+    The single epoch body shared by the workers and the in-process
+    path — the reason results are bit-identical across worker counts.
+    Returns the packed samples and the epoch's work counters
+    (:func:`~repro.engine.base.sampler_work`).
+    """
+    sampler = PathSampler(graph, seed=seed)
+    packed = sampler.sample_cohort(count)
+    return packed, sampler_work(sampler)
+
+
+def _epoch_worker(transport: str, payload: dict, tasks, results) -> None:
     """One persistent worker loop: attach the graph once, then sample
     epochs until the ``None`` sentinel arrives.
 
@@ -106,16 +132,7 @@ def _epoch_worker(
                 break
             index, seed, size = ticket
             try:
-                packed, work = _chunk_samples(
-                    graph,
-                    method,
-                    kernel,
-                    cohort_size,
-                    delta,
-                    cache_sources,
-                    seed,
-                    size,
-                )
+                packed, work = _epoch_samples(graph, seed, size)
             except Exception as exc:
                 results.put((index, pid, None, repr(exc)))
                 continue
@@ -138,25 +155,13 @@ class EpochEngine(SampleEngine):
     epoch_size:
         Samples per epoch — the determinism granule *and* the stopping
         rules' evaluation granule: ``extend`` targets round up to the
-        next epoch boundary.  Changing it changes the concrete samples
-        (like ``chunk_size`` on the pool engine); changing ``workers``
-        does not.
-    kernel, cohort_size:
-        Traversal kernel each epoch runs through (see
-        :data:`repro.engine.base.KERNELS`) and its cohort width; on
-        weighted graphs the cohort kernels run the delta-stepping
-        wavefront.
-    delta:
-        Weighted delta-stepping bucket width forwarded to each epoch
-        (result-invariant; ``None`` auto-tunes).
+        next epoch boundary.  Changing it changes the concrete samples;
+        changing ``workers`` does not.
     lookahead:
         Speculative epochs kept in flight per worker beyond current
         demand.  ``0`` disables speculation (strict demand-driven
         dispatch); larger values hide more stopping-rule latency at
         the cost of more discarded work on the final iteration.
-    cache_sources:
-        Per-worker forward-BFS tree cache size (``"grouped"`` kernel
-        only).
     """
 
     name = "epoch"
@@ -165,23 +170,12 @@ class EpochEngine(SampleEngine):
         self,
         graph: CSRGraph,
         seed=None,
-        method: str = "bidirectional",
         include_endpoints: bool = True,
-        cache_sources: int = 0,
         workers: int | None = None,
         epoch_size: int = _DEFAULT_EPOCH,
-        kernel: str = "wavefront",
-        cohort_size: int | None = None,
-        delta: int | None = None,
         lookahead: int = 2,
     ):
-        super().__init__(
-            graph,
-            seed=seed,
-            method=method,
-            include_endpoints=include_endpoints,
-            cache_sources=cache_sources,
-        )
+        super().__init__(graph, seed=seed, include_endpoints=include_endpoints)
         if workers is not None and workers < 0:
             raise ParameterError(f"workers must be >= 0, got {workers}")
         if epoch_size < 1:
@@ -190,10 +184,6 @@ class EpochEngine(SampleEngine):
             raise ParameterError(f"lookahead must be >= 0, got {lookahead}")
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.epoch_size = int(epoch_size)
-        self.requested_kernel = kernel
-        self.kernel = resolve_kernel(kernel, graph, method)
-        self.cohort_size = cohort_size
-        self.delta = delta
         self.lookahead = int(lookahead)
         #: Entropy word keying the indexed family of epoch streams
         #: (:func:`repro._rng.indexed_seed`); drawn once from the
@@ -214,9 +204,9 @@ class EpochEngine(SampleEngine):
     # worker lifecycle
     # ------------------------------------------------------------------
     def _worker_payload(self) -> tuple[str, dict]:
-        """Graph transport (mirrors the pool engine): memory-mapped
-        graphs are re-opened from disk, others go through shm with a
-        pickle fallback."""
+        """Graph transport for the workers: memory-mapped graphs are
+        re-opened from disk, others go through shm with a pickle
+        fallback."""
         if self.graph.mmap_source is not None:
             return "mmap", {"path": self.graph.mmap_source}
         if self._segments is None:
@@ -242,17 +232,7 @@ class EpochEngine(SampleEngine):
             for _ in range(self.workers):
                 proc = context.Process(
                     target=_epoch_worker,
-                    args=(
-                        transport,
-                        payload,
-                        self.method,
-                        self.kernel,
-                        self.cohort_size,
-                        self.delta,
-                        self.cache_sources,
-                        self._tasks,
-                        self._results,
-                    ),
+                    args=(transport, payload, self._tasks, self._results),
                     daemon=True,
                 )
                 proc.start()
@@ -335,22 +315,13 @@ class EpochEngine(SampleEngine):
 
     def _compute_epoch(self, index: int) -> tuple:
         """The in-process epoch body — identical samples to a worker's,
-        because both run :func:`repro.engine.pool._chunk_samples` on
-        the same ``(seed, size)``."""
+        because both run :func:`_epoch_samples` on the same
+        ``(seed, size)``."""
         seed = self._seed_for(index)
         self.stats.dispatches += 1
         self.telemetry.count("engine.epoch.dispatches", 1)
         try:
-            packed, work = _chunk_samples(
-                self.graph,
-                self.method,
-                self.kernel,
-                self.cohort_size,
-                self.delta,
-                self.cache_sources,
-                seed,
-                self.epoch_size,
-            )
+            packed, work = _epoch_samples(self.graph, seed, self.epoch_size)
         except Exception as exc:
             raise EngineError(
                 f"epoch {index} (size={self.epoch_size}, seed={seed}) "
@@ -381,8 +352,6 @@ class EpochEngine(SampleEngine):
     def _next_epoch(self) -> tuple:
         """The next epoch of the stream, in index order — from the
         buffer, the workers, or computed here; always deterministic."""
-        if self.kernel == "grouped" and self.requested_kernel != "grouped":
-            self._note_kernel_fallback(self.requested_kernel)
         index = self._ingested
         if index in self._arrived:
             entry = self._arrived.pop(index)
@@ -439,19 +408,25 @@ class EpochEngine(SampleEngine):
 
         Whole epochs are ingested; the unconsumed tail is carried into
         the next ``draw`` so the stream position (and hence every
-        sample) is independent of how requests slice it.
+        sample) is independent of how requests slice it.  A draw that
+        fails part-way carries what it had already taken, so a retry
+        continues the stream exactly.
         """
         self._check_count(count)
         parts = [self._carry[:count]]
         self._carry = self._carry[count:]
         drawn = len(parts[0])
-        with self._reap_on_error():
-            while drawn < count:
-                packed, _work, _pid = self._next_epoch()
-                need = count - drawn
-                parts.append(packed[:need])
-                self._carry = packed[need:]
-                drawn += len(parts[-1])
+        try:
+            with self._reap_on_error():
+                while drawn < count:
+                    packed, _work, _pid = self._next_epoch()
+                    need = count - drawn
+                    parts.append(packed[:need])
+                    self._carry = packed[need:]
+                    drawn += len(parts[-1])
+        except BaseException:
+            self._carry = PackedSamples.concat([*parts, self._carry])
+            raise
         self.stats.samples += count
         self.stats.draw_calls += 1
         self._update_worker_stat()

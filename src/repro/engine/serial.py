@@ -1,4 +1,4 @@
-"""In-process engines: packed cohort draws.
+"""The in-process engine: packed cohort draws.
 
 :class:`SerialEngine`, the default everywhere, serves every draw as one
 packed cohort draw
@@ -14,66 +14,34 @@ vectorized append.  A draw holds the sparse search state of one chunk
 (the nodes its queries discovered) plus the cohort's two
 ``(cohort_size, n)`` sigma planes, never a dense row per sample.
 
-:class:`BatchEngine` is the same draw with the ``kernel`` knob exposed:
-``"wavefront"`` (the default, identical to ``SerialEngine``),
-``"scalar"`` — the same cohort schedule with one scalar search and one
-scalar walk per sample, bit-identical samples, kept as the oracle — and
-``"grouped"``, the legacy source-grouped amortization.
+The samples are bit-identical to the scalar oracle
+:meth:`~repro.paths.sampler.PathSampler.sample_batch` for the same
+seed.
 """
 
 from __future__ import annotations
 
 from ..graph.csr import CSRGraph
 from ..paths.sampler import PackedSamples, PathSampler
-from .base import SampleEngine, draw_packed, resolve_kernel, sampler_work
+from .base import SampleEngine, sampler_work
 
-__all__ = ["SerialEngine", "BatchEngine"]
+__all__ = ["SerialEngine"]
 
 
 class SerialEngine(SampleEngine):
-    """Packed cohort draws through the wavefront kernel, in process.
-
-    Samples are bit-identical to ``BatchEngine`` with
-    ``kernel="wavefront"`` or ``kernel="scalar"`` for the same seed.
-    The unweighted ``"forward"`` method has no cohort schedule and
-    draws through the source-grouped sampler instead; ``cache_sources``
-    only affects that grouped path.
-    """
+    """Packed cohort draws through the wavefront kernel, in process."""
 
     name = "serial"
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        seed=None,
-        method: str = "bidirectional",
-        include_endpoints: bool = True,
-        cache_sources: int = 0,
-    ):
-        super().__init__(
-            graph,
-            seed=seed,
-            method=method,
-            include_endpoints=include_endpoints,
-            cache_sources=cache_sources,
-        )
-        self._sampler = PathSampler(
-            graph, seed=self._rng, method=method, cache_sources=cache_sources
-        )
-        self.kernel = resolve_kernel("wavefront", graph, method)
-        self.requested_kernel = self.kernel
-        self.cohort_size: int | None = None
-        self.delta: int | None = None
+    def __init__(self, graph: CSRGraph, seed=None, include_endpoints: bool = True):
+        super().__init__(graph, seed=seed, include_endpoints=include_endpoints)
+        self._sampler = PathSampler(graph, seed=self._rng)
 
     def draw(self, count: int) -> PackedSamples:
         self._check_count(count)
-        if count and self.kernel != self.requested_kernel:
-            self._note_kernel_fallback(self.requested_kernel)
         sampler = self._sampler
         before = sampler_work(sampler)
-        packed = draw_packed(
-            sampler, self.kernel, count, self.cohort_size, self.delta
-        )
+        packed = sampler.sample_cohort(count)
         self.stats.add_work(
             tuple(b - a for a, b in zip(before, sampler_work(sampler)))
         )
@@ -81,51 +49,3 @@ class SerialEngine(SampleEngine):
         self.stats.draw_calls += 1
         self.stats.batches += 1 if count else 0
         return packed
-
-
-class BatchEngine(SerialEngine):
-    """The in-process draw with the traversal kernel selectable.
-
-    Parameters
-    ----------
-    kernel:
-        ``"wavefront"`` (default) or ``"scalar"`` use the pair-first
-        cohort schedule (bit-identical samples to each other and to
-        :class:`SerialEngine`) on both unweighted and weighted graphs;
-        ``"grouped"`` keeps the legacy source-grouped amortized
-        sampler.  Only the unweighted ``"forward"`` method still falls
-        back to ``"grouped"`` (noted via the ``paths.kernel_fallbacks``
-        counter and a warning).
-    cohort_size:
-        Concurrent queries per wavefront cohort (``None`` = the
-        kernel's default).
-    delta:
-        Bucket width of the weighted delta-stepping kernel
-        (result-invariant; ``None`` auto-tunes from the mean edge
-        weight).  Ignored on unweighted graphs.
-    """
-
-    name = "batch"
-
-    def __init__(
-        self,
-        graph: CSRGraph,
-        seed=None,
-        method: str = "bidirectional",
-        include_endpoints: bool = True,
-        cache_sources: int = 0,
-        kernel: str = "wavefront",
-        cohort_size: int | None = None,
-        delta: int | None = None,
-    ):
-        super().__init__(
-            graph,
-            seed=seed,
-            method=method,
-            include_endpoints=include_endpoints,
-            cache_sources=cache_sources,
-        )
-        self.requested_kernel = kernel
-        self.kernel = resolve_kernel(kernel, graph, method)
-        self.cohort_size = cohort_size
-        self.delta = delta

@@ -1,9 +1,9 @@
 """Zero-copy graph distribution via POSIX shared memory.
 
-The process-pool engine used to pickle the CSR arrays into every
-worker (once per worker under ``spawn``, copy-on-write under ``fork``).
-This module replaces that with :mod:`multiprocessing.shared_memory`
-blocks: the parent copies each immutable array into its own named
+Instead of pickling the CSR arrays into every epoch-engine worker
+(once per worker under ``spawn``, copy-on-write under ``fork``), the
+graph travels through :mod:`multiprocessing.shared_memory` blocks: the
+parent copies each immutable array into its own named
 segment **once**, workers attach by name and wrap the buffers in numpy
 arrays without copying — identical cost under ``fork`` and ``spawn``,
 and independent of the worker count.

@@ -43,7 +43,6 @@ def engine_meta(config: ExperimentConfig) -> dict:
     return {
         "engine": config.engine,
         "workers": config.workers,
-        "kernel": config.kernel,
         "telemetry": config.telemetry,
         "reuse_sessions": config.reuse_sessions,
     }
@@ -109,13 +108,11 @@ def run_fig1(config: ExperimentConfig, ks: Sequence[int] = (50, 100)) -> FigureR
                     graph,
                     seed=rng_s,
                     workers=config.workers,
-                    kernel=config.kernel,
                 ) as engine_s, create_engine(
                     config.engine,
                     graph,
                     seed=rng_t,
                     workers=config.workers,
-                    kernel=config.kernel,
                 ) as engine_t:
                     selection = CoverageInstance(graph.n)
                     validation = CoverageInstance(graph.n)

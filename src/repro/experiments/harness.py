@@ -93,11 +93,8 @@ class ExperimentConfig:
         the algorithms' own and the harness's holdout/reference pools —
         is drawn through.
     workers:
-        Worker-process count for the ``"process"`` engine (``None`` =
-        all cores); ignored by in-process engines.
-    kernel:
-        Traversal kernel for the batch/process engines
-        (:data:`repro.engine.KERNELS`).
+        Worker-process count for the ``"epoch"`` engine (``None`` =
+        all cores); ignored by ``"serial"``.
     telemetry:
         When true, every sampling algorithm gets its own in-memory
         :class:`repro.obs.Telemetry` hub, so per-run span timings,
@@ -131,7 +128,6 @@ class ExperimentConfig:
     quality_mode: str = "holdout"
     engine: str = "serial"
     workers: int | None = None
-    kernel: str = "wavefront"
     telemetry: bool = False
     reuse_sessions: bool = False
     seed: int = 20250704
@@ -234,7 +230,6 @@ class SessionBank:
                 seed=self._rng,
                 engine=self.config.engine,
                 workers=self.config.workers,
-                kernel=self.config.kernel,
             )
         else:
             self.samples_reused += self._sessions[name].total_samples
@@ -270,7 +265,6 @@ def build_sampling_algorithm(
     sampling = {
         "engine": config.engine,
         "workers": config.workers,
-        "kernel": config.kernel,
         "telemetry": Telemetry() if config.telemetry else None,
         "session": session,
     }
@@ -328,7 +322,6 @@ class DatasetContext:
             seed=rng,
             include_endpoints=True,
             workers=self.config.workers,
-            kernel=self.config.kernel,
         ) as engine:
             engine.extend(instance, count)
         return instance

@@ -44,7 +44,6 @@ COUNTERS: frozenset[str] = frozenset(
         # weighted wavefront kernel (repro.paths.wavefront_weighted)
         "paths.weighted_cohorts",  # weighted cohort draws executed
         "paths.bucket_relaxations",  # delta-stepping level relaxation rounds
-        "paths.kernel_fallbacks",  # cohort kernels degraded to 'grouped'
         # coverage layer (node->path CSR rebuild accounting)
         "coverage.rebuilds",  # incidence rebuilds paid
         "coverage.rebuilt_elements",  # flat elements re-argsorted

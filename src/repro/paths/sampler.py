@@ -20,8 +20,6 @@ products leave every concrete path with probability ``1 / sigma_st``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 from .._rng import as_generator
@@ -33,7 +31,7 @@ from .bidirectional import BidirectionalResult, bidirectional_search
 from .dijkstra import dijkstra_sigma
 from .packed import PackedSamples, PathSample
 from .wavefront import WavefrontResults, wavefront_search
-from .wavefront_weighted import WeightedSearchResult, wavefront_weighted_search
+from .wavefront_weighted import wavefront_weighted_search
 
 __all__ = ["PathSample", "PackedSamples", "PathSampler"]
 
@@ -115,31 +113,15 @@ class PathSampler:
         for cross-validation).  Integer-weighted graphs
         (:class:`~repro.graph.weighted.WeightedCSRGraph`) always use
         ``"dijkstra"``, which is selected automatically.
-    cache_sources:
-        Size of the LRU cache of completed forward-BFS trees keyed by
-        source node, used by :meth:`sample_batch` so repeated sources
-        across adaptive ``extend`` rounds skip re-traversal.  ``0``
-        (the default) disables caching, preserving the historical
-        per-sample work accounting exactly; cache-hit samples report
-        ``edges_explored == 0`` because no traversal was executed for
-        them.  Hit/miss totals are exposed as :attr:`cache_hits` /
-        :attr:`cache_misses`.
 
     Notes
     -----
-    The sampler is stateful only through its random generator (and the
-    optional BFS-tree cache), so one instance can serve an entire
-    adaptive algorithm run; successive calls produce independent
-    samples.
+    The sampler is stateful only through its random generator, so one
+    instance can serve an entire adaptive algorithm run; successive
+    calls produce independent samples.
     """
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        seed=None,
-        method: str = "bidirectional",
-        cache_sources: int = 0,
-    ):
+    def __init__(self, graph: CSRGraph, seed=None, method: str = "bidirectional"):
         if graph.n < 2:
             raise GraphError("sampling requires a graph with at least 2 nodes")
         if is_weighted(graph):
@@ -151,17 +133,9 @@ class PathSampler:
                 )
         elif method not in ("bidirectional", "forward"):
             raise ParameterError(f"unknown sampling method {method!r}")
-        if cache_sources < 0:
-            raise ParameterError(
-                f"cache_sources must be non-negative, got {cache_sources}"
-            )
         self.graph = graph
         self.method = method
         self._rng = as_generator(seed)
-        self.cache_sources = int(cache_sources)
-        self._tree_cache: OrderedDict[int, tuple] = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.total_edges_explored = 0
         self.total_samples = 0
         self.total_traversals = 0
@@ -193,63 +167,28 @@ class PathSampler:
         return sources, np.where(targets >= sources, targets + 1, targets)
 
     def sample_batch(self, count: int) -> PackedSamples:
-        """Draw ``count`` independent samples, amortizing traversals.
+        """Draw ``count`` samples one scalar search and walk at a time —
+        the reference oracle of :meth:`sample_cohort`.
 
-        Statistically identical to :meth:`sample_many` — the ``count``
-        ordered pairs are drawn i.i.d. up front — but pairs sharing a
-        source are served by a *single* full BFS from that source
-        instead of one bidirectional search each.  When ``count`` is
-        large relative to ``n`` (the regime of HEDGE/CentRa/EXHAUST),
-        this replaces ~``count`` traversals with at most ``n``.
-
-        Only available for unweighted graphs; weighted graphs fall
-        back to per-sample Dijkstra.  Samples are returned in draw
-        order.
+        All ``count`` ordered pairs are drawn up front, then every pair
+        runs :meth:`sample_pair`'s search and walk, in sample order.
+        That consumes the generator exactly as :meth:`sample_cohort`
+        does, so with the ``"bidirectional"`` method (``"dijkstra"`` on
+        weighted graphs) the samples are bit-identical to the cohort
+        draw's; the ``"forward"`` method draws the same law through a
+        plain BFS per pair, for the sampler ablation.
         """
         if count < 0:
             raise ParameterError("sample count must be non-negative")
-        if self.method == "dijkstra":
-            return PackedSamples.from_samples(self.sample() for _ in range(count))
         sources, targets = self._draw_pairs(count)
-
-        by_source: dict[int, list[int]] = {}
-        for index, s in enumerate(sources.tolist()):
-            by_source.setdefault(s, []).append(index)
-
-        empty = np.empty(0, dtype=np.int64)
-        paths: list[np.ndarray] = [empty] * count
-        distances = np.full(count, -1, dtype=np.int64)
-        sigmas = np.zeros(count)
-        edges = np.zeros(count, dtype=np.int64)
-        traversals = 0
-        for source, indices in by_source.items():
-            dist, sigma, total_work, cached = self._forward_tree(source)
-            traversals += 0 if cached else 1
-            # attribute the full BFS work exactly across this source's
-            # samples: the first `remainder` samples carry one extra arc
-            # so that the per-source total matches the serial accounting
-            # (a cache hit executed no traversal, so its samples carry 0)
-            share, remainder = divmod(0 if cached else total_work, len(indices))
-            for position, index in enumerate(indices):
-                edges[index] = share + (1 if position < remainder else 0)
-                target = int(targets[index])
-                if dist[target] == -1:
-                    continue
-                head = self._walk_up(target, dist, sigma)
-                paths[index] = np.asarray(head[::-1], dtype=np.int64)
-                distances[index] = dist[target]
-                sigmas[index] = sigma[target]
-        self.total_samples += count
-        self.total_traversals += traversals
-        self.total_edges_explored += int(edges.sum())
-        return PackedSamples.from_paths(
-            sources, targets, distances, sigmas, edges, paths
+        return PackedSamples.from_samples(
+            self.sample_pair(source, target)
+            for source, target in zip(sources.tolist(), targets.tolist())
         )
 
     def sample_cohort(
         self,
         count: int,
-        kernel: str = "wavefront",
         cohort_size: int | None = None,
         delta: int | None = None,
     ) -> PackedSamples:
@@ -259,27 +198,23 @@ class PathSampler:
         is restructured for batching: all ``count`` ordered pairs are
         drawn i.i.d. up front, then resolved in sample-order chunks —
         each chunk's searches first, then its uniform path walks, in
-        sample order.  With ``kernel="wavefront"`` the searches execute
-        through a vectorized multi-query kernel — the level-synchronous
-        bidirectional BFS (:func:`~repro.paths.wavefront.wavefront_search`)
-        on unweighted graphs, the bucketed delta-stepping cohort
+        sample order.  The searches execute through a vectorized
+        multi-query kernel — the level-synchronous bidirectional BFS
+        (:func:`~repro.paths.wavefront.wavefront_search`) on unweighted
+        graphs, the bucketed delta-stepping cohort
         (:func:`~repro.paths.wavefront_weighted.wavefront_weighted_search`)
         on weighted ones — and on unweighted graphs one vectorized walk
-        draws every path of the chunk.  With ``kernel="scalar"`` each
-        query runs its own scalar search
-        (:func:`~repro.paths.bidirectional.bidirectional_search` /
-        :func:`~repro.paths.dijkstra.dijkstra_sigma`) and its own walk.
-        The kernels consume the generator identically — each reachable
-        sample takes ``distance + 1`` uniforms: the separator pick,
-        then the steps toward the source, then those toward the target
-        — and yield bit-identical samples, the cross-kernel
-        determinism contract the engines rely on.
+        draws every path of the chunk.  Each reachable sample takes
+        ``distance + 1`` uniforms (the separator pick, then the steps
+        toward the source, then those toward the target), exactly as
+        the scalar oracle :meth:`sample_batch` consumes them, so the
+        two yield bit-identical samples.
 
-        ``delta`` is the weighted kernel's bucket width
-        (result-invariant; ``None`` auto-tunes from the mean edge
-        weight); it is ignored on unweighted graphs.  Only the
-        ``"forward"`` method lacks a cohort schedule; engines use
-        :meth:`sample_batch` for it.
+        ``cohort_size`` (queries in flight per search call) and
+        ``delta`` (the weighted kernel's bucket width, ``None``
+        auto-tunes from the mean edge weight; ignored on unweighted
+        graphs) are result-invariant kernel parameters.  The
+        ``"forward"`` method has no cohort schedule.
         """
         if count < 0:
             raise ParameterError("sample count must be non-negative")
@@ -288,56 +223,26 @@ class PathSampler:
                 "cohort sampling requires the 'bidirectional' or "
                 "'dijkstra' method"
             )
-        if kernel not in ("wavefront", "scalar"):
-            raise ParameterError(f"unknown traversal kernel {kernel!r}")
         sources, targets = self._draw_pairs(count)
         if self.method == "dijkstra":
-            packed = self._weighted_cohort(
-                sources, targets, kernel, cohort_size, delta
-            )
+            packed = self._weighted_cohort(sources, targets, cohort_size, delta)
         else:
-            parts = []
-            for lo in range(0, count, _CHUNK):
-                chunk = slice(lo, lo + _CHUNK)
-                if kernel == "wavefront":
-                    found = wavefront_search(
+            packed = PackedSamples.concat([
+                self._walk_cohort(
+                    wavefront_search(
                         self.graph,
-                        sources[chunk],
-                        targets[chunk],
+                        sources[lo:lo + _CHUNK],
+                        targets[lo:lo + _CHUNK],
                         cohort_size=cohort_size,
                         frontiers=False,
                     )
-                    parts.append(self._walk_cohort(found))
-                else:
-                    parts.append(
-                        self._scalar_cohort(sources[chunk], targets[chunk])
-                    )
-            packed = PackedSamples.concat(parts)
+                )
+                for lo in range(0, count, _CHUNK)
+            ])
         self.total_samples += count
         self.total_traversals += count
         self.total_edges_explored += int(packed.edges.sum())
         return packed
-
-    def _scalar_cohort(
-        self, sources: np.ndarray, targets: np.ndarray
-    ) -> PackedSamples:
-        """One scalar search and one scalar walk per pair, in order."""
-        empty = np.empty(0, dtype=np.int64)
-        paths, distances, sigmas, edges = [], [], [], []
-        for source, target in zip(sources.tolist(), targets.tolist()):
-            result, explored = bidirectional_search(self.graph, source, target)
-            edges.append(explored)
-            if result is None:
-                paths.append(empty)
-                distances.append(-1)
-                sigmas.append(0.0)
-            else:
-                paths.append(self._path_nodes(result))
-                distances.append(result.distance)
-                sigmas.append(result.sigma_st)
-        return PackedSamples.from_paths(
-            sources, targets, distances, sigmas, edges, paths
-        )
 
     def _walk_cohort(self, found: WavefrontResults) -> PackedSamples:
         """Draw one uniform path per reachable query of ``found``, all
@@ -427,24 +332,28 @@ class PathSampler:
         self,
         sources: np.ndarray,
         targets: np.ndarray,
-        kernel: str,
         cohort_size: int | None,
         delta: int | None,
     ) -> PackedSamples:
         """The weighted half of :meth:`sample_cohort`: per chunk,
         resolve every (s, t) query, then run the backward walks in
-        sample order.  Both kernels produce bit-identical
-        :class:`~repro.paths.wavefront_weighted.WeightedSearchResult`
-        rows and consume the generator only through the walks, so the
-        samples are bit-identical across kernels (and across the
-        engines' chunkings)."""
+        sample order.  The search consumes no randomness, so the
+        samples match :meth:`sample_batch`'s per-pair Dijkstra and walk
+        bit for bit (and across the engines' chunkings)."""
         empty = np.empty(0, dtype=np.int64)
         paths, distances, sigmas, edges = [], [], [], []
         for lo in range(0, sources.size, _WEIGHTED_CHUNK):
-            chunk = slice(lo, lo + _WEIGHTED_CHUNK)
-            for result in self._weighted_search(
-                sources[chunk], targets[chunk], kernel, cohort_size, delta
-            ):
+            counters: dict = {}
+            searched = wavefront_weighted_search(
+                self.graph,
+                sources[lo:lo + _WEIGHTED_CHUNK],
+                targets[lo:lo + _WEIGHTED_CHUNK],
+                delta=delta,
+                cohort_size=cohort_size,
+                counters=counters,
+            )
+            self.total_bucket_relaxations += counters.get("bucket_relaxations", 0)
+            for result in searched:
                 edges.append(result.edges_explored)
                 distances.append(result.distance)
                 sigmas.append(result.sigma_st)
@@ -460,40 +369,6 @@ class PathSampler:
             sources, targets, distances, sigmas, edges, paths
         )
 
-    def _weighted_search(
-        self, sources, targets, kernel, cohort_size, delta
-    ) -> list[WeightedSearchResult]:
-        if kernel == "wavefront":
-            counters: dict = {}
-            searched = wavefront_weighted_search(
-                self.graph,
-                sources,
-                targets,
-                delta=delta,
-                cohort_size=cohort_size,
-                counters=counters,
-            )
-            self.total_bucket_relaxations += counters.get(
-                "bucket_relaxations", 0
-            )
-            return searched
-        searched = []
-        for source, target in zip(sources.tolist(), targets.tolist()):
-            dist, sigma, order = dijkstra_sigma(self.graph, source, target=target)
-            explored = int(sum(self.graph.out_degree(int(v)) for v in order))
-            searched.append(
-                WeightedSearchResult(
-                    source=source,
-                    target=target,
-                    distance=int(dist[target]),
-                    sigma_st=float(sigma[target]),
-                    dist=dist,
-                    sigma=sigma,
-                    edges_explored=explored,
-                )
-            )
-        return searched
-
     def sample_pair(self, source: int, target: int) -> PathSample:
         """Draw a uniform shortest path for a *given* ordered pair."""
         if self.method == "bidirectional":
@@ -508,24 +383,6 @@ class PathSampler:
         return sample
 
     # ------------------------------------------------------------------
-    def _forward_tree(self, source: int) -> tuple[np.ndarray, np.ndarray, int, bool]:
-        """A full forward-BFS tree from ``source``, LRU-cached when
-        ``cache_sources > 0``; returns ``(dist, sigma, work, cached)``."""
-        if self.cache_sources:
-            entry = self._tree_cache.get(source)
-            if entry is not None:
-                self._tree_cache.move_to_end(source)
-                self.cache_hits += 1
-                return (*entry, True)
-            self.cache_misses += 1
-        dist, sigma = bfs_sigma(self.graph, source)
-        work = int(self.graph.out_degrees()[dist >= 0].sum())
-        if self.cache_sources:
-            self._tree_cache[source] = (dist, sigma, work)
-            if len(self._tree_cache) > self.cache_sources:
-                self._tree_cache.popitem(last=False)
-        return dist, sigma, work, False
-
     def _null(self, source: int, target: int, edges: int) -> PathSample:
         return PathSample(
             source=source,

@@ -57,6 +57,7 @@ import numpy as np
 
 from ..exceptions import GraphError, ParameterError
 from ..graph.weighted import WeightedCSRGraph
+from .wavefront import _distinct
 
 __all__ = [
     "DEFAULT_COHORT",
@@ -211,10 +212,7 @@ class _WeightedCohort:
         while heap:
             bucket = heap[0]
             parts = buckets[bucket]
-            merged = (
-                np.unique(np.concatenate(parts)) if len(parts) > 1
-                else np.unique(parts[0])
-            )
+            merged = _distinct(np.concatenate(parts))
             valid = ~settled[merged] & (tentative[merged] // delta == bucket)
             nodes = merged[valid]
             if nodes.size == 0:
@@ -225,7 +223,7 @@ class _WeightedCohort:
             buckets[bucket] = [nodes]  # compacted: stale copies dropped
             levels = tentative[nodes]
             level = levels.min()
-            frontier = nodes[levels == level]  # ascending ids (np.unique)
+            frontier = nodes[levels == level]  # ascending ids (_distinct)
             target = int(self.roots[1, slot])
             if tentative[target] == level and not settled[target]:
                 # final level: finalized ids are exactly those the
@@ -278,7 +276,7 @@ class _WeightedCohort:
             return
         candidates = tentative[tail_key] + lengths
 
-        unique_keys = np.unique(head_key)
+        unique_keys = _distinct(head_key)
         before = tentative[unique_keys].copy()
         np.minimum.at(tentative, head_key, candidates)
         after = tentative[unique_keys]
@@ -312,7 +310,7 @@ class _WeightedCohort:
             heap = self.heaps[slot]
             queued = self.queued[slot]
             table = self.buckets[slot]
-            for bucket in np.unique(slot_buckets):
+            for bucket in _distinct(slot_buckets):
                 bucket = int(bucket)
                 table.setdefault(bucket, []).append(
                     slot_nodes[slot_buckets == bucket]

@@ -12,7 +12,7 @@ algorithms.  The split is deliberate:
   through one thread keeps the per-run telemetry hub and the lane
   stores free of data races, and matches the workload: sampling is
   CPU-bound, so a second compute thread would only fight the GIL —
-  parallelism lives *inside* a query (the process/epoch engines),
+  parallelism lives *inside* a query (the epoch engine),
   not across queries.
 
 Answer paths, cheapest first:
@@ -135,10 +135,7 @@ class ServerConfig:
     socket_path: str | None = None  # Unix socket; overrides host/port
     engine: str = "serial"
     workers: int | None = None
-    kernel: str = "wavefront"
-    cache_sources: int = 0
     epoch_size: int | None = None
-    delta: int | None = None
     cache_size: int = 128
     warm_dir: str | None = None
     log_json: str | None = None
@@ -192,10 +189,7 @@ class GBCServer:
         self._engine_kwargs = {
             "engine": config.engine,
             "workers": config.workers,
-            "kernel": config.kernel,
-            "cache_sources": config.cache_sources,
             "epoch_size": config.epoch_size,
-            "delta": config.delta,
         }
         self.bound_port: int | None = None
 

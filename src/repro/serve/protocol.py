@@ -179,8 +179,7 @@ def build_algorithm(key: QueryKey, *, telemetry=None, debug=False, **engine):
     seed and engine configuration.
 
     ``engine`` carries the daemon-wide sampling knobs (``engine``,
-    ``workers``, ``kernel``, ``cache_sources``, ``epoch_size``,
-    ``delta``).
+    ``workers``, ``epoch_size``).
     """
     cls = _CLASSES[key.algorithm]
     kwargs = {"seed": key.seed, "telemetry": telemetry, "debug": debug, **engine}

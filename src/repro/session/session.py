@@ -41,6 +41,38 @@ __all__ = ["SamplingSession", "CHECKPOINT_FORMAT", "CHECKPOINT_VERSION"]
 CHECKPOINT_FORMAT = "repro-session-checkpoint"
 CHECKPOINT_VERSION = 1
 
+#: Engines no longer in the registry -> the engine that replaces them.
+_REPLACED_ENGINES = {"batch": "serial", "process": "epoch"}
+
+
+def _check_provenance(path: str, provenance: dict) -> None:
+    """Refuse checkpoints whose sample stream no engine can continue.
+
+    Older checkpoints also record the since-removed kernel, bucket
+    width, tree-cache and method knobs; the ``wavefront``/``scalar``
+    kernels at any bucket width drew the samples today's engines draw,
+    so those keys are ignored.  A stream drawn by a removed engine or by
+    the removed source-grouped sampler (``kernel="grouped"``, or the
+    ``forward`` method, which always fell back to it) cannot be
+    continued bit-identically.
+    """
+    engine = provenance.get("engine")
+    if engine in _REPLACED_ENGINES:
+        raise CheckpointError(
+            f"checkpoint {path!r} was recorded with the removed {engine!r} "
+            f"engine and cannot be resumed; start a new run with engine "
+            f"{_REPLACED_ENGINES[engine]!r}"
+        )
+    if (
+        provenance.get("kernel") == "grouped"
+        or provenance.get("method", "bidirectional") != "bidirectional"
+    ):
+        raise CheckpointError(
+            f"checkpoint {path!r} was drawn by the removed source-grouped "
+            "sampler and cannot be resumed; start a new run with engine "
+            "'serial' or 'epoch'"
+        )
+
 
 def _graph_fingerprint(graph: CSRGraph) -> dict:
     """A light identity check for resume-time validation.
@@ -83,12 +115,10 @@ class SamplingSession:
     seed:
         Master seed (or a shared :class:`numpy.random.Generator`) the
         lane streams are derived from.
-    engine, method, include_endpoints, workers, kernel, cache_sources,
-    epoch_size, delta:
+    engine, include_endpoints, workers, epoch_size:
         Engine configuration, recorded as provenance in checkpoints
-        (``epoch_size`` only applies to the ``"epoch"`` engine,
-        ``delta`` to weighted-graph cohort kernels; ``None`` keeps the
-        defaults).
+        (``workers`` and ``epoch_size`` only apply to the ``"epoch"``
+        engine; ``None`` keeps the defaults).
     telemetry:
         A :class:`~repro.obs.Telemetry` hub; the session reports
         ``session.*`` counters (samples drawn/reused, extend calls,
@@ -108,13 +138,9 @@ class SamplingSession:
         lanes: int = 1,
         seed=None,
         engine: str = "serial",
-        method: str = "bidirectional",
         include_endpoints: bool = True,
         workers: int | None = None,
-        kernel: str = "wavefront",
-        cache_sources: int = 0,
         epoch_size: int | None = None,
-        delta: int | None = None,
         telemetry=None,
         debug: bool = False,
     ):
@@ -125,13 +151,9 @@ class SamplingSession:
         self.debug = bool(debug)
         self.provenance = {
             "engine": engine,
-            "method": method,
             "include_endpoints": bool(include_endpoints),
             "workers": workers,
-            "kernel": kernel,
-            "cache_sources": int(cache_sources),
             "epoch_size": epoch_size,
-            "delta": delta,
         }
         self.engines: list[SampleEngine] = []
         try:
@@ -141,13 +163,9 @@ class SamplingSession:
                         engine,
                         graph,
                         seed=child,
-                        method=method,
                         include_endpoints=include_endpoints,
                         workers=workers,
-                        kernel=kernel,
-                        cache_sources=cache_sources,
                         epoch_size=epoch_size,
-                        delta=delta,
                         telemetry=self.telemetry,
                         debug=debug,
                     )
@@ -263,13 +281,9 @@ class SamplingSession:
                     provenance["engine"],
                     new_graph,
                     seed=0,  # placeholder stream, overwritten below
-                    method=provenance["method"],
                     include_endpoints=provenance["include_endpoints"],
                     workers=provenance["workers"],
-                    kernel=provenance["kernel"],
-                    cache_sources=provenance["cache_sources"],
                     epoch_size=provenance["epoch_size"],
-                    delta=provenance["delta"],
                     telemetry=self.telemetry,
                     debug=self.debug,
                 )
@@ -339,7 +353,10 @@ class SamplingSession:
 
         Lets callers (the CLI ``resume`` command) learn which
         algorithm, parameters, and graph produced a checkpoint before
-        committing to loading it.
+        committing to loading it.  Checkpoints recorded with a removed
+        engine or sampler raise
+        :class:`~repro.exceptions.CheckpointError` naming the
+        replacement.
         """
         try:
             with np.load(path, allow_pickle=False) as payload:
@@ -353,6 +370,7 @@ class SamplingSession:
                 f"unsupported checkpoint version {meta.get('version')!r} "
                 f"(expected {CHECKPOINT_VERSION})"
             )
+        _check_provenance(path, meta.get("provenance") or {})
         return meta
 
     @classmethod
@@ -397,14 +415,10 @@ class SamplingSession:
                 lanes=meta["lanes"],
                 seed=0,  # placeholder streams, overwritten below
                 engine=provenance["engine"],
-                method=provenance["method"],
                 include_endpoints=provenance["include_endpoints"],
                 workers=provenance["workers"],
-                kernel=provenance["kernel"],
-                cache_sources=provenance["cache_sources"],
-                # absent in pre-epoch / pre-delta checkpoints — defaults
+                # absent in pre-epoch checkpoints — the default
                 epoch_size=provenance.get("epoch_size"),
-                delta=provenance.get("delta"),
                 telemetry=hub,
                 debug=debug,
             )

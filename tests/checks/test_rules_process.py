@@ -7,7 +7,7 @@ def rule_ids_of(findings):
     return sorted({finding.rule for finding in findings})
 
 
-def check(findings_for, source, module="repro.engine.pool"):
+def check(findings_for, source, module="repro.engine.epoch"):
     return findings_for(textwrap.dedent(source), module=module)
 
 
@@ -61,7 +61,7 @@ class TestUnpicklableTask:
         assert rule_ids_of(findings) == ["RPR201"]
 
     def test_passes_on_module_level_function(self, findings_for):
-        # the shape repro.engine.pool actually uses (_draw_chunk)
+        # a module-level task function, as the epoch engine submits
         findings = check(
             findings_for,
             """

@@ -128,7 +128,6 @@ class TestUnregisteredTelemetryName:
             def run(self, hub):
                 self.telemetry.count("paths.weighted_cohorts", 1)
                 self.telemetry.count("paths.bucket_relaxations", 17)
-                self.telemetry.count("paths.kernel_fallbacks", 1)
                 hub.count("coverage.batched_evals", 16)
             """,
             module="repro.engine.base",
@@ -137,7 +136,6 @@ class TestUnregisteredTelemetryName:
         for name in (
             "paths.weighted_cohorts",
             "paths.bucket_relaxations",
-            "paths.kernel_fallbacks",
             "coverage.batched_evals",
         ):
             assert is_counter(name)

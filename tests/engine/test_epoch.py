@@ -12,18 +12,23 @@ The contract under test:
 * statistics account epochs, dispatches (including speculation), and
   worker startup;
 * a dying worker degrades to in-process computation without changing
-  a single sample.
+  a single sample, and a raising epoch body surfaces as an
+  ``EngineError`` without breaking the engine;
+* the shared graph segments are unlinked on close.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.coverage import CoverageInstance
 from repro.engine import EpochEngine, PackedSamples, create_engine
+from repro.engine import epoch as epoch_module
 from repro.engine.serial import SerialEngine
-from repro.exceptions import CheckpointError, ParameterError
+from repro.exceptions import CheckpointError, EngineError, ParameterError
 from repro.graph import barabasi_albert
 
 
@@ -351,3 +356,106 @@ class TestLifecycle:
         expected = straight.draw(576)
         straight.close()
         _assert_same_samples(first + second, expected)
+
+
+#: Epoch seed the patched epoch body refuses to serve while armed.
+_POISON = {"seed": None, "armed": False}
+
+
+@pytest.fixture
+def poisoned(monkeypatch):
+    """Patch the shared epoch body to raise for one seed while armed.
+
+    Workers start lazily on the first draw and the default ``fork``
+    start method copies the patched module state into them, so the
+    same patch covers worker-side and in-process epochs."""
+    real = epoch_module._epoch_samples
+
+    def epoch_samples(graph, seed, count):
+        if _POISON["armed"] and seed == _POISON["seed"]:
+            raise ValueError(f"injected failure for seed {seed}")
+        return real(graph, seed, count)
+
+    monkeypatch.setattr(epoch_module, "_epoch_samples", epoch_samples)
+    yield _POISON
+    _POISON.update(seed=None, armed=False)
+
+
+def _poison_epoch(poison, engine, index):
+    poison.update(seed=engine._seed_for(index), armed=True)
+    return poison["seed"]
+
+
+class TestEpochFailures:
+    """An epoch body that raises inside a healthy worker (or in process)
+    surfaces as :class:`~repro.exceptions.EngineError` naming the
+    epoch's index, size and seed; the engine stays usable and the
+    stream continues exactly where the healthy one would."""
+
+    def test_failing_epoch_raises_engine_error(self, ba200, poisoned):
+        with _epoch(ba200, epoch_size=16, workers=0) as engine:
+            seed = _poison_epoch(poisoned, engine, 1)
+            assert len(engine.draw(16)) == 16
+            with pytest.raises(
+                EngineError, match=rf"epoch 1 \(size=16, seed={seed}\)"
+            ):
+                engine.draw(16)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_engine_usable_after_failure(self, ba200, poisoned, workers):
+        with _epoch(ba200, epoch_size=16, workers=workers) as engine:
+            seed = _poison_epoch(poisoned, engine, 2)
+            first = engine.draw(16)
+            with pytest.raises(
+                EngineError, match=rf"epoch 2 \(size=16, seed={seed}\)"
+            ):
+                engine.draw(64)
+            # a transient fault: the retried draw continues the stream
+            # bit-identically, restarting any reaped workers
+            poisoned["armed"] = False
+            second = engine.draw(64)
+        with _epoch(ba200, epoch_size=16, workers=0) as healthy:
+            expected = healthy.draw(80)
+        _assert_same_samples(first + second, expected)
+
+    def test_extend_surfaces_the_error(self, ba200, poisoned):
+        engine = create_engine("epoch", ba200, seed=32, workers=0, epoch_size=7)
+        with engine:
+            _poison_epoch(poisoned, engine, 0)
+            instance = CoverageInstance(ba200.n)
+            with pytest.raises(EngineError, match=r"epoch 0 \(size=7"):
+                engine.extend(instance, 7)
+            assert instance.num_paths == 0
+
+
+def _segment_paths(engine):
+    """On-disk /dev/shm paths of the engine's shared graph segments."""
+    if engine._segments is None:
+        return []
+    return [
+        os.path.join("/dev/shm", name.lstrip("/"))
+        for name in engine._segments.block_names()
+    ]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no POSIX shared memory")
+class TestSharedSegments:
+    def test_segments_unlinked_on_close(self, ba200):
+        engine = _epoch(ba200, epoch_size=64, workers=2)
+        engine.draw(64)
+        paths = _segment_paths(engine)
+        if engine.stats.workers:  # workers actually started
+            assert paths and all(os.path.exists(p) for p in paths)
+        engine.close()
+        assert not any(os.path.exists(p) for p in paths)
+        engine.close()  # idempotent
+
+    def test_segments_unlinked_after_worker_death(self, ba200):
+        engine = _epoch(ba200, epoch_size=64, workers=2)
+        engine.draw(64)
+        paths = _segment_paths(engine)
+        for proc in engine._procs:
+            proc.terminate()
+        assert len(engine.draw(512)) == 512
+        engine.close()
+        assert not any(os.path.exists(p) for p in paths)

@@ -1,13 +1,13 @@
 """Packed cohort draws: the default engine against the scalar oracle.
 
-``SerialEngine`` (the default everywhere) and ``BatchEngine`` with
-``kernel="wavefront"`` resolve their draws with the vectorized search
-and one vectorized walk per chunk; ``BatchEngine(kernel="scalar")``
-runs one scalar search and one scalar walk per sample.  All three
-must yield bit-identical samples — and hence identical coverage
-instances — for every seed, cohort width, endpoint convention, and
-draw size below or above ``n``.  A draw's memory must follow the
-samples drawn, not ``n``.
+``SerialEngine`` (the default everywhere) resolves its draws with the
+vectorized search and one vectorized walk per chunk, through
+:meth:`~repro.paths.PathSampler.sample_cohort` at any cohort width;
+the oracle :meth:`~repro.paths.PathSampler.sample_batch` runs one
+scalar search and one scalar walk per sample.  All must yield
+bit-identical samples — and hence identical coverage instances — for
+every seed, cohort width, endpoint convention, and draw size below or
+above ``n``.  A draw's memory must follow the samples drawn, not ``n``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 
 import repro.paths.sampler as sampler_module
 from repro.coverage import CoverageInstance
-from repro.engine import BatchEngine, PackedSamples, SerialEngine
+from repro.engine import PackedSamples, SampleEngine, SerialEngine
 from repro.graph import barabasi_albert, erdos_renyi
 from repro.paths import DEFAULT_COHORT, PathSampler
 
@@ -38,19 +38,31 @@ def sparse_digraph():
     return erdos_renyi(120, 0.015, seed=6, directed=True)
 
 
+class _SamplerEngine(SampleEngine):
+    """One sampler draw method behind the engine interface."""
+
+    name = "sampler"
+
+    def __init__(self, graph, seed, include_endpoints, draw):
+        super().__init__(graph, seed=seed, include_endpoints=include_endpoints)
+        self._draw = draw
+        self._sampler = PathSampler(graph, seed=self._rng)
+
+    def draw(self, count):
+        return self._draw(self._sampler, count)
+
+
 def _engines(graph, seed, cohort_size, include_endpoints=True):
+    def cohort(sampler, count):
+        return sampler.sample_cohort(count, cohort_size=cohort_size)
+
+    def oracle(sampler, count):
+        return sampler.sample_batch(count)
+
     return [
         SerialEngine(graph, seed=seed, include_endpoints=include_endpoints),
-        BatchEngine(
-            graph,
-            seed=seed,
-            kernel="wavefront",
-            cohort_size=cohort_size,
-            include_endpoints=include_endpoints,
-        ),
-        BatchEngine(
-            graph, seed=seed, kernel="scalar", include_endpoints=include_endpoints
-        ),
+        _SamplerEngine(graph, seed, include_endpoints, cohort),
+        _SamplerEngine(graph, seed, include_endpoints, oracle),
     ]
 
 
@@ -126,10 +138,10 @@ class TestOracle:
     def test_walk_slices_and_chunks_do_not_move_samples(self, ba, monkeypatch):
         """Tiny search chunks and walk-step arc budgets split the draw
         differently; the samples stay those of the scalar oracle."""
-        expected = PathSampler(ba, seed=9).sample_cohort(400, kernel="scalar")
+        expected = PathSampler(ba, seed=9).sample_batch(400)
         monkeypatch.setattr(sampler_module, "_CHUNK", 37)
         monkeypatch.setattr(sampler_module, "_WALK_ARCS", 3)
-        got = PathSampler(ba, seed=9).sample_cohort(400, kernel="wavefront")
+        got = PathSampler(ba, seed=9).sample_cohort(400)
         _assert_identical(got, expected)
 
 

@@ -3,30 +3,25 @@ must be a pure throughput knob.
 
 Contract under test:
 
-* the batch engine's ``wavefront`` (delta-stepping) and ``scalar``
-  (per-query Dijkstra) kernels are bit-identical on weighted graphs;
-* ``delta`` never changes results, only bucket granularity;
-* process and epoch engines are bit-identical across worker counts
-  ``{0, 1, 4}`` on weighted graphs;
-* checkpoint/resume reproduces the uninterrupted weighted run exactly;
-* requesting a cohort kernel that *does* have to degrade (the
-  unweighted ``forward`` method) is reported: warning, stats field,
-  telemetry counter.
+* the default engine's delta-stepping cohort draw and the scalar
+  oracle (:meth:`~repro.paths.PathSampler.sample_batch`, one Dijkstra
+  per query) are bit-identical on weighted graphs;
+* ``delta`` and ``cohort_size`` never change results, only bucket
+  granularity and batching;
+* the epoch engine is bit-identical across worker counts ``{0, 1, 4}``
+  on weighted graphs;
+* checkpoint/resume reproduces the uninterrupted weighted run exactly.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.algorithms import AdaAlg
-from repro.engine import BatchEngine, EpochEngine, ProcessPoolEngine, create_engine
-from repro.engine.base import _reset_fallback_warnings
+from repro.engine import EpochEngine, SerialEngine
 from repro.exceptions import SessionInterrupted
-from repro.graph import barabasi_albert, from_weighted_edges
-from repro.obs import Telemetry
+from repro.graph import from_weighted_edges
 from repro.paths import PathSampler
 
 
@@ -57,28 +52,28 @@ def _assert_samples_equal(first, second):
         assert a.edges_explored == b.edges_explored
 
 
+def _oracle(graph, seed, count):
+    return PathSampler(graph, seed=seed).sample_batch(count)
+
+
 class TestBatchKernelParity:
+    """The serial engine's weighted draws against the scalar oracle."""
+
     @pytest.mark.parametrize("directed", [False, True])
     def test_wavefront_equals_scalar(self, directed):
         graph = _random_weighted(50, 0.12, seed=7, directed=directed)
-
-        def run(kernel):
-            with BatchEngine(graph, seed=31, kernel=kernel) as engine:
-                return engine.draw(150)
-
-        _assert_samples_equal(run("wavefront"), run("scalar"))
+        with SerialEngine(graph, seed=31) as engine:
+            drawn = engine.draw(150)
+        _assert_samples_equal(drawn, _oracle(graph, 31, 150))
 
     def test_disconnected_nulls_agree(self):
         # two weighted components: cross pairs are null in both kernels
         left = [(u, v, 2) for u in range(4) for v in range(u + 1, 4)]
         right = [(u, v, 3) for u in range(4, 8) for v in range(u + 1, 8)]
         graph = from_weighted_edges(left + right, n=8)
-
-        def run(kernel):
-            with BatchEngine(graph, seed=5, kernel=kernel) as engine:
-                return engine.draw(80)
-
-        a, b = run("wavefront"), run("scalar")
+        with SerialEngine(graph, seed=5) as engine:
+            a = engine.draw(80)
+        b = _oracle(graph, 5, 80)
         assert sum(s.is_null for s in a) > 0
         for x, y in zip(a, b):
             assert x.is_null == y.is_null
@@ -89,27 +84,22 @@ class TestBatchKernelParity:
     @pytest.mark.parametrize("delta", [1, 3, 10**6])
     def test_delta_is_result_invariant(self, weighted_graph, delta):
         def run(**kwargs):
-            with BatchEngine(weighted_graph, seed=13, **kwargs) as engine:
-                return engine.draw(120)
+            return PathSampler(weighted_graph, seed=13).sample_cohort(120, **kwargs)
 
         _assert_samples_equal(run(), run(delta=delta))
 
     def test_weighted_cohort_stats_recorded(self, weighted_graph):
-        with BatchEngine(weighted_graph, seed=2) as engine:
+        with SerialEngine(weighted_graph, seed=2) as engine:
             engine.draw(100)
             stats = engine.stats
         assert stats.weighted_cohorts > 0
         assert stats.bucket_relaxations > 0
-        assert stats.kernel_fallbacks == 0
 
 
 class TestSamplerCohortParity:
     def test_wavefront_cohort_equals_scalar_cohort(self, weighted_graph):
-        def run(kernel):
-            sampler = PathSampler(weighted_graph, seed=17)
-            return sampler.sample_cohort(200, kernel=kernel)
-
-        _assert_samples_equal(run("wavefront"), run("scalar"))
+        cohort = PathSampler(weighted_graph, seed=17).sample_cohort(200)
+        _assert_samples_equal(cohort, _oracle(weighted_graph, 17, 200))
 
     def test_cohort_size_is_result_invariant(self, weighted_graph):
         def run(cohort_size):
@@ -122,18 +112,6 @@ class TestSamplerCohortParity:
 
 
 class TestWorkerCountInvariance:
-    def test_process_identical_across_worker_counts(self, weighted_graph):
-        def run(workers):
-            engine = ProcessPoolEngine(
-                weighted_graph, seed=2024, workers=workers, chunk_size=32
-            )
-            with engine:
-                return engine.draw(128)
-
-        reference = run(1)
-        for workers in (0, 4):
-            _assert_samples_equal(reference, run(workers))
-
     def test_epoch_identical_across_worker_counts(self, weighted_graph):
         def run(workers):
             engine = EpochEngine(
@@ -146,12 +124,12 @@ class TestWorkerCountInvariance:
         for workers in (0, 4):
             _assert_samples_equal(reference, run(workers))
 
-    def test_adaalg_group_invariant_across_process_workers(self):
+    def test_adaalg_group_invariant_across_epoch_workers(self):
         graph = _random_weighted(40, 0.15, seed=9)
 
         def run(workers):
             algorithm = AdaAlg(
-                eps=0.5, gamma=0.1, seed=5, engine="process", workers=workers
+                eps=0.5, gamma=0.1, seed=5, engine="epoch", workers=workers
             )
             return algorithm.run(graph, 2)
 
@@ -166,7 +144,7 @@ class TestWorkerCountInvariance:
 class TestWeightedResume:
     @pytest.mark.parametrize(
         "engine,extra",
-        [("batch", {}), ("epoch", {"workers": 2, "epoch_size": 64})],
+        [("serial", {}), ("epoch", {"workers": 2, "epoch_size": 64})],
     )
     def test_resume_is_bit_identical(self, tmp_path, engine, extra):
         graph = _random_weighted(40, 0.15, seed=21)
@@ -186,83 +164,3 @@ class TestWeightedResume:
         assert resumed.estimate_unbiased == straight.estimate_unbiased
         assert resumed.num_samples == straight.num_samples
         assert resumed.iterations == straight.iterations
-
-    def test_resume_preserves_delta_knob(self, tmp_path):
-        graph = _random_weighted(40, 0.15, seed=21)
-        path = str(tmp_path / "ck.npz")
-
-        def factory(**kw):
-            return AdaAlg(
-                eps=0.4, gamma=0.1, seed=11, engine="batch", delta=2, **kw
-            )
-
-        straight = factory().run(graph, 3)
-        with pytest.raises(SessionInterrupted):
-            factory(checkpoint_path=path, stop_after_checkpoints=1).run(graph, 3)
-        resumed = AdaAlg(
-            eps=0.4, gamma=0.1, seed=11, engine="batch", resume_from=path
-        ).run(graph, 3)
-        assert resumed.group == straight.group
-        assert resumed.estimate == straight.estimate
-        assert resumed.num_samples == straight.num_samples
-
-
-class TestKernelFallbackReporting:
-    def test_forward_method_fallback_warns_once(self):
-        _reset_fallback_warnings()
-        graph = barabasi_albert(40, 2, seed=1)
-        hub = Telemetry()
-        engine = create_engine(
-            "batch", graph, seed=3, method="forward", kernel="wavefront",
-            telemetry=hub,
-        )
-        with engine:
-            assert engine.kernel == "grouped"
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                engine.draw(20)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # second draw stays silent
-                engine.draw(20)
-            assert engine.stats.kernel_fallbacks == 1
-        assert hub.snapshot()["counters"]["paths.kernel_fallbacks"] == 1
-
-    def test_fallback_warning_deduped_per_process(self):
-        # a daemon builds many engines: each still ticks its own stats
-        # field and counter, but only the first one warns
-        _reset_fallback_warnings()
-        graph = barabasi_albert(40, 2, seed=1)
-        hub = Telemetry()
-
-        def make():
-            return create_engine(
-                "batch", graph, seed=3, method="forward", kernel="wavefront",
-                telemetry=hub,
-            )
-
-        with make() as first:
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                first.draw(10)
-            assert first.stats.kernel_fallbacks == 1
-        for _ in range(3):
-            with make() as engine:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")  # later engines are silent
-                    engine.draw(10)
-                assert engine.stats.kernel_fallbacks == 1
-        assert hub.snapshot()["counters"]["paths.kernel_fallbacks"] == 4
-
-    def test_weighted_wavefront_does_not_fall_back(self, weighted_graph):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with BatchEngine(weighted_graph, seed=3, kernel="wavefront") as engine:
-                engine.draw(20)
-                assert engine.kernel == "wavefront"
-                assert engine.stats.kernel_fallbacks == 0
-
-    def test_explicit_grouped_request_is_not_a_fallback(self):
-        graph = barabasi_albert(40, 2, seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with BatchEngine(graph, seed=3, kernel="grouped") as engine:
-                engine.draw(20)
-                assert engine.stats.kernel_fallbacks == 0

@@ -146,9 +146,9 @@ class TestSamplingEquivalence:
         path = save_mmap(ba, str(tmp_path_factory.mktemp("mmap") / "ba"))
         return load_mmap(path)
 
-    @pytest.mark.parametrize("name", ["serial", "batch", "process", "epoch"])
+    @pytest.mark.parametrize("name", ["serial", "epoch"])
     def test_engines_agree_with_in_memory(self, ba, ba_mmap, name):
-        extra = {"process": {"workers": 2}, "epoch": {"workers": 2}}
+        extra = {"epoch": {"workers": 2}}
 
         def run(graph):
             instance = CoverageInstance(graph.n)

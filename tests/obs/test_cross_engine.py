@@ -3,7 +3,7 @@
 The ``engine.*`` counters re-export :class:`repro.engine.base.EngineStats`
 deltas at every ``extend``; the sample/draw accounting is part of the
 engines' determinism contract, so for a fixed request sequence the
-serial, batch, and process engines must report identical totals.
+serial and epoch engines must report identical totals.
 """
 
 import pytest
@@ -17,7 +17,7 @@ def _run_engine(name, graph, requests):
     tel = Telemetry()
     # every request below lands on a 16-boundary, so the epoch engine's
     # round-up-to-epoch extend semantics yield the same totals
-    extra = {"process": {"workers": 2}, "epoch": {"workers": 2, "epoch_size": 16}}
+    extra = {"epoch": {"workers": 2, "epoch_size": 16}}
     engine = create_engine(
         name,
         graph,

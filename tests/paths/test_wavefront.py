@@ -150,33 +150,22 @@ class TestScalarRangeValidation:
 
 class TestSamplerCrossKernel:
     def test_sample_cohort_kernels_identical(self):
-        """Both kernels consume the RNG identically, so the sampled
-        paths (not just the searches) are bit-identical."""
+        """The cohort draw consumes the RNG exactly like the scalar
+        oracle ``sample_batch``, so the sampled paths (not just the
+        searches) are bit-identical at every cohort width."""
         from repro.paths import PathSampler
 
         graph = barabasi_albert(100, 2, seed=41)
-
-        def run(kernel, cohort_size=None):
-            sampler = PathSampler(graph, seed=77)
-            return sampler.sample_cohort(
-                150, kernel=kernel, cohort_size=cohort_size
-            )
-
-        reference = run("scalar")
+        reference = PathSampler(graph, seed=77).sample_batch(150)
         for cohort_size in (None, 13):
-            samples = run("wavefront", cohort_size)
+            sampler = PathSampler(graph, seed=77)
+            samples = sampler.sample_cohort(150, cohort_size=cohort_size)
             for a, b in zip(reference, samples):
                 assert a.source == b.source
                 assert a.target == b.target
                 assert np.array_equal(a.nodes, b.nodes)
                 assert a.sigma_st == b.sigma_st
                 assert a.edges_explored == b.edges_explored
-
-    def test_unknown_kernel_rejected(self, grid3x3):
-        from repro.paths import PathSampler
-
-        with pytest.raises(ParameterError):
-            PathSampler(grid3x3, seed=0).sample_cohort(5, kernel="turbo")
 
     def test_cohort_requires_bidirectional(self, grid3x3):
         from repro.paths import PathSampler

@@ -18,6 +18,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.graph import barabasi_albert, erdos_renyi
@@ -519,3 +520,56 @@ class TestThawRobustness:
         err = capfd.readouterr().err
         assert "skipping warm lane" in err
         assert "KeyError" in err
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="no POSIX shared memory"
+    )
+    def test_thaw_skips_removed_engine_lane(
+        self, ba60, tmp_path, capfd, monkeypatch
+    ):
+        """A warm lane checkpointed with the removed ``process`` engine
+        is skipped with a warning naming its replacement — before any
+        session, worker process or shared-memory block is created."""
+        from repro.session import SamplingSession
+
+        warm = tmp_path / "warm"
+        warm.mkdir()
+        path = warm / "ba__adaalg__5.warm.npz"
+        algorithm = build_algorithm(
+            QueryKey("ba", "adaalg", 1, 0.6, 0.1, 5), engine="serial"
+        )
+        session = algorithm.build_session(ba60)
+        try:
+            session.extend(64)
+            session.checkpoint(
+                str(path),
+                state={"serve": {"dataset": "ba", "algorithm": "adaalg", "seed": 5}},
+            )
+        finally:
+            session.close()
+        with np.load(path, allow_pickle=False) as payload:
+            arrays = {key: payload[key] for key in payload.files}
+        meta = json.loads(str(arrays["meta"]))
+        meta["provenance"].update(engine="process", workers=2, kernel="wavefront")
+        arrays["meta"] = np.asarray(json.dumps(meta))
+        np.savez(path, **arrays)
+
+        built = []
+        original_init = SamplingSession.__init__
+
+        def recording_init(self, *args, **kwargs):
+            built.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SamplingSession, "__init__", recording_init)
+        children = set(multiprocessing.active_children())
+        segments = {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+        with _Harness(_config(ba60, warm_dir=str(warm))) as daemon:
+            assert not daemon.server._lanes  # nothing thawed
+            assert built == []  # no session was built for the lane
+            assert set(multiprocessing.active_children()) == children
+            now = {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+            assert now <= segments
+        err = capfd.readouterr().err
+        assert "skipping warm lane ba__adaalg__5.warm.npz" in err
+        assert "engine 'epoch'" in err

@@ -1,0 +1,131 @@
+"""Checkpoints written before the engine set shrank to ``serial`` and
+``epoch``.
+
+Older checkpoints record ``kernel``, ``delta``, ``cache_sources`` and
+``method`` in their provenance.  A serial or epoch stream drawn with
+the ``wavefront``/``scalar`` kernel is exactly today's stream, so it
+must resume bit-identically with those keys ignored; a stream drawn by
+the removed ``batch``/``process`` engines or the removed source-grouped
+sampler cannot be continued and must be refused with
+:class:`~repro.exceptions.CheckpointError` naming the replacement.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+
+from repro.algorithms import AdaAlg
+from repro.cli import main
+from repro.exceptions import CheckpointError, SessionInterrupted
+from repro.graph import barabasi_albert, write_edge_list
+from repro.session import SamplingSession
+
+#: The provenance keys every pre-change checkpoint carried.
+LEGACY_KEYS = {
+    "method": "bidirectional",
+    "kernel": "wavefront",
+    "cache_sources": 0,
+    "delta": None,
+}
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return barabasi_albert(80, 2, seed=5)
+
+
+def rewrite_checkpoint(path, provenance=(), params=()):
+    """Patch a checkpoint's provenance and algorithm parameters in
+    place, as an older version would have written them."""
+    with np.load(path, allow_pickle=False) as payload:
+        arrays = {key: payload[key] for key in payload.files}
+    meta = json.loads(str(arrays["meta"]))
+    meta["provenance"].update(provenance)
+    if meta.get("state") and "params" in meta["state"]:
+        meta["state"]["params"].update(params)
+    arrays["meta"] = np.asarray(json.dumps(meta))
+    np.savez(path, **arrays)
+
+
+def _interrupted(graph, path, **engine):
+    with pytest.raises(SessionInterrupted):
+        AdaAlg(
+            eps=0.4,
+            gamma=0.1,
+            seed=11,
+            checkpoint_path=path,
+            stop_after_checkpoints=1,
+            **engine,
+        ).run(graph, 3)
+
+
+class TestLegacyResume:
+    @pytest.mark.parametrize(
+        "engine", [{"engine": "serial"}, {"engine": "epoch", "workers": 2}]
+    )
+    def test_pre_change_checkpoint_resumes_bit_identically(
+        self, graph, tmp_path, engine
+    ):
+        path = str(tmp_path / "ck.npz")
+        straight = AdaAlg(eps=0.4, gamma=0.1, seed=11, **engine).run(graph, 3)
+        _interrupted(graph, path, **engine)
+        rewrite_checkpoint(
+            path,
+            provenance=LEGACY_KEYS,
+            params={"sampler_method": "bidirectional", "delta": None},
+        )
+        resumed = AdaAlg(
+            eps=0.4, gamma=0.1, seed=11, resume_from=path, **engine
+        ).run(graph, 3)
+        assert resumed.diagnostics["resumed"] is True
+        assert resumed.group == straight.group
+        assert resumed.estimate == straight.estimate
+        assert resumed.estimate_unbiased == straight.estimate_unbiased
+        assert resumed.num_samples == straight.num_samples
+        assert resumed.iterations == straight.iterations
+
+    def test_scalar_kernel_checkpoint_resumes(self, graph, tmp_path):
+        """The scalar kernel drew the same samples as the wavefront."""
+        path = str(tmp_path / "ck.npz")
+        _interrupted(graph, path)
+        rewrite_checkpoint(path, provenance={**LEGACY_KEYS, "kernel": "scalar"})
+        session, _state = SamplingSession.resume(path, graph)
+        session.close()
+
+
+class TestRemovedEngines:
+    @pytest.mark.parametrize(
+        "provenance, replacement",
+        [
+            ({"engine": "batch"}, "engine 'serial'"),
+            ({"engine": "process", "workers": 2}, "engine 'epoch'"),
+            ({"kernel": "grouped"}, "engine 'serial' or 'epoch'"),
+            ({"method": "forward"}, "engine 'serial' or 'epoch'"),
+        ],
+        ids=["batch", "process", "grouped", "forward"],
+    )
+    def test_refused_with_replacement_named(
+        self, graph, tmp_path, provenance, replacement
+    ):
+        path = str(tmp_path / "ck.npz")
+        _interrupted(graph, path)
+        rewrite_checkpoint(path, provenance={**LEGACY_KEYS, **provenance})
+        with pytest.raises(CheckpointError, match=replacement):
+            SamplingSession.peek(path)
+        with pytest.raises(CheckpointError, match=replacement):
+            AdaAlg(eps=0.4, gamma=0.1, seed=11, resume_from=path).run(graph, 3)
+
+    def test_cli_resume_refuses_process_checkpoint(self, graph, tmp_path):
+        edges = tmp_path / "ba.txt"
+        write_edge_list(graph, edges)
+        path = str(tmp_path / "ck.npz")
+        args = ["--edge-list", str(edges), "--algorithm", "adaalg", "-k", "3",
+                "--eps", "0.4", "--gamma", "0.1", "--seed", "11"]
+        assert main(["run", *args, "--checkpoint", path,
+                     "--stop-after-checkpoints", "1"]) == 3
+        rewrite_checkpoint(path, provenance={**LEGACY_KEYS, "engine": "process"})
+        with pytest.raises(CheckpointError, match="engine 'epoch'"):
+            main(["resume", path])

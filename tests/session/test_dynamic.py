@@ -159,11 +159,9 @@ class TestSessionMigration:
         "engine_kwargs",
         [
             {"engine": "serial"},
-            {"engine": "batch"},
-            {"engine": "process", "workers": 2},
             {"engine": "epoch", "workers": 2, "epoch_size": 64},
         ],
-        ids=["serial", "batch", "process", "epoch"],
+        ids=["serial", "epoch"],
     )
     def test_migrated_stream_matches_checkpoint_resume(
         self, engine_kwargs, tmp_path
@@ -244,11 +242,9 @@ class TestEquivalenceContract:
         "engine_kwargs",
         [
             {"engine": "serial"},
-            {"engine": "batch"},
-            {"engine": "process", "workers": 2},
             {"engine": "epoch", "workers": 2, "epoch_size": 128},
         ],
-        ids=["serial", "batch", "process", "epoch"],
+        ids=["serial", "epoch"],
     )
     def test_adaalg_requery_matches_cold_run(self, engine_kwargs):
         _equivalence_case(AdaAlg, engine_kwargs, eps=0.6, gamma=0.1)
@@ -263,11 +259,9 @@ class TestEquivalenceContract:
         "engine_kwargs, tolerance",
         [
             ({"engine": "serial"}, 0),
-            ({"engine": "batch"}, 0),
-            ({"engine": "process", "workers": 2}, 0),
             ({"engine": "epoch", "workers": 2, "epoch_size": 128}, 128),
         ],
-        ids=["serial", "batch", "process", "epoch"],
+        ids=["serial", "epoch"],
     )
     def test_exhaust_requery_matches_cold_at_equal_samples(
         self, engine_kwargs, tolerance

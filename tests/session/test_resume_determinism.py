@@ -27,17 +27,12 @@ def graph():
 #: packed cohort draws: it now samples exactly like the batch engine.
 _FROZEN_ADAALG = {
     "serial": ([3, 0, 13, 1], 5071.8, 5198.2, 800, 2),
-    "batch": ([3, 0, 13, 1], 5071.8, 5198.2, 800, 2),
-    "process": ([3, 0, 1, 13], 5135.0, 5087.6, 800, 2),
 }
 
 
-@pytest.mark.parametrize("engine", ["serial", "batch", "process"])
+@pytest.mark.parametrize("engine", ["serial"])
 def test_adaalg_matches_pre_refactor_reference(graph, engine):
-    workers = {"workers": 2} if engine == "process" else {}
-    result = AdaAlg(eps=0.4, gamma=0.1, seed=11, engine=engine, **workers).run(
-        graph, 4
-    )
+    result = AdaAlg(eps=0.4, gamma=0.1, seed=11, engine=engine).run(graph, 4)
     group, estimate, unbiased, samples, iterations = _FROZEN_ADAALG[engine]
     assert result.group == group
     assert result.estimate == estimate
@@ -107,10 +102,10 @@ def test_resume_is_bit_identical(graph, tmp_path, name):
     _kill_and_resume(graph, _FACTORIES[name], 3, str(tmp_path / "ck.npz"))
 
 
-@pytest.mark.parametrize("engine", ["serial", "batch", "process"])
+@pytest.mark.parametrize("engine", ["serial", "epoch"])
 @pytest.mark.parametrize("name", ["adaalg", "hedge", "exhaust"])
 def test_resume_is_bit_identical_across_engines(graph, tmp_path, name, engine):
-    workers = {"workers": 2} if engine == "process" else {}
+    workers = {"workers": 2} if engine == "epoch" else {}
 
     def factory(**kw):
         return _FACTORIES[name](engine=engine, **workers, **kw)
