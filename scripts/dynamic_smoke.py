@@ -177,10 +177,10 @@ def main() -> None:
             )
 
             # --- cold reference on the compacted graph -------------
-            overlay = DeltaGraph(graph)
-            overlay.apply(read_delta_file(delta_path))
+            delta = DeltaGraph(graph)
+            delta.apply(read_delta_file(delta_path))
             cold_dir = os.path.join(tmp, "cold-graph")
-            save_mmap(overlay.compact(), cold_dir)
+            save_mmap(delta.compact(), cold_dir)
             run_json = os.path.join(tmp, "cold.json")
             subprocess.run(
                 [

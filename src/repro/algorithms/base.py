@@ -11,14 +11,11 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .._rng import as_generator
-from ..engine import ENGINES, SampleEngine, coverage_nodes
+from ..engine import ENGINES, SampleEngine
 from ..exceptions import CheckpointError, ParameterError, SessionInterrupted
 from ..graph.csr import CSRGraph
 from ..obs import as_telemetry, monotonic
-from ..paths.sampler import PathSample
 from ..session import SamplingSession
 
 __all__ = ["GBCResult", "GBCAlgorithm", "SamplingAlgorithm"]
@@ -397,10 +394,6 @@ class SamplingAlgorithm(GBCAlgorithm):
         }
 
     # ------------------------------------------------------------------
-    def _coverage_nodes(self, sample: PathSample) -> np.ndarray:
-        """Path nodes that count as covering, per the endpoint convention."""
-        return coverage_nodes(sample, self.include_endpoints)
-
     def _engine_diagnostics(self, engines: list[SampleEngine]) -> dict:
         """The engine-related entries of ``GBCResult.diagnostics``."""
         stats = [eng.stats.as_dict() for eng in engines]

@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph-dir",
         metavar="DIR",
         help="apply to a memory-mapped graph directory (written by "
-        "--mmap or `mutate --out`); compacts in place unless --out "
+        "--mmap or `mutate --out`); rewrites it in place unless --out "
         "names a different directory",
     )
     target.add_argument(
@@ -904,7 +904,7 @@ def _mutate_daemon(args, update) -> int:
 
 
 def _mutate_graph_dir(args, update) -> int:
-    """Compact the delta into an mmap graph directory."""
+    """Apply the delta to an mmap graph directory."""
     from .graph.delta import DeltaGraph
 
     graph = load_mmap(args.graph_dir)

@@ -28,7 +28,7 @@ from ..exceptions import ParameterError
 from ..graph.csr import CSRGraph
 from ..obs import as_telemetry
 from ..paths.packed import PackedSamples
-from .base import EngineStats, SampleEngine, coverage_nodes, sampler_work
+from .base import EngineStats, SampleEngine, sampler_work
 from .epoch import EpochEngine
 from .serial import SerialEngine
 from .shm import SharedGraphBlocks, attach_graph
@@ -43,7 +43,6 @@ __all__ = [
     "attach_graph",
     "ENGINES",
     "create_engine",
-    "coverage_nodes",
     "sampler_work",
 ]
 
@@ -80,13 +79,6 @@ def create_engine(
     except KeyError:
         known = ", ".join(sorted(ENGINES))
         raise ParameterError(f"unknown engine {name!r}; expected one of: {known}")
-    from ..graph.delta import DeltaGraph  # local import avoids a cycle
-
-    if isinstance(graph, DeltaGraph):
-        # traversal kernels need contiguous CSR arrays: engines run on
-        # the last compacted snapshot, and as_graph() refuses to hand
-        # out a stale one while uncompacted ops are pending
-        graph = graph.as_graph()
     if epoch_size is not None and epoch_size < 1:
         raise ParameterError(f"epoch_size must be >= 1, got {epoch_size}")
     kwargs = {"seed": seed, "include_endpoints": include_endpoints}

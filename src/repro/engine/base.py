@@ -31,19 +31,16 @@ import abc
 import weakref
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .._rng import as_generator
 from ..coverage.hypergraph import CoverageInstance
 from ..exceptions import CheckpointError, ParameterError
 from ..graph.csr import CSRGraph
 from ..obs import NULL_TELEMETRY, check_instance, check_sample
-from ..paths.sampler import PackedSamples, PathSample, PathSampler
+from ..paths.sampler import PackedSamples, PathSampler
 
 __all__ = [
     "EngineStats",
     "SampleEngine",
-    "coverage_nodes",
     "sampler_work",
 ]
 
@@ -57,13 +54,6 @@ def sampler_work(sampler: PathSampler) -> tuple[int, ...]:
         sampler.total_weighted_cohorts,
         sampler.total_bucket_relaxations,
     )
-
-
-def coverage_nodes(sample: PathSample, include_endpoints: bool) -> np.ndarray:
-    """Path nodes that count as covering, per the endpoint convention."""
-    if sample.is_null or include_endpoints:
-        return sample.nodes
-    return sample.nodes[1:-1]
 
 
 @dataclass

@@ -508,16 +508,19 @@ class EpochEngine(SampleEngine):
             )
         super().set_rng_state(state["master"])
         self._discard_in_flight()
+        self._carry = PackedSamples.empty()
         self._entropy = int(state["entropy"])
         self._ingested = int(state["next_epoch"])
         self._dispatched = self._ingested
 
     def _discard_in_flight(self) -> None:
+        """Drop the speculative epochs past the stream position; the
+        carried tail of the current epoch is part of the stream and
+        stays."""
         discarded = self._dispatched - self._ingested
         self._shutdown_workers()
         self._arrived.clear()
         self._failed.clear()
-        self._carry = PackedSamples.empty()
         if discarded > 0:
             self.telemetry.count("engine.epoch.discarded", discarded)
         self._dispatched = self._ingested
@@ -530,7 +533,8 @@ class EpochEngine(SampleEngine):
 
     def close(self) -> None:
         """Stop the workers, discard speculative epochs, release the
-        shared graph segments; idempotent — a later draw restarts."""
+        shared graph segments; idempotent — a later draw restarts the
+        workers and continues the stream where it stopped."""
         self._discard_in_flight()
         self._release_segments()
 

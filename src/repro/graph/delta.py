@@ -1,33 +1,24 @@
-"""Dynamic graphs: a read-mostly delta overlay over the immutable CSR tier.
+"""Dynamic graphs: validated edge-delta batches over the immutable CSR tier.
 
 The package substrate (:class:`~repro.graph.csr.CSRGraph`) is
 deliberately immutable — engines share it across processes, memory-map
-it from disk, and traverse it millions of times.  Real serving
-workloads mutate their graph continuously, though, and rebuilding the
-CSR per edge insert would make every update O(n + m).  This module adds
-the mutable tier in between:
+it from disk, and traverse it millions of times.  This module adds the
+mutable tier on top:
 
 * :class:`GraphUpdate` — one batch of edge inserts / deletes / weight
   changes, parseable from a text delta file (:func:`read_delta_file`).
-* :class:`DeltaGraph` — a read-mostly overlay holding the pending ops
-  in sorted side arrays next to an untouched base CSR.  ``neighbors()``
-  answers by merging base row and overlay rows (sorted output,
-  bit-identical to the row a from-scratch rebuild would produce);
-  ``compact()`` materializes a fresh CSR and resets the overlay.
+* :class:`DeltaGraph` — the current CSR snapshot plus a version
+  counter.  :meth:`DeltaGraph.apply` validates a batch op by op,
+  rebuilds the CSR once, and only then swaps the snapshot in, so a
+  rejected batch changes nothing; :meth:`DeltaGraph.compact` returns
+  the snapshot.
 
 Each applied update bumps a monotonically increasing ``version`` and
-records a *touched-nodes frontier*: the endpoints of every changed
+returns a *touched-nodes frontier*: the endpoints of every changed
 edge expanded ``touch_radius`` hops through the union of the pre- and
 post-update neighborhoods.  That frontier is what
 :meth:`repro.session.SampleStore.invalidate` consumes to drop exactly
 the stored paths that traversed the mutated region.
-
-Traversal kernels (wavefront cohorts, the mmap worker transport) need
-contiguous CSR arrays and cannot run on an overlay.  They operate on
-the last compacted snapshot instead: :meth:`DeltaGraph.as_graph`
-returns it — and **refuses** to hand out a stale one while uncompacted
-ops are pending, so the engine dispatcher can never silently sample an
-out-of-date graph.
 """
 
 from __future__ import annotations
@@ -164,16 +155,41 @@ def _arc_position(graph: CSRGraph, u: int, v: int) -> int:
     return -1
 
 
+def _touched_frontier(
+    graph: CSRGraph, endpoints: np.ndarray, radius: int
+) -> np.ndarray:
+    """``endpoints`` expanded ``radius`` hops through ``graph``'s
+    out-rows (sorted unique node ids).
+
+    Run on the post-update graph, this equals the expansion through the
+    union of the pre- and post-update rows: only endpoint rows differ
+    between the two, and only by other endpoints, which are touched
+    from the start.
+    """
+    touched = np.unique(np.asarray(endpoints, dtype=np.int64))
+    frontier = touched
+    for _ in range(radius):
+        if frontier.size == 0:
+            break
+        reached = np.unique(
+            np.concatenate([graph.neighbors(int(v)) for v in frontier])
+        ).astype(np.int64)
+        frontier = reached[~np.isin(reached, touched, assume_unique=True)]
+        touched = np.union1d(touched, frontier)
+    return touched
+
+
 class DeltaGraph:
-    """A mutable overlay over an immutable CSR base graph.
+    """A mutable graph: validated edge-delta batches over an immutable
+    CSR snapshot.
 
     Parameters
     ----------
     base:
         The starting :class:`~repro.graph.csr.CSRGraph` or
-        :class:`~repro.graph.weighted.WeightedCSRGraph` — kept as the
-        last compacted snapshot.  The node universe is fixed; updates
-        mutate edges only.
+        :class:`~repro.graph.weighted.WeightedCSRGraph` — the first
+        snapshot.  The node universe is fixed; updates mutate edges
+        only.
     touch_radius:
         How many hops to expand the touched-nodes frontier around the
         endpoints of each update (default 1).  Larger radii invalidate
@@ -182,8 +198,7 @@ class DeltaGraph:
     telemetry:
         Optional :class:`~repro.obs.Telemetry` hub; applied updates
         emit ``graph.delta.updates`` / ``graph.delta.edges_changed`` /
-        ``graph.delta.touched_nodes``, compactions emit
-        ``graph.delta.compactions``.
+        ``graph.delta.touched_nodes``.
     """
 
     def __init__(self, base: CSRGraph, *, touch_radius: int = 1, telemetry=None):
@@ -204,24 +219,7 @@ class DeltaGraph:
             self._hub = as_telemetry(telemetry)
         #: Bumped once per applied update; never reset.
         self.version = 0
-        #: The ``version`` the current :attr:`base` snapshot reflects.
-        self.snapshot_version = 0
-        # pending ops as arc dicts: both orientations are stored for
-        # undirected graphs, mirroring the base CSR layout
-        self._ins: dict[tuple[int, int], int] = {}
-        self._del: set[tuple[int, int]] = set()
-        # sorted side arrays, rebuilt after every apply (read-mostly)
-        self._ins_indptr = np.zeros(base.n + 1, dtype=np.int64)
-        self._ins_dst = np.empty(0, dtype=np.int64)
-        self._ins_w = np.empty(0, dtype=np.int64)
-        self._del_indptr = np.zeros(base.n + 1, dtype=np.int64)
-        self._del_dst = np.empty(0, dtype=np.int64)
-        # (version, touched-node array) per applied update
-        self._touched_log: list[tuple[int, np.ndarray]] = []
 
-    # ------------------------------------------------------------------
-    # basic properties
-    # ------------------------------------------------------------------
     @property
     def n(self) -> int:
         return self.base.n
@@ -235,300 +233,122 @@ class DeltaGraph:
         return isinstance(self.base, WeightedCSRGraph)
 
     @property
-    def dirty(self) -> bool:
-        """Whether uncompacted ops are pending."""
-        return bool(self._ins) or bool(self._del)
-
-    @property
     def num_edges(self) -> int:
-        """Edge count of the effective graph (undirected edges once)."""
-        arcs = len(self._ins) - len(self._del)
-        delta = arcs if self.directed else arcs // 2
-        return self.base.num_edges + delta
+        """Edge count of the current snapshot (undirected edges once)."""
+        return self.base.num_edges
 
     # ------------------------------------------------------------------
-    # effective-graph queries (base merged with overlay)
-    # ------------------------------------------------------------------
-    def _has_arc(self, u: int, v: int) -> bool:
-        if (u, v) in self._ins:
-            return True
-        if (u, v) in self._del:
-            return False
-        return _arc_position(self.base, u, v) >= 0
+    def _validated_changes(self, update: GraphUpdate) -> dict:
+        """The batch as ``{arc: new weight, or None when deleted}``,
+        checking each op against the snapshot plus the batch's earlier
+        ops (both orientations are recorded for undirected graphs,
+        mirroring the CSR layout)."""
+        changes: dict[tuple[int, int], int | None] = {}
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether edge ``u -> v`` exists in the effective graph."""
-        return self._has_arc(int(u), int(v))
+        def present(u: int, v: int) -> bool:
+            if (u, v) in changes:
+                return changes[(u, v)] is not None
+            return _arc_position(self.base, u, v) >= 0
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted out-neighbors of ``v`` in the effective graph —
-        bit-identical to the row :meth:`compact` would produce."""
-        base_row = self.base.neighbors(v).astype(np.int64)
-        dels = self._del_dst[self._del_indptr[v] : self._del_indptr[v + 1]]
-        ins = self._ins_dst[self._ins_indptr[v] : self._ins_indptr[v + 1]]
-        if dels.size == 0 and ins.size == 0:
-            return base_row.astype(np.int32)
-        if dels.size:
-            base_row = base_row[~np.isin(base_row, dels, assume_unique=True)]
-        # disjoint by construction: inserting an existing arc is an
-        # error, and a re-inserted base arc stays masked by the delete
-        return np.union1d(base_row, ins).astype(np.int32)
+        def record(u: int, v: int, w: int | None) -> None:
+            changes[(u, v)] = w
+            if not self.directed:
+                changes[(v, u)] = w
 
-    def neighbor_weights(self, v: int) -> np.ndarray:
-        """Weights aligned with :meth:`neighbors` (weighted base only)."""
-        if not self.weighted:
-            raise GraphError("neighbor_weights needs a weighted base graph")
-        base_row = self.base.neighbors(v).astype(np.int64)
-        base_w = self.base.neighbor_weights(v)
-        dels = self._del_dst[self._del_indptr[v] : self._del_indptr[v + 1]]
-        ins = self._ins_dst[self._ins_indptr[v] : self._ins_indptr[v + 1]]
-        ins_w = self._ins_w[self._ins_indptr[v] : self._ins_indptr[v + 1]]
-        if dels.size:
-            keep = ~np.isin(base_row, dels, assume_unique=True)
-            base_row, base_w = base_row[keep], base_w[keep]
-        if ins.size == 0:
-            return np.asarray(base_w, dtype=np.int64)
-        dst = np.concatenate([base_row, ins])
-        weights = np.concatenate([np.asarray(base_w, dtype=np.int64), ins_w])
-        return weights[np.argsort(dst)]
+        def check(kind: str, u: int, v: int, w: int | None, exists: bool):
+            if u == v:
+                raise GraphError(f"self-loop ({u}, {u}) is not a valid edge")
+            if w is not None and self.weighted and w < 1:
+                raise GraphError(
+                    f"edge weights must be positive integers, got {w} "
+                    f"for ({u}, {v})"
+                )
+            if present(u, v) != exists:
+                state = "already present" if not exists else "not present"
+                raise GraphError(f"cannot {kind} edge ({u}, {v}): {state}")
 
-    def out_degree(self, v: int) -> int:
-        return int(self.neighbors(v).size)
+        for u, v, w in update.inserts.tolist():
+            check("insert", u, v, w, exists=False)
+            record(u, v, w)
+        for u, v in update.deletes.tolist():
+            check("delete", u, v, None, exists=True)
+            record(u, v, None)
+        for u, v, w in update.reweights.tolist():
+            if not self.weighted:
+                raise GraphError(
+                    f"cannot reweight edge ({u}, {v}): the base graph is "
+                    "unweighted"
+                )
+            check("reweight", u, v, w, exists=True)
+            record(u, v, w)
+        return changes
 
-    # ------------------------------------------------------------------
-    # updates
-    # ------------------------------------------------------------------
-    def _validate_endpoint(self, u: int, v: int) -> None:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise GraphError(
-                f"update names edge ({u}, {v}) outside the 0..{self.n - 1} "
-                "node universe — the overlay mutates edges, never nodes"
+    def _rebuild(self, changes: dict) -> CSRGraph:
+        """A fresh CSR: the snapshot's arcs with ``changes`` applied."""
+        base = self.base
+        src = np.repeat(np.arange(base.n, dtype=np.int64), base.out_degrees())
+        dst = base.indices.astype(np.int64)
+        keep = np.ones(dst.size, dtype=bool)
+        for u, v in changes:
+            pos = _arc_position(base, u, v)
+            if pos >= 0:
+                keep[pos] = False
+        added = np.array(
+            [(u, v, w) for (u, v), w in changes.items() if w is not None],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        if self.weighted:
+            triples = np.column_stack([src[keep], dst[keep], base.weights[keep]])
+            return from_weighted_edges(
+                np.vstack([triples, added]), n=base.n, directed=base.directed
             )
-        if u == v:
-            raise GraphError(f"self-loop ({u}, {u}) is not a valid edge")
+        from .build import from_edges  # local import avoids a cycle
 
-    def _orientations(self, u: int, v: int):
-        if self.directed:
-            return ((u, v),)
-        return ((u, v), (v, u))
-
-    def _apply_insert(self, u: int, v: int, w: int) -> None:
-        self._validate_endpoint(u, v)
-        if self._has_arc(u, v):
-            raise GraphError(f"cannot insert edge ({u}, {v}): already present")
-        if self.weighted and w < 1:
-            raise GraphError(
-                f"edge weights must be positive integers, got {w} "
-                f"for ({u}, {v})"
-            )
-        for arc in self._orientations(u, v):
-            self._ins[arc] = int(w)
-
-    def _apply_delete(self, u: int, v: int) -> None:
-        self._validate_endpoint(u, v)
-        if not self._has_arc(u, v):
-            raise GraphError(f"cannot delete edge ({u}, {v}): not present")
-        for a, b in self._orientations(u, v):
-            if (a, b) in self._ins:
-                del self._ins[(a, b)]
-            if _arc_position(self.base, a, b) >= 0:
-                self._del.add((a, b))
-
-    def _apply_reweight(self, u: int, v: int, w: int) -> None:
-        self._validate_endpoint(u, v)
-        if not self.weighted:
-            raise GraphError(
-                f"cannot reweight edge ({u}, {v}): the base graph is "
-                "unweighted"
-            )
-        if w < 1:
-            raise GraphError(
-                f"edge weights must be positive integers, got {w} "
-                f"for ({u}, {v})"
-            )
-        if not self._has_arc(u, v):
-            raise GraphError(f"cannot reweight edge ({u}, {v}): not present")
-        # internally a delete + insert of the same edge
-        for a, b in self._orientations(u, v):
-            if (a, b) not in self._ins and _arc_position(self.base, a, b) >= 0:
-                self._del.add((a, b))
-            self._ins[(a, b)] = int(w)
+        pairs = np.column_stack([src[keep], dst[keep]])
+        return from_edges(
+            np.vstack([pairs, added[:, :2]]), n=base.n, directed=base.directed
+        )
 
     def apply(self, update: GraphUpdate) -> np.ndarray:
         """Apply one update batch; returns the touched-node frontier.
 
-        The batch is validated op by op (inserting an existing edge,
-        deleting or reweighting a missing one, out-of-range ids and
-        self-loops all raise :class:`~repro.exceptions.GraphError`)
-        and bumps :attr:`version` by one.  The returned frontier is the
-        sorted array of the batch's edge endpoints expanded
-        ``touch_radius`` hops through the union of the pre- and
-        post-update neighborhoods.
+        The batch is validated op by op against the snapshot plus its
+        own earlier ops (inserting an existing edge, deleting or
+        reweighting a missing one, out-of-range ids and self-loops all
+        raise :class:`~repro.exceptions.GraphError`), then rebuilt into
+        a fresh CSR.  Only a fully valid batch replaces the snapshot
+        and bumps :attr:`version`; a rejected one changes nothing.  The
+        returned frontier is the sorted array of the batch's edge
+        endpoints expanded ``touch_radius`` hops through the union of
+        the pre- and post-update neighborhoods.
         """
         if update.is_empty:
             return np.empty(0, dtype=np.int64)
         endpoints = update.endpoints()
-        if endpoints.size and (
-            endpoints[0] < 0 or endpoints[-1] >= self.n
-        ):
+        if endpoints[0] < 0 or endpoints[-1] >= self.n:
             bad = int(endpoints[0]) if endpoints[0] < 0 else int(endpoints[-1])
             raise GraphError(
                 f"update names node {bad} outside the 0..{self.n - 1} "
-                "node universe — the overlay mutates edges, never nodes"
+                "node universe — updates mutate edges, never nodes"
             )
-        # capture effective pre-update rows of the endpoints: only they
-        # can differ between the pre- and post-update neighborhoods
-        pre_rows = {
-            int(e): self.neighbors(int(e)).astype(np.int64) for e in endpoints
-        }
-        for u, v, w in update.inserts:
-            self._apply_insert(int(u), int(v), int(w))
-        for u, v in update.deletes:
-            self._apply_delete(int(u), int(v))
-        for u, v, w in update.reweights:
-            self._apply_reweight(int(u), int(v), int(w))
-        self._rebuild_overlay()
+        new = self._rebuild(self._validated_changes(update))
+        touched = _touched_frontier(new, endpoints, self.touch_radius)
+        self.base = new
         self.version += 1
-        touched = self._expand_frontier(endpoints, pre_rows)
-        self._touched_log.append((self.version, touched))
         if self._hub is not None:
             self._hub.count("graph.delta.updates", 1)
             self._hub.count("graph.delta.edges_changed", update.num_ops)
             self._hub.count("graph.delta.touched_nodes", int(touched.size))
         return touched
 
-    def _rebuild_overlay(self) -> None:
-        """Re-sort the pending ops into per-node CSR side arrays."""
-        n = self.n
-        if self._ins:
-            arcs = np.array(sorted(self._ins), dtype=np.int64)
-            self._ins_dst = arcs[:, 1].copy()
-            self._ins_w = np.array(
-                [self._ins[(int(u), int(v))] for u, v in arcs], dtype=np.int64
-            )
-            counts = np.bincount(arcs[:, 0], minlength=n)
-        else:
-            self._ins_dst = np.empty(0, dtype=np.int64)
-            self._ins_w = np.empty(0, dtype=np.int64)
-            counts = np.zeros(n, dtype=np.int64)
-        self._ins_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._ins_indptr[1:])
-        if self._del:
-            arcs = np.array(sorted(self._del), dtype=np.int64)
-            self._del_dst = arcs[:, 1].copy()
-            counts = np.bincount(arcs[:, 0], minlength=n)
-        else:
-            self._del_dst = np.empty(0, dtype=np.int64)
-            counts = np.zeros(n, dtype=np.int64)
-        self._del_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._del_indptr[1:])
-
-    def _expand_frontier(
-        self, endpoints: np.ndarray, pre_rows: dict[int, np.ndarray]
-    ) -> np.ndarray:
-        touched = np.asarray(endpoints, dtype=np.int64)
-        frontier = touched
-        for _ in range(self.touch_radius):
-            rows = []
-            for v in frontier:
-                v = int(v)
-                rows.append(self.neighbors(v).astype(np.int64))
-                if v in pre_rows:
-                    rows.append(pre_rows[v])
-            if not rows:
-                break
-            reached = np.unique(np.concatenate(rows))
-            frontier = reached[~np.isin(reached, touched, assume_unique=True)]
-            if frontier.size == 0:
-                break
-            touched = np.union1d(touched, frontier)
-        return touched
-
-    def touched_since(self, version: int) -> np.ndarray:
-        """Union of the touched frontiers of every update newer than
-        ``version`` (sorted unique node ids)."""
-        parts = [
-            nodes for ver, nodes in self._touched_log if ver > version
-        ]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts))
-
-    # ------------------------------------------------------------------
-    # snapshots
-    # ------------------------------------------------------------------
-    def as_graph(self) -> CSRGraph:
-        """The last compacted snapshot — refused while ops are pending.
-
-        Traversal kernels need contiguous CSR arrays; handing them a
-        snapshot that no longer reflects the effective graph would
-        silently sample stale topology, so a dirty overlay raises
-        :class:`~repro.exceptions.GraphError` until :meth:`compact`
-        runs.
-        """
-        if self.dirty:
-            pending = len(self._ins) + len(self._del)
-            raise GraphError(
-                f"the compacted snapshot is stale: {pending} uncompacted "
-                f"arc op(s) pending since version {self.snapshot_version} "
-                f"(now {self.version}); call compact() first"
-            )
+    def compact(self) -> CSRGraph:
+        """The current snapshot — every applied update is already in
+        it."""
         return self.base
 
-    def compact(self) -> CSRGraph:
-        """Materialize the effective graph as a fresh CSR, clear the
-        overlay, and return the new snapshot (also kept as
-        :attr:`base`)."""
-        if not self.dirty:
-            self.snapshot_version = self.version
-            return self.base
-        base = self.base
-        src = np.repeat(
-            np.arange(base.n, dtype=np.int64), base.out_degrees()
-        )
-        dst = base.indices.astype(np.int64)
-        if self._del:
-            drop = np.zeros(dst.size, dtype=bool)
-            for u, v in self._del:
-                drop[_arc_position(base, u, v)] = True
-            keep = ~drop
-        else:
-            keep = slice(None)
-        if self.weighted:
-            triples = [
-                np.column_stack([src[keep], dst[keep], base.weights[keep]])
-            ]
-            if self._ins:
-                arcs = np.array(
-                    [(u, v, w) for (u, v), w in self._ins.items()],
-                    dtype=np.int64,
-                )
-                triples.append(arcs)
-            new = from_weighted_edges(
-                np.vstack(triples), n=base.n, directed=base.directed
-            )
-        else:
-            pairs = [np.column_stack([src[keep], dst[keep]])]
-            if self._ins:
-                pairs.append(np.array(sorted(self._ins), dtype=np.int64))
-            from .build import from_edges  # local import avoids a cycle
-
-            new = from_edges(
-                np.vstack(pairs), n=base.n, directed=base.directed
-            )
-        self.base = new
-        self._ins.clear()
-        self._del.clear()
-        self._rebuild_overlay()
-        self.snapshot_version = self.version
-        if self._hub is not None:
-            self._hub.count("graph.delta.compactions", 1)
-        return new
-
-    # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "directed" if self.directed else "undirected"
         return (
             f"DeltaGraph(n={self.n}, m={self.num_edges}, {kind}, "
-            f"version={self.version}, dirty={self.dirty})"
+            f"version={self.version})"
         )

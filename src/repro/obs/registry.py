@@ -37,10 +37,9 @@ COUNTERS: frozenset[str] = frozenset(
         "graph.mmap.opens",  # memory-mapped graph directories opened
         "graph.mmap.bytes_mapped",  # bytes attached read-only via np.memmap
         # dynamic graph tier (repro.graph.delta)
-        "graph.delta.updates",  # update batches applied to an overlay
+        "graph.delta.updates",  # update batches applied to a DeltaGraph
         "graph.delta.edges_changed",  # edge inserts/deletes/reweights applied
         "graph.delta.touched_nodes",  # touched-frontier nodes reported
-        "graph.delta.compactions",  # overlay-to-CSR compactions executed
         # weighted wavefront kernel (repro.paths.wavefront_weighted)
         "paths.weighted_cohorts",  # weighted cohort draws executed
         "paths.bucket_relaxations",  # delta-stepping level relaxation rounds

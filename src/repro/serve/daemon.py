@@ -33,7 +33,7 @@ Answer paths, cheapest first:
    configuration.
 
 A ``mutate`` op applies an edge delta to a held dataset *in place*:
-the update compacts into a fresh CSR on the compute thread, every warm
+the update is rebuilt into a fresh CSR on the compute thread, every warm
 lane of that dataset migrates onto it (invalidating exactly the stored
 paths that traversed the touched frontier, keeping the rest), and the
 dataset's graph version bumps — retiring the superseded generation's
@@ -235,11 +235,12 @@ class GBCServer:
         """Apply one edge-delta batch to ``dataset`` (compute thread).
 
         Runs the update through a :class:`~repro.graph.delta.DeltaGraph`
-        overlay, compacts once, migrates every warm lane of the dataset
-        onto the new snapshot (invalidating exactly the stored paths
-        that traversed the touched frontier), and swaps the held graph.
-        Queries queued behind this job on the single compute thread see
-        the new graph; queries ahead of it finished on the old one.
+        (validated, then rebuilt once), migrates every warm lane of the
+        dataset onto the new snapshot (invalidating exactly the stored
+        paths that traversed the touched frontier), and swaps the held
+        graph.  Queries queued behind this job on the single compute
+        thread see the new graph; queries ahead of it finished on the
+        old one.
         """
         graph: CSRGraph = self.config.datasets[dataset]
         delta = DeltaGraph(

@@ -24,6 +24,7 @@ and its compatibility caveats.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -75,20 +76,27 @@ def _check_provenance(path: str, provenance: dict) -> None:
 
 
 def _graph_fingerprint(graph: CSRGraph) -> dict:
-    """A light identity check for resume-time validation.
+    """The graph identity a checkpoint records and resume checks.
 
-    Covers mmap-loaded graphs too: :func:`repro.graph.mmap.load_graph`
-    returns a regular :class:`CSRGraph`/``WeightedCSRGraph`` whose
-    ``n``/``m``/``directed``/weightedness describe the mapped arrays,
-    so a checkpoint taken on an in-memory graph resumes cleanly on the
-    same graph spilled to an mmap directory — and a *different* mapped
-    graph is rejected like any other mismatch.
+    Besides ``n``/``m``/directedness/weightedness it carries a
+    ``blake2b`` ``digest`` of the CSR arrays (``indptr``, ``indices``
+    and, when weighted, ``weights``), each cast to little-endian
+    int64 first, so a reweight-only or balanced insert/delete delta is
+    caught, and a graph spilled to an mmap directory (whose arrays may
+    be stored narrower) hashes the same as its in-memory original.
     """
+    digest = hashlib.blake2b(digest_size=16)
+    arrays = [graph.indptr, graph.indices]
+    if is_weighted(graph):
+        arrays.append(graph.weights)
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array, dtype="<i8"))
     return {
         "n": int(graph.n),
         "m": int(graph.num_edges),
         "directed": bool(graph.directed),
         "weighted": is_weighted(graph),
+        "digest": digest.hexdigest(),
     }
 
 
@@ -190,12 +198,21 @@ class SamplingSession:
         #: Graph version of the session's current graph; bumped by
         #: every migrated update (:meth:`apply_update` / :meth:`migrate`).
         self.graph_version = 0
+        # _graph_fingerprint(self.graph), hashed on first use
+        self._fingerprint: dict | None = None
 
     # ------------------------------------------------------------------
     @property
     def lanes(self) -> int:
         """Number of ``(engine, store)`` pairs."""
         return len(self.engines)
+
+    def _graph_identity(self) -> dict:
+        """The current graph's :func:`_graph_fingerprint`, hashed once
+        per graph the session is backed by."""
+        if self._fingerprint is None:
+            self._fingerprint = _graph_fingerprint(self.graph)
+        return self._fingerprint
 
     @property
     def total_samples(self) -> int:
@@ -240,9 +257,9 @@ class SamplingSession:
         result; returns the :meth:`migrate` stats dict.
 
         The update runs through a fresh
-        :class:`~repro.graph.delta.DeltaGraph` overlay (validated op by
-        op, compacted immediately), so after this call the session is
-        again backed by a contiguous CSR every engine can traverse.
+        :class:`~repro.graph.delta.DeltaGraph` (validated op by op,
+        then rebuilt into one new CSR); a rejected batch raises before
+        any lane is touched.
         """
         from ..graph.delta import DeltaGraph  # local import avoids a cycle
 
@@ -297,11 +314,11 @@ class SamplingSession:
             engine.close()
         self.engines = new_engines
         self.graph = new_graph
+        self._fingerprint = None
         self.graph_version += 1
         invalidated = 0
         for store in self.stores:
             invalidated += store.invalidate(touched_nodes)
-            store.graph_version = self.graph_version
         touched = np.unique(np.asarray(touched_nodes, dtype=np.int64))
         if invalidated:
             self.telemetry.count("store.invalidated", invalidated)
@@ -330,7 +347,7 @@ class SamplingSession:
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
             "lanes": self.lanes,
-            "graph": _graph_fingerprint(self.graph),
+            "graph": self._graph_identity(),
             "provenance": dict(self.provenance),
             "rng_states": [engine.rng_state() for engine in self.engines],
             "num_paths": [store.num_paths for store in self.stores],
@@ -387,19 +404,20 @@ class SamplingSession:
         stored at checkpoint time.
 
         The graph must match the recorded fingerprint (node count,
-        edge count, directedness) — the stores index into it by node
-        id, so resuming on a different graph would silently corrupt
-        results.  Engines are rebuilt from the recorded provenance and
-        their RNG states restored, so the continued stream is
-        bit-identical to the uninterrupted run's.
+        edge count, directedness, weightedness and the CSR digest) —
+        the stores index into it by node id, so resuming on a different
+        graph would silently corrupt results.  Engines are rebuilt from
+        the recorded provenance and their RNG states restored, so the
+        continued stream is bit-identical to the uninterrupted run's.
         """
         hub = as_telemetry(telemetry)
         with hub.span("restore", path=path):
             meta = cls.peek(path)
             fingerprint = _graph_fingerprint(graph)
             recorded = meta["graph"]
-            # pre-"weighted" checkpoints recorded fewer keys; compare on
-            # what the checkpoint knows so old files stay resumable
+            # checkpoints predating "weighted" or "digest" recorded fewer
+            # keys; compare on what the checkpoint knows so old files
+            # stay resumable
             if {k: v for k, v in fingerprint.items() if k in recorded} != recorded:
                 raise CheckpointError(
                     f"graph fingerprint mismatch: checkpoint {path!r} was "
@@ -429,11 +447,10 @@ class SamplingSession:
                             graph.n,
                             {
                                 key: payload[f"lane{lane}_{key}"]
-                                # versions/fingerprints are absent in
-                                # pre-dynamic-graph checkpoints
+                                # older checkpoints also carry per-path
+                                # versions/fingerprints, which are ignored
                                 for key in ("flat", "offsets", "degrees",
-                                            "schedule", "versions",
-                                            "fingerprints")
+                                            "schedule")
                                 if f"lane{lane}_{key}" in payload.files
                             },
                             debug=debug,
@@ -458,8 +475,7 @@ class SamplingSession:
             session.resumed = True
             session.checkpoints_written = int(meta.get("checkpoints", 0))
             session.graph_version = int(meta.get("graph_version", 0))
-            for store in session.stores:
-                store.graph_version = session.graph_version
+            session._fingerprint = fingerprint
         hub.count("session.restores", 1)
         return session, meta.get("state")
 

@@ -7,7 +7,7 @@ from repro.algorithms import AdaAlg, GBCResult
 from repro.algorithms.base import SamplingAlgorithm
 from repro.exceptions import ParameterError
 from repro.graph import path_graph
-from repro.paths.sampler import PathSample
+from repro.paths.sampler import PackedSamples, PathSample
 
 
 class TestGBCResult:
@@ -51,15 +51,18 @@ class TestValidation:
 
 
 class TestEndpointSlicing:
+    """The endpoint convention an algorithm threads to its engines, as
+    :meth:`PackedSamples.coverage` applies it on every draw."""
+
     class _Probe(SamplingAlgorithm):
         name = "probe"
 
         def run(self, graph, k):  # pragma: no cover - not used
             raise NotImplementedError
 
-    def _sample(self, nodes):
+    def _covered(self, probe, nodes):
         nodes = np.asarray(nodes, dtype=np.int64)
-        return PathSample(
+        sample = PathSample(
             source=int(nodes[0]) if nodes.size else 0,
             target=int(nodes[-1]) if nodes.size else 1,
             nodes=nodes,
@@ -67,23 +70,24 @@ class TestEndpointSlicing:
             sigma_st=1.0,
             edges_explored=0,
         )
+        flat, offsets = PackedSamples.from_samples([sample]).coverage(
+            probe.include_endpoints
+        )
+        assert offsets.tolist() == [0, flat.size]
+        return flat
 
     def test_endpoints_included_by_default(self):
         probe = self._Probe(seed=0)
-        nodes = probe._coverage_nodes(self._sample([3, 4, 5]))
-        assert list(nodes) == [3, 4, 5]
+        assert list(self._covered(probe, [3, 4, 5])) == [3, 4, 5]
 
     def test_endpoints_stripped(self):
         probe = self._Probe(include_endpoints=False, seed=0)
-        nodes = probe._coverage_nodes(self._sample([3, 4, 5]))
-        assert list(nodes) == [4]
+        assert list(self._covered(probe, [3, 4, 5])) == [4]
 
     def test_two_node_path_strips_to_nothing(self):
         probe = self._Probe(include_endpoints=False, seed=0)
-        nodes = probe._coverage_nodes(self._sample([3, 4]))
-        assert nodes.size == 0
+        assert self._covered(probe, [3, 4]).size == 0
 
     def test_null_sample_passthrough(self):
         probe = self._Probe(include_endpoints=False, seed=0)
-        nodes = probe._coverage_nodes(self._sample([]))
-        assert nodes.size == 0
+        assert self._covered(probe, []).size == 0

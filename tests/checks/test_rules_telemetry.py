@@ -154,7 +154,7 @@ class TestUnregisteredTelemetryName:
         assert len(findings) == 2
 
     def test_dynamic_graph_names_registered(self, findings_for):
-        """The delta-overlay / invalidation / mutate names emit
+        """The delta / invalidation / mutate names emit
         findings-free."""
         findings = check(
             findings_for,
@@ -163,7 +163,6 @@ class TestUnregisteredTelemetryName:
                 self.telemetry.count("graph.delta.updates", 1)
                 self.telemetry.count("graph.delta.edges_changed", 5)
                 self.telemetry.count("graph.delta.touched_nodes", 12)
-                self.telemetry.count("graph.delta.compactions", 1)
                 hub.count("store.invalidated", 40)
                 hub.count("serve.mutations", 1)
                 self.telemetry.event("session.update", touched=12)
@@ -176,7 +175,6 @@ class TestUnregisteredTelemetryName:
             "graph.delta.updates",
             "graph.delta.edges_changed",
             "graph.delta.touched_nodes",
-            "graph.delta.compactions",
             "store.invalidated",
             "serve.mutations",
         ):

@@ -17,7 +17,6 @@ import pytest
 
 from repro.coverage import CoverageInstance
 from repro.engine import ENGINES, EpochEngine, SerialEngine, create_engine
-from repro.engine.base import coverage_nodes
 from repro.exceptions import ParameterError
 from repro.graph import from_weighted_edges
 from repro.paths import PathSampler
@@ -193,11 +192,12 @@ class TestExtend:
 
     def test_coverage_nodes_helper(self, grid3x3):
         with SerialEngine(grid3x3, seed=0) as engine:
-            (sample,) = engine.draw(1)
-        full = coverage_nodes(sample, True)
-        inner = coverage_nodes(sample, False)
-        assert np.array_equal(full, sample.nodes)
-        assert np.array_equal(inner, sample.nodes[1:-1])
+            draw = engine.draw(1)
+        (sample,) = draw
+        full, _ = draw.coverage(include_endpoints=True)
+        inner, _ = draw.coverage(include_endpoints=False)
+        assert np.array_equal(full, np.unique(sample.nodes))
+        assert np.array_equal(inner, np.unique(sample.nodes[1:-1]))
 
 
 class TestStats:

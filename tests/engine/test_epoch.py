@@ -293,6 +293,33 @@ class TestLifecycle:
         straight.close()
         _assert_same_samples(first + second, expected)
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_close_mid_epoch_keeps_the_carried_tail(self, ba200, workers):
+        """Closing mid-epoch discards only speculative epochs: the
+        undelivered tail of the current epoch is still drawn next."""
+        engine = _epoch(ba200, epoch_size=64, workers=workers)
+        try:
+            first = engine.draw(10)
+            engine.close()
+            second = engine.draw(54)
+        finally:
+            engine.close()
+        straight = _epoch(ba200, epoch_size=64, workers=workers)
+        try:
+            expected = straight.draw(64)
+        finally:
+            straight.close()
+        _assert_same_samples(first + second, expected)
+
+    def test_set_rng_state_drops_the_carried_tail(self, ba200):
+        engine = _epoch(ba200, epoch_size=64, workers=0)
+        state = engine.rng_state()
+        first = engine.draw(10)
+        engine.set_rng_state(state)
+        again = engine.draw(10)
+        engine.close()
+        _assert_same_samples(first, again)
+
     def test_extend_failure_reaps_workers(self, ba200):
         """An exception escaping ``extend`` must stop the persistent
         workers even when the caller holds the exception (and through

@@ -1,9 +1,10 @@
-"""Tests for the dynamic-graph delta overlay (:mod:`repro.graph.delta`).
+"""Tests for the dynamic-graph tier (:mod:`repro.graph.delta`).
 
-The load-bearing property: after any sequence of inserts, deletes, and
-reweights, the overlay's merged ``neighbors()`` rows — and the CSR that
-``compact()`` materializes — are bit-identical to a from-scratch build
-of the same edge set.
+The load-bearing properties: after any sequence of inserts, deletes,
+and reweights, the snapshot ``compact()`` returns is bit-identical to
+a from-scratch build of the same edge set, the frontier ``apply()``
+returns matches one computed independently from the old and new CSRs,
+and a rejected batch changes nothing.
 """
 
 from __future__ import annotations
@@ -32,13 +33,30 @@ def _edge_set(graph) -> set[tuple[int, int]]:
     return edges
 
 
-def _assert_rows_identical(delta, reference):
-    assert delta.num_edges == reference.num_edges
-    for v in range(reference.n):
-        merged = delta.neighbors(v)
-        expected = reference.neighbors(v)
-        assert merged.dtype == expected.dtype
-        np.testing.assert_array_equal(merged, expected)
+def _assert_csr_identical(graph, reference):
+    assert graph.num_edges == reference.num_edges
+    np.testing.assert_array_equal(graph.indptr, reference.indptr)
+    np.testing.assert_array_equal(graph.indices, reference.indices)
+    assert graph.indices.dtype == reference.indices.dtype
+    if getattr(reference, "weights", None) is not None:
+        np.testing.assert_array_equal(graph.weights, reference.weights)
+
+
+def _reference_frontier(old, new, update, radius):
+    """Breadth-first expansion over Python sets of the old and new
+    adjacency — written independently of the module's vectorized one."""
+    adjacency = {
+        v: {int(x) for x in old.neighbors(v)} | {int(x) for x in new.neighbors(v)}
+        for v in range(old.n)
+    }
+    touched = {int(x) for x in update.inserts[:, :2].ravel()}
+    touched |= {int(x) for x in update.deletes.ravel()}
+    touched |= {int(x) for x in update.reweights[:, :2].ravel()}
+    layer = set(touched)
+    for _ in range(radius):
+        layer = {x for v in layer for x in adjacency[v]} - touched
+        touched |= layer
+    return sorted(touched)
 
 
 class TestGraphUpdate:
@@ -110,17 +128,19 @@ class TestOverlaySemantics:
         base = from_edges([(0, 1), (0, 3)], n=5)
         delta = DeltaGraph(base)
         delta.apply(GraphUpdate.from_ops(inserts=[(0, 2, 1), (2, 4, 1)]))
-        np.testing.assert_array_equal(delta.neighbors(0), [1, 2, 3])
-        np.testing.assert_array_equal(delta.neighbors(2), [0, 4])
-        assert delta.has_edge(0, 2) and delta.has_edge(2, 0)
-        assert delta.version == 1 and delta.dirty
+        graph = delta.compact()
+        np.testing.assert_array_equal(graph.neighbors(0), [1, 2, 3])
+        np.testing.assert_array_equal(graph.neighbors(2), [0, 4])
+        assert graph.has_edge(0, 2) and graph.has_edge(2, 0)
+        assert delta.version == 1 and delta.base is not base
 
     def test_delete_masks_base_row(self):
         base = from_edges([(0, 1), (0, 2), (0, 3)], n=4)
         delta = DeltaGraph(base)
         delta.apply(GraphUpdate.from_ops(deletes=[(0, 2)]))
-        np.testing.assert_array_equal(delta.neighbors(0), [1, 3])
-        assert not delta.has_edge(2, 0)
+        graph = delta.compact()
+        np.testing.assert_array_equal(graph.neighbors(0), [1, 3])
+        assert not graph.has_edge(2, 0)
         assert delta.num_edges == 2
 
     def test_reinsert_after_delete(self):
@@ -128,16 +148,17 @@ class TestOverlaySemantics:
         delta = DeltaGraph(base)
         delta.apply(GraphUpdate.from_ops(deletes=[(0, 1)]))
         delta.apply(GraphUpdate.from_ops(inserts=[(0, 1, 1)]))
-        np.testing.assert_array_equal(delta.neighbors(0), [1])
-        np.testing.assert_array_equal(delta.neighbors(1), [0, 2])
-        _assert_rows_identical(delta, from_edges([(0, 1), (1, 2)], n=3))
+        _assert_csr_identical(delta.compact(), base)
+        # the same round trip inside one batch: inserts run first
+        delta.apply(GraphUpdate.from_ops(inserts=[(0, 2, 1)], deletes=[(0, 2)]))
+        _assert_csr_identical(delta.compact(), base)
 
     def test_delete_of_inserted_edge(self):
         base = from_edges([(0, 1)], n=3)
         delta = DeltaGraph(base)
         delta.apply(GraphUpdate.from_ops(inserts=[(1, 2, 1)]))
         delta.apply(GraphUpdate.from_ops(deletes=[(1, 2)]))
-        _assert_rows_identical(delta, base)
+        _assert_csr_identical(delta.compact(), base)
 
     def test_invalid_ops_rejected(self):
         base = from_edges([(0, 1)], n=3)
@@ -153,7 +174,7 @@ class TestOverlaySemantics:
         with pytest.raises(GraphError, match="self-loop"):
             delta.apply(GraphUpdate.from_ops(inserts=[(2, 2, 1)]))
         # a rejected batch must not have bumped the version
-        assert delta.version == 0 and not delta.dirty
+        assert delta.version == 0 and delta.compact() is base
 
     def test_stacking_overlays_rejected(self):
         delta = DeltaGraph(from_edges([(0, 1)], n=2))
@@ -165,37 +186,32 @@ class TestSnapshots:
     def test_clean_overlay_hands_out_base(self):
         base = from_edges([(0, 1)], n=2)
         delta = DeltaGraph(base)
-        assert delta.as_graph() is base
+        assert delta.compact() is base
+        assert delta.apply(GraphUpdate.from_ops()).size == 0
+        assert delta.compact() is base and delta.version == 0
 
-    def test_dirty_overlay_refuses_stale_snapshot(self):
+    def test_rejected_batch_leaves_snapshot_unchanged(self):
+        """A valid op followed by an invalid one in the same batch: the
+        valid op must not leak into the snapshot."""
+        base = from_edges([(0, 1), (1, 2)], n=4)
+        delta = DeltaGraph(base)
+        with pytest.raises(GraphError, match="not present"):
+            delta.apply(
+                GraphUpdate.from_ops(inserts=[(0, 3, 1)], deletes=[(2, 3)])
+            )
+        assert delta.compact() is base
+        assert delta.num_edges == 2
+        assert delta.version == 0
+
+    def test_apply_swaps_snapshot_and_bumps_version(self):
         delta = DeltaGraph(from_edges([(0, 1), (1, 2)], n=3))
-        delta.apply(GraphUpdate.from_ops(deletes=[(0, 1)]))
-        with pytest.raises(GraphError, match="stale"):
-            delta.as_graph()
-        delta.compact()
-        assert delta.as_graph().num_edges == 1
-
-    def test_engine_dispatcher_refuses_stale_snapshot(self):
-        from repro.engine import create_engine
-
-        delta = DeltaGraph(barabasi_albert(30, 2, seed=0))
-        delta.apply(GraphUpdate.from_ops(deletes=[(0, int(delta.neighbors(0)[0]))]))
-        with pytest.raises(GraphError, match="stale"):
-            create_engine("serial", delta, seed=0)
-        delta.compact()
-        engine = create_engine("serial", delta, seed=0)
-        assert engine.graph is delta.as_graph()
-        engine.close()
-
-    def test_compact_bumps_snapshot_version_and_clears(self):
-        delta = DeltaGraph(from_edges([(0, 1), (1, 2)], n=3))
+        first = delta.compact()
         delta.apply(GraphUpdate.from_ops(inserts=[(0, 2, 1)]))
+        second = delta.compact()
         delta.apply(GraphUpdate.from_ops(deletes=[(1, 2)]))
-        assert (delta.version, delta.snapshot_version) == (2, 0)
-        new = delta.compact()
-        assert (delta.version, delta.snapshot_version) == (2, 2)
-        assert not delta.dirty
-        _assert_rows_identical(delta, new)
+        assert delta.version == 2
+        assert first.num_edges == 2 and second.num_edges == 3
+        _assert_csr_identical(delta.compact(), from_edges([(0, 1), (0, 2)], n=3))
 
 
 class TestTouchedFrontier:
@@ -213,96 +229,94 @@ class TestTouchedFrontier:
         touched = delta.apply(GraphUpdate.from_ops(deletes=[(1, 2)]))
         np.testing.assert_array_equal(touched, [0, 1, 2, 3])
 
-    def test_touched_since_unions_newer_updates(self):
-        delta = DeltaGraph(
-            from_edges([(0, 1), (2, 3)], n=6), touch_radius=0
+    def test_directed_frontier_follows_out_rows(self):
+        graph = from_edges([(0, 1), (1, 2), (3, 1)], n=5, directed=True)
+        delta = DeltaGraph(graph, touch_radius=2)
+        update = GraphUpdate.from_ops(inserts=[(1, 4, 1)])
+        touched = delta.apply(update)
+        assert touched.tolist() == _reference_frontier(
+            graph, delta.compact(), update, 2
         )
-        delta.apply(GraphUpdate.from_ops(deletes=[(0, 1)]))
-        delta.apply(GraphUpdate.from_ops(deletes=[(2, 3)]))
-        np.testing.assert_array_equal(delta.touched_since(0), [0, 1, 2, 3])
-        np.testing.assert_array_equal(delta.touched_since(1), [2, 3])
-        assert delta.touched_since(2).size == 0
+        assert touched.tolist() == [1, 2, 4]
 
 
 class TestRandomSequencesMatchFromScratch:
-    """The property: any op sequence == rebuilding the CSR from scratch."""
+    """The property: after every ``apply``, the snapshot equals a
+    from-scratch rebuild and the frontier equals the reference."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_unweighted_random_sequence(self, seed):
-        rng = np.random.default_rng(seed)
-        base = barabasi_albert(40, 2, seed=seed)
-        delta = DeltaGraph(base, telemetry=Telemetry())
-        edges = _edge_set(base)
-        for _round in range(6):
-            inserts, deletes = [], []
-            for _ in range(rng.integers(1, 4)):
-                if edges and rng.random() < 0.5:
-                    u, v = sorted(edges)[rng.integers(len(edges))]
-                    edges.discard((u, v))
-                    deletes.append((u, v))
-                else:
-                    while True:
-                        u, v = sorted(rng.choice(40, size=2, replace=False))
-                        if (u, v) not in edges:
-                            break
-                    edges.add((int(u), int(v)))
-                    inserts.append((int(u), int(v), 1))
-            delta.apply(GraphUpdate.from_ops(inserts, deletes))
-            reference = from_edges(sorted(edges), n=40)
-            _assert_rows_identical(delta, reference)
-            if rng.random() < 0.3:
-                delta.compact()
-                _assert_rows_identical(delta, reference)
-        compacted = delta.compact()
-        reference = from_edges(sorted(edges), n=40)
-        np.testing.assert_array_equal(compacted.indptr, reference.indptr)
-        np.testing.assert_array_equal(compacted.indices, reference.indices)
+        for radius in (0, 1, 2):
+            rng = np.random.default_rng(seed)
+            base = barabasi_albert(40, 2, seed=seed)
+            delta = DeltaGraph(base, touch_radius=radius, telemetry=Telemetry())
+            edges = _edge_set(base)
+            for _round in range(6):
+                inserts, deletes = [], []
+                for _ in range(rng.integers(1, 4)):
+                    if edges and rng.random() < 0.5:
+                        u, v = sorted(edges)[rng.integers(len(edges))]
+                        edges.discard((u, v))
+                        deletes.append((u, v))
+                    else:
+                        while True:
+                            u, v = sorted(rng.choice(40, size=2, replace=False))
+                            if (u, v) not in edges:
+                                break
+                        edges.add((int(u), int(v)))
+                        inserts.append((int(u), int(v), 1))
+                update = GraphUpdate.from_ops(inserts, deletes)
+                old = delta.compact()
+                touched = delta.apply(update)
+                new = delta.compact()
+                _assert_csr_identical(new, from_edges(sorted(edges), n=40))
+                assert touched.tolist() == _reference_frontier(
+                    old, new, update, radius
+                )
+            assert delta.version == 6
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_weighted_random_sequence(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        weights = {}
-        for _ in range(60):
-            u, v = sorted(rng.choice(25, size=2, replace=False))
-            weights[(int(u), int(v))] = int(rng.integers(1, 10))
-        base = from_weighted_edges(
-            [(u, v, w) for (u, v), w in sorted(weights.items())], n=25
-        )
-        delta = DeltaGraph(base)
-        for _round in range(5):
-            inserts, deletes, reweights = [], [], []
-            for _ in range(rng.integers(1, 4)):
-                roll = rng.random()
-                if weights and roll < 0.35:
-                    u, v = sorted(weights)[rng.integers(len(weights))]
-                    del weights[(u, v)]
-                    deletes.append((u, v))
-                elif weights and roll < 0.7:
-                    u, v = sorted(weights)[rng.integers(len(weights))]
-                    weights[(u, v)] = int(rng.integers(1, 10))
-                    reweights.append((u, v, weights[(u, v)]))
-                else:
-                    while True:
-                        u, v = sorted(rng.choice(25, size=2, replace=False))
-                        if (u, v) not in weights:
-                            break
-                    weights[(int(u), int(v))] = int(rng.integers(1, 10))
-                    inserts.append((int(u), int(v), weights[(u, v)]))
-            delta.apply(GraphUpdate.from_ops(inserts, deletes, reweights))
-            reference = from_weighted_edges(
+        for radius in (0, 1, 2):
+            rng = np.random.default_rng(100 + seed)
+            weights = {}
+            for _ in range(60):
+                u, v = sorted(rng.choice(25, size=2, replace=False))
+                weights[(int(u), int(v))] = int(rng.integers(1, 10))
+            base = from_weighted_edges(
                 [(u, v, w) for (u, v), w in sorted(weights.items())], n=25
             )
-            _assert_rows_identical(delta, reference)
-            for v in range(25):
-                np.testing.assert_array_equal(
-                    delta.neighbor_weights(v), reference.neighbor_weights(v)
+            delta = DeltaGraph(base, touch_radius=radius)
+            for _round in range(5):
+                inserts, deletes, reweights = [], [], []
+                for _ in range(rng.integers(1, 4)):
+                    roll = rng.random()
+                    if weights and roll < 0.35:
+                        u, v = sorted(weights)[rng.integers(len(weights))]
+                        del weights[(u, v)]
+                        deletes.append((u, v))
+                    elif weights and roll < 0.7:
+                        u, v = sorted(weights)[rng.integers(len(weights))]
+                        weights[(u, v)] = int(rng.integers(1, 10))
+                        reweights.append((u, v, weights[(u, v)]))
+                    else:
+                        while True:
+                            u, v = sorted(rng.choice(25, size=2, replace=False))
+                            if (u, v) not in weights:
+                                break
+                        weights[(int(u), int(v))] = int(rng.integers(1, 10))
+                        inserts.append((int(u), int(v), weights[(u, v)]))
+                update = GraphUpdate.from_ops(inserts, deletes, reweights)
+                old = delta.compact()
+                touched = delta.apply(update)
+                new = delta.compact()
+                reference = from_weighted_edges(
+                    [(u, v, w) for (u, v), w in sorted(weights.items())], n=25
                 )
-        compacted = delta.compact()
-        reference = from_weighted_edges(
-            [(u, v, w) for (u, v), w in sorted(weights.items())], n=25
-        )
-        np.testing.assert_array_equal(compacted.indices, reference.indices)
-        np.testing.assert_array_equal(compacted.weights, reference.weights)
+                _assert_csr_identical(new, reference)
+                assert touched.tolist() == _reference_frontier(
+                    old, new, update, radius
+                )
 
     def test_weighted_reweight_guards(self):
         base = from_weighted_edges([(0, 1, 3)], n=3)
@@ -312,8 +326,8 @@ class TestRandomSequencesMatchFromScratch:
         with pytest.raises(GraphError, match="positive"):
             delta.apply(GraphUpdate.from_ops(reweights=[(0, 1, 0)]))
         delta.apply(GraphUpdate.from_ops(reweights=[(0, 1, 7)]))
-        np.testing.assert_array_equal(delta.neighbor_weights(0), [7])
-        np.testing.assert_array_equal(delta.neighbor_weights(1), [7])
+        np.testing.assert_array_equal(delta.compact().neighbor_weights(0), [7])
+        np.testing.assert_array_equal(delta.compact().neighbor_weights(1), [7])
 
 
 class TestTelemetry:
@@ -325,4 +339,3 @@ class TestTelemetry:
         assert hub.counters["graph.delta.updates"] == 1
         assert hub.counters["graph.delta.edges_changed"] == 1
         assert hub.counters["graph.delta.touched_nodes"] > 0
-        assert hub.counters["graph.delta.compactions"] == 1

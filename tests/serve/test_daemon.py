@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.graph import barabasi_albert, erdos_renyi
+from repro.graph import DeltaGraph, GraphUpdate, barabasi_albert, erdos_renyi
 from repro.serve import ServeClient
 from repro.serve.daemon import GBCServer, ServerConfig
 from repro.serve.protocol import QueryKey, build_algorithm, result_payload
@@ -294,6 +294,26 @@ class TestDrain:
             with daemon.client() as client:
                 answer = client.query("ba", k=1, eps=0.6, gamma=0.1, seed=5)
             assert answer["served"]["samples_reused"] == 0
+        err = capfd.readouterr().err
+        assert "skipping warm lane" in err
+        assert "fingerprint mismatch" in err
+
+    def test_thaw_skips_balanced_delta_checkpoints(self, ba60, tmp_path, capfd):
+        """Same n and m, one edge swapped: the content digest must still
+        keep the old lane from thawing onto the new graph."""
+        warm = tmp_path / "warm"
+        with _Harness(_config(ba60, warm_dir=str(warm))) as daemon:
+            with daemon.client() as client:
+                client.query("ba", k=1, eps=0.6, gamma=0.1, seed=5)
+        assert list(warm.glob("*.warm.npz"))
+        delta = DeltaGraph(ba60)
+        delta.apply(GraphUpdate.from_ops(
+            inserts=[(0, 59, 1)], deletes=[(0, int(ba60.neighbors(0)[0]))]
+        ))
+        swapped = delta.compact()
+        assert swapped.num_edges == ba60.num_edges
+        with _Harness(_config(swapped, warm_dir=str(warm))) as daemon:
+            assert not daemon.server._lanes  # nothing thawed
         err = capfd.readouterr().err
         assert "skipping warm lane" in err
         assert "fingerprint mismatch" in err

@@ -1,5 +1,4 @@
-"""Checkpoints written before the engine set shrank to ``serial`` and
-``epoch``.
+"""Checkpoints written by older versions of the package.
 
 Older checkpoints record ``kernel``, ``delta``, ``cache_sources`` and
 ``method`` in their provenance.  A serial or epoch stream drawn with
@@ -8,6 +7,10 @@ must resume bit-identically with those keys ignored; a stream drawn by
 the removed ``batch``/``process`` engines or the removed source-grouped
 sampler cannot be continued and must be refused with
 :class:`~repro.exceptions.CheckpointError` naming the replacement.
+
+Checkpoints written before the graph digest existed carry per-lane
+``versions``/``fingerprints`` columns and no ``digest``; they resume
+bit-identically with the columns ignored.
 """
 
 from __future__ import annotations
@@ -50,6 +53,27 @@ def rewrite_checkpoint(path, provenance=(), params=()):
     np.savez(path, **arrays)
 
 
+def rewrite_without_digest(path):
+    """Give a checkpoint the older layout: no graph digest, and per-path
+    ``versions`` plus 64-bit Bloom ``fingerprints`` for every lane."""
+    with np.load(path, allow_pickle=False) as payload:
+        arrays = {key: payload[key] for key in payload.files}
+    meta = json.loads(str(arrays["meta"]))
+    del meta["graph"]["digest"]
+    arrays["meta"] = np.asarray(json.dumps(meta))
+    for lane in range(meta["lanes"]):
+        flat = arrays[f"lane{lane}_flat"]
+        lengths = np.diff(arrays[f"lane{lane}_offsets"])
+        owner = np.repeat(np.arange(lengths.size), lengths)
+        words = np.zeros(lengths.size, dtype=np.uint64)
+        np.bitwise_or.at(
+            words, owner, np.uint64(1) << (flat.astype(np.uint64) % np.uint64(64))
+        )
+        arrays[f"lane{lane}_versions"] = np.zeros(lengths.size, dtype=np.int64)
+        arrays[f"lane{lane}_fingerprints"] = words
+    np.savez(path, **arrays)
+
+
 def _interrupted(graph, path, **engine):
     with pytest.raises(SessionInterrupted):
         AdaAlg(
@@ -77,6 +101,28 @@ class TestLegacyResume:
             provenance=LEGACY_KEYS,
             params={"sampler_method": "bidirectional", "delta": None},
         )
+        resumed = AdaAlg(
+            eps=0.4, gamma=0.1, seed=11, resume_from=path, **engine
+        ).run(graph, 3)
+        assert resumed.diagnostics["resumed"] is True
+        assert resumed.group == straight.group
+        assert resumed.estimate == straight.estimate
+        assert resumed.estimate_unbiased == straight.estimate_unbiased
+        assert resumed.num_samples == straight.num_samples
+        assert resumed.iterations == straight.iterations
+
+    @pytest.mark.parametrize(
+        "engine", [{"engine": "serial"}, {"engine": "epoch", "workers": 2}]
+    )
+    def test_versions_and_fingerprints_checkpoint_resumes_bit_identically(
+        self, graph, tmp_path, engine
+    ):
+        path = str(tmp_path / "ck.npz")
+        straight = AdaAlg(eps=0.4, gamma=0.1, seed=11, **engine).run(graph, 3)
+        _interrupted(graph, path, **engine)
+        rewrite_without_digest(path)
+        with np.load(path, allow_pickle=False) as payload:
+            assert {"lane0_versions", "lane1_fingerprints"} <= set(payload.files)
         resumed = AdaAlg(
             eps=0.4, gamma=0.1, seed=11, resume_from=path, **engine
         ).run(graph, 3)

@@ -121,16 +121,23 @@ class TestStoreInvalidation:
             expected = sum(1 for p in expected_survivors if node in p)
             assert store.covered_count([node]) == expected
 
-    def test_versions_stamped_and_survive_roundtrip(self):
+    def test_legacy_provenance_columns_ignored(self):
+        """Snapshots that still carry the per-path ``versions`` and
+        ``fingerprints`` columns load, and the columns are dropped."""
         store = SampleStore(10)
         store.add_path(np.asarray([0, 1], dtype=np.int64))
-        store.graph_version = 3
         store.add_path(np.asarray([2, 3], dtype=np.int64))
-        assert store.path_version(0) == 0
-        assert store.path_version(1) == 3
-        clone = SampleStore.from_arrays(10, store.export_arrays())
-        assert clone.path_version(1) == 3
-        assert clone.graph_version == 3
+        arrays = store.export_arrays()
+        assert sorted(arrays) == ["degrees", "flat", "offsets", "schedule"]
+        legacy = dict(
+            arrays,
+            versions=np.asarray([0, 3], dtype=np.int64),
+            fingerprints=np.asarray([3, 12], dtype=np.uint64),
+        )
+        clone = SampleStore.from_arrays(10, legacy)
+        assert clone.num_paths == 2
+        for key, value in clone.export_arrays().items():
+            np.testing.assert_array_equal(value, arrays[key])
 
 
 class TestSessionMigration:
@@ -152,8 +159,6 @@ class TestSessionMigration:
             assert stats["invalidated"] + stats["surviving"] == 80
             assert sess.graph is not graph
             assert sess.graph.num_edges == graph.num_edges - 1
-            for store in sess.stores:
-                assert store.graph_version == 1
 
     @pytest.mark.parametrize(
         "engine_kwargs",

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.exceptions import CheckpointError, ParameterError
-from repro.graph import barabasi_albert, erdos_renyi
+from repro.graph import (
+    DeltaGraph,
+    GraphUpdate,
+    barabasi_albert,
+    erdos_renyi,
+    from_weighted_edges,
+)
 from repro.obs import Telemetry
 from repro.session import SamplingSession
 
@@ -14,6 +22,12 @@ from repro.session import SamplingSession
 @pytest.fixture
 def graph():
     return barabasi_albert(60, 2, seed=3)
+
+
+def _mutated(graph, update):
+    delta = DeltaGraph(graph)
+    delta.apply(update)
+    return delta.compact()
 
 
 class TestLifecycle:
@@ -134,6 +148,62 @@ class TestCheckpointResume:
             session.checkpoint(path)
         mapped = load_mmap(save_mmap(graph, str(tmp_path / "same.graph")))
         thawed, _ = SamplingSession.resume(path, mapped)
+        with thawed:
+            assert thawed.total_samples == 5
+
+    def test_resume_refuses_balanced_delta(self, tmp_path):
+        """One edge swapped keeps n and m: only the content digest can
+        tell the graphs apart."""
+        graph = barabasi_albert(200, 2, seed=3)
+        swapped = _mutated(graph, GraphUpdate.from_ops(
+            inserts=[(0, 199, 1)], deletes=[(0, int(graph.neighbors(0)[0]))]
+        ))
+        assert swapped.num_edges == graph.num_edges == 396
+        path = str(tmp_path / "ck.npz")
+        with SamplingSession(graph, seed=1) as session:
+            session.extend(5)
+            session.checkpoint(path)
+        with pytest.raises(CheckpointError, match="fingerprint mismatch"):
+            SamplingSession.resume(path, swapped)
+
+    def test_resume_refuses_reweight_only_delta(self, tmp_path):
+        base = barabasi_albert(60, 2, seed=3)
+        graph = from_weighted_edges(
+            [(u, v, 1 + (u + v) % 5)
+             for u in range(60) for v in base.neighbors(u).tolist() if u < v],
+            n=60,
+        )
+        u = 0
+        v = int(graph.neighbors(u)[0])
+        w = int(graph.neighbor_weights(u)[0])
+        reweighted = _mutated(
+            graph, GraphUpdate.from_ops(reweights=[(u, v, w + 1)])
+        )
+        path = str(tmp_path / "ck.npz")
+        with SamplingSession(graph, seed=1) as session:
+            session.extend(5)
+            session.checkpoint(path)
+        with pytest.raises(CheckpointError, match="fingerprint mismatch"):
+            SamplingSession.resume(path, reweighted)
+        thawed, _ = SamplingSession.resume(path, graph)
+        thawed.close()
+
+    def test_digest_free_checkpoint_keeps_tolerant_compare(
+        self, graph, tmp_path
+    ):
+        """Checkpoints written before the digest existed compare on the
+        keys they recorded."""
+        path = str(tmp_path / "ck.npz")
+        with SamplingSession(graph, seed=1) as session:
+            session.extend(5)
+            session.checkpoint(path)
+        with np.load(path, allow_pickle=False) as payload:
+            arrays = {key: payload[key] for key in payload.files}
+        meta = json.loads(str(arrays["meta"]))
+        assert len(meta["graph"].pop("digest")) == 32
+        arrays["meta"] = np.asarray(json.dumps(meta))
+        np.savez(path, **arrays)
+        thawed, _ = SamplingSession.resume(path, graph)
         with thawed:
             assert thawed.total_samples == 5
 

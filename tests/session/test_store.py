@@ -141,12 +141,6 @@ class TestSnapshotFieldValidation:
         with pytest.raises(CheckpointError, match="'degrees'.*length"):
             SampleStore.from_arrays(10, arrays)
 
-    def test_wrong_length_versions_named(self):
-        arrays = _filled_store().export_arrays()
-        arrays["versions"] = arrays["versions"][:-1]
-        with pytest.raises(CheckpointError, match="'versions'.*length"):
-            SampleStore.from_arrays(10, arrays)
-
     def test_narrower_int_widths_accepted(self):
         arrays = _filled_store().export_arrays()
         arrays["flat"] = arrays["flat"].astype(np.int32)
