@@ -22,7 +22,7 @@ The CI gates:
 * weighted wavefront — ``--metric speedup_wavefront_vs_grouped
   --workload-keys n m draws max_weight seed``;
 * dynamic graphs — ``--metric reuse_fraction --workload-keys n m pool
-  delta_fraction touch_radius seed --floor 0.40``.
+  delta_fraction seed --floor 0.80``.
 
 Exit status 0 on pass, 1 on regression or workload mismatch.
 """

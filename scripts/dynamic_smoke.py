@@ -8,8 +8,9 @@ the equivalence contract from docs/dynamic-graphs.md:
    for its ``--ready-file``;
 2. run one query to establish a warm lane and a cache entry;
 3. apply a ~1% edge delta through ``repro-gbc mutate --dataset``
-   (the CLI front for the daemon's ``mutate`` op) and require the
-   dataset version to bump;
+   (the CLI front for the daemon's ``mutate`` op; the warm lane's
+   stale samples are redrawn in place) and require the dataset
+   version to bump;
 4. re-issue the query: it must be recomputed (not cache-served), and
    its group must equal a cold ``repro-gbc run --json`` on the
    compacted post-delta graph;
@@ -140,13 +141,6 @@ def main() -> None:
                     sys.executable, "-m", "repro", "mutate", delta_path,
                     "--dataset", args.dataset,
                     "--port", str(port),
-                    # conservative default radius: a 1% *random* delta
-                    # touches most of a BA graph's hub neighbourhoods,
-                    # so nearly the whole pool is (correctly) dropped —
-                    # sample reuse on localized deltas is the
-                    # benchmark's job (bench_dynamic.json), exact
-                    # equivalence is this smoke's
-                    "--touch-radius", "1",
                 ],
                 env=env,
                 capture_output=True,
@@ -160,6 +154,8 @@ def main() -> None:
                     f"expected {ops} applied ops in mutate output:\n"
                     f"{mutate.stdout}"
                 )
+            if "invalidated and redrawn" not in mutate.stdout:
+                fail(f"mutate output lacks the redraw counts:\n{mutate.stdout}")
 
             with ServeClient(port=port) as client:
                 stats = client.stats()

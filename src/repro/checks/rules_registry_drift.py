@@ -1,16 +1,17 @@
 """RPR302 — telemetry registry drift (the inverse of RPR301).
 
-RPR301 pins every *emitted* counter/event name to the registry; this
-project rule pins the registry back to the code: a name declared in
-``COUNTERS``/``EVENTS`` that no checked module ever emits is drift —
-usually a renamed emission whose registry entry was left behind, which
-silently voids the cross-engine counter-equality contract for that
-name (both sides report 0 of a counter that no longer exists).
+RPR301 pins every *emitted* counter/event/span name to the registry;
+this project rule pins the registry back to the code: a name declared
+in ``COUNTERS``/``EVENTS``/``SPANS`` that no checked module ever emits
+is drift — usually a renamed emission whose registry entry was left
+behind, which silently voids the cross-engine counter-equality
+contract for that name (both sides report 0 of a counter that no
+longer exists).
 
 The rule reads the registry *module's own AST* (so fixtures can ship a
 synthetic registry) and scans every checked module for the same
-literal-first-argument ``.count(...)``/``.event(...)`` emissions RPR301
-recognizes.  It only fires on whole-package runs — the package root
+literal-first-argument ``.count(...)``/``.event(...)``/``.span(...)``
+emissions RPR301 recognizes.  It only fires on whole-package runs — the package root
 ``__init__`` must be among the checked modules — because on a file
 subset (``--changed-only``, single-file invocations) "nobody emits
 this name" is an artifact of the subset, not drift.
@@ -54,17 +55,17 @@ def _registry_literals(tree: ast.AST, target: str) -> dict[str, int]:
     return names
 
 
-def _emitted_names(tree: ast.AST) -> tuple[set[str], set[str]]:
-    """Literal counter/event names one module emits (RPR301's shape)."""
-    counters: set[str] = set()
-    events: set[str] = set()
+def _emitted_names(tree: ast.AST) -> dict[str, set[str]]:
+    """Literal counter/event/span names one module emits (RPR301's
+    shape), keyed by hub method."""
+    emitted: dict[str, set[str]] = {"count": set(), "event": set(), "span": set()}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         if not isinstance(node.func, ast.Attribute):
             continue
         method = node.func.attr
-        if method not in ("count", "event"):
+        if method not in emitted:
             continue
         if trailing_identifier(node.func.value) not in HUB_RECEIVERS:
             continue
@@ -72,8 +73,8 @@ def _emitted_names(tree: ast.AST) -> tuple[set[str], set[str]]:
             continue
         first = node.args[0]
         if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            (counters if method == "count" else events).add(first.value)
-    return counters, events
+            emitted[method].add(first.value)
+    return emitted
 
 
 @register
@@ -81,7 +82,7 @@ class RegistryDriftRule(Rule):
     id = "RPR302"
     name = "registry-drift"
     rationale = (
-        "A registered counter/event name nothing emits is a stale "
+        "A registered counter/event/span name nothing emits is a stale "
         "registry entry — usually a renamed emission — and it voids "
         "the cross-engine counter-equality contract for that name."
     )
@@ -96,19 +97,18 @@ class RegistryDriftRule(Rule):
         if package_root not in checked:
             return  # subset run; absence of an emitter proves nothing
 
-        emitted_counters: set[str] = set()
-        emitted_events: set[str] = set()
+        emitted: dict[str, set[str]] = {"count": set(), "event": set(), "span": set()}
         for record in project.records:
-            counters, events = _emitted_names(record.tree)
-            emitted_counters.update(counters)
-            emitted_events.update(events)
+            for method, names in _emitted_names(record.tree).items():
+                emitted[method] |= names
 
-        for target, registry_kind, emitted in (
-            ("COUNTERS", "counter", emitted_counters),
-            ("EVENTS", "event", emitted_events),
+        for target, registry_kind, method in (
+            ("COUNTERS", "counter", "count"),
+            ("EVENTS", "event", "event"),
+            ("SPANS", "span", "span"),
         ):
             declared = _registry_literals(tree, target)
-            for name in sorted(set(declared) - emitted):
+            for name in sorted(set(declared) - emitted[method]):
                 self.report(
                     _At(declared[name]),
                     f"registered telemetry {registry_kind} {name!r} is "

@@ -4,16 +4,17 @@ The cross-engine equality tests (``tests/obs``) compare counter totals
 *by name* between serial/batch/process runs — a typo in one engine's
 counter name makes the dicts differ in keys, which a tolerant consumer
 can easily read as "counter is zero here" instead of failing loudly.
-This rule pins every ``telemetry.count``/``telemetry.event`` name to
-the checked-in registry (:mod:`repro.obs.registry`), so a new or
-renamed name is a compile-time conversation, not a runtime surprise.
+This rule pins every ``telemetry.count``/``telemetry.event`` name, and
+every literal ``telemetry.span`` name, to the checked-in registry
+(:mod:`repro.obs.registry`), so a new or renamed name is a
+compile-time conversation, not a runtime surprise.
 """
 
 from __future__ import annotations
 
 import ast
 
-from ..obs.registry import COUNTERS, EVENTS
+from ..obs.registry import COUNTERS, EVENTS, SPANS
 from .core import Rule, trailing_identifier
 from .registry import register
 
@@ -28,6 +29,9 @@ __all__ = ["UnregisteredTelemetryName"]
 HUB_RECEIVERS = frozenset({"telemetry", "_telemetry", "hub", "tel"})
 
 _REGISTRY_HINT = "register it in repro.obs.registry"
+
+#: Hub method -> the registry its literal names must appear in.
+_REGISTRIES = {"count": COUNTERS, "event": EVENTS, "span": SPANS}
 
 
 @register
@@ -47,7 +51,7 @@ class UnregisteredTelemetryName(Rule):
         if not isinstance(node.func, ast.Attribute):
             return
         method = node.func.attr
-        if method not in ("count", "event"):
+        if method not in _REGISTRIES:
             return
         receiver = trailing_identifier(node.func.value)
         if receiver not in HUB_RECEIVERS:
@@ -56,6 +60,8 @@ class UnregisteredTelemetryName(Rule):
             return
         first = node.args[0]
         if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
+            if method == "span":
+                return  # algorithm spans are named after the algorithm
             self.report(
                 node,
                 f"telemetry {method} name must be a string literal so the "
@@ -63,9 +69,8 @@ class UnregisteredTelemetryName(Rule):
             )
             return
         name = first.value
-        registry = COUNTERS if method == "count" else EVENTS
-        if name not in registry:
-            kind = "counter" if method == "count" else "event"
+        if name not in _REGISTRIES[method]:
+            kind = "counter" if method == "count" else method
             self.report(
                 node,
                 f"unregistered telemetry {kind} name {name!r}; "

@@ -482,14 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the migrated checkpoint here instead of replacing "
         "the input (only with --checkpoint)",
     )
-    mutate.add_argument(
-        "--touch-radius",
-        type=int,
-        default=1,
-        metavar="R",
-        help="hops to expand the touched-node frontier around each "
-        "mutated edge when invalidating stored samples (default 1)",
-    )
     mutate.add_argument("--host", default="127.0.0.1", help="daemon TCP host")
     mutate.add_argument(
         "--port", type=int, default=None, help="daemon TCP port"
@@ -889,15 +881,14 @@ def _mutate_daemon(args, update) -> int:
             insert=update.inserts.tolist(),
             delete=update.deletes.tolist(),
             reweight=update.reweights.tolist(),
-            touch_radius=args.touch_radius,
         )
     mutated = answer["mutated"]
     print(f"dataset     : {mutated['dataset']} (version {mutated['version']})")
     print(f"ops applied : {mutated['ops']}")
-    print(f"touched     : {mutated['touched']} node(s)")
-    print(f"lanes       : {mutated['lanes_updated']} migrated, "
-          f"{mutated['invalidated']} sample(s) invalidated, "
-          f"{mutated['surviving']} kept warm")
+    print(f"lanes       : {mutated['lanes_updated']} migrated")
+    print(f"samples     : {mutated['tested']} tested, "
+          f"{mutated['invalidated']} invalidated and redrawn, "
+          f"{mutated['surviving']} kept")
     print(f"cache       : {mutated['cache_evicted']} entries evicted")
     print(f"graph       : n={mutated['n']} m={mutated['m']}")
     return 0
@@ -908,13 +899,10 @@ def _mutate_graph_dir(args, update) -> int:
     from .graph.delta import DeltaGraph
 
     graph = load_mmap(args.graph_dir)
-    delta = DeltaGraph(graph, touch_radius=args.touch_radius)
-    touched = delta.apply(update)
-    new_graph = delta.compact()
+    new_graph = DeltaGraph(graph).apply(update)
     target = args.out or args.graph_dir
     save_mmap(new_graph, target)
     print(f"ops applied : {update.num_ops}")
-    print(f"touched     : {touched.size} node(s)")
     print(f"graph       : n={new_graph.n} m={new_graph.num_edges}")
     print(f"written     : {target}")
     return 0
@@ -950,13 +938,13 @@ def _mutate_checkpoint(args, update) -> int:
     graph = _load_graph(_GraphArgs)
     session, state = SamplingSession.resume(path, graph)
     try:
-        stats = session.apply_update(update, touch_radius=args.touch_radius)
+        stats = session.apply_update(update)
         save_mmap(session.graph, args.out)
         # rewrite the checkpoint against the compacted graph: the CLI
         # provenance now points at the mmap directory (resume opens it
         # directly), and the loop state is cleared — the resumed
-        # algorithm re-enters its stopping rule over the warm pool,
-        # resampling only the invalidated shortfall
+        # algorithm re-enters its stopping rule over the migrated pool
+        # (stale samples were redrawn in place, so nothing is missing)
         new_state = dict(state or {})
         new_state["loop"] = None
         provenance = dict(new_state.get("meta") or {})
@@ -972,8 +960,8 @@ def _mutate_checkpoint(args, update) -> int:
     finally:
         session.close()
     print(f"ops applied : {update.num_ops}")
-    print(f"touched     : {stats['touched']} node(s)")
-    print(f"samples     : {stats['invalidated']} invalidated, "
+    print(f"samples     : {stats['tested']} tested, "
+          f"{stats['invalidated']} invalidated and redrawn, "
           f"{stats['surviving']} kept")
     print(f"graph       : n={session.graph.n} m={session.graph.num_edges} "
           f"-> {args.out}")

@@ -80,10 +80,6 @@ class CoverageInstance:
         # (surfaced as EngineStats.coverage_* and telemetry coverage.*)
         self.rebuilds = 0
         self.rebuilt_elements = 0
-        # sample-invalidation accounting (repro.graph.delta updates):
-        # compaction passes executed and paths dropped across them
-        self.removals = 0
-        self.removed_paths = 0
 
     # ------------------------------------------------------------------
     def _escape(self, array: np.ndarray) -> np.ndarray:
@@ -175,46 +171,71 @@ class CoverageInstance:
         self._inc_indptr = None
         self._inc_paths = None
 
-    def remove_paths(self, drop: np.ndarray) -> int:
-        """Drop every path flagged in the boolean mask ``drop``.
+    def add_samples(self, samples, include_endpoints: bool = True) -> None:
+        """Append a :class:`~repro.paths.packed.PackedSamples` draw: its
+        covering node sets under the ``include_endpoints`` convention,
+        in one :meth:`add_paths_packed` call."""
+        self.add_paths_packed(*samples.coverage(include_endpoints))
 
-        Surviving paths are compacted in place (ids shift down, order
-        preserved) and the degrees are recounted from the compacted
-        flat array; the node→path incidence is invalidated and rebuilt
-        lazily like after an append.  Returns the number of paths
-        dropped and bumps the ``removals`` / ``removed_paths``
-        counters.
+    def replace_paths(self, ids, flat: np.ndarray, offsets: np.ndarray) -> None:
+        """Rewrite the node sets of paths ``ids`` in place.
+
+        ``ids`` are strictly ascending path ids; ``(flat, offsets)``
+        holds their new node sets in the same order and in the layout
+        :meth:`add_paths_packed` takes (sorted, deduplicated segments).
+        Every other path keeps its id and nodes; the degrees are
+        updated and the node→path incidence is rebuilt lazily, as after
+        an append.  One vectorized pass over the flat array.
         """
-        drop = np.asarray(drop, dtype=bool)
-        if drop.shape != (self._num_paths,):
+        ids = np.asarray(ids, dtype=np.int64)
+        flat = np.ascontiguousarray(flat, dtype=np.int64)
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        count = self._num_paths
+        if ids.ndim != 1 or offsets.shape != (ids.size + 1,) or offsets[0] != 0:
+            raise ParameterError("need one offsets entry per replaced id, plus one")
+        if offsets[-1] != flat.size or np.any(np.diff(offsets) < 0):
             raise ParameterError(
-                f"drop mask must have shape ({self._num_paths},), got "
-                f"{drop.shape}"
+                "offsets must be non-decreasing and end at flat.size"
             )
-        dropped = int(np.count_nonzero(drop))
-        if dropped == 0:
-            return 0
-        lengths = np.diff(self._offsets[: self._num_paths + 1])
-        keep = ~drop
-        flat = self._flat[: self._flat_len][np.repeat(keep, lengths)]
-        kept_lengths = lengths[keep]
-        count = int(kept_lengths.size)
-        self._flat = _grow(np.empty(_INITIAL_CAPACITY, dtype=np.int64), flat.size)
-        self._flat[: flat.size] = flat
-        self._flat_len = int(flat.size)
-        self._offsets = np.zeros(
-            max(_INITIAL_CAPACITY, count + 1), dtype=np.int64
-        )
-        np.cumsum(kept_lengths, out=self._offsets[1 : count + 1])
-        self._num_paths = count
-        self._degrees = np.bincount(
-            flat, minlength=self.num_nodes
-        ).astype(np.int64)
+        if ids.size and (
+            ids[0] < 0 or ids[-1] >= count or np.any(np.diff(ids) <= 0)
+        ):
+            raise ParameterError("ids must be ascending, distinct path ids")
+        if flat.size and (flat.min() < 0 or flat.max() >= self.num_nodes):
+            raise ParameterError("path mentions node ids outside the universe")
+        if ids.size == 0:
+            return
+        old_offsets = self._offsets[: count + 1]
+        lengths = np.diff(old_offsets)
+        old_flat = self._flat[: self._flat_len]
+        owner = np.repeat(np.arange(count, dtype=np.int64), lengths)
+        replaced = np.zeros(count, dtype=bool)
+        replaced[ids] = True
+        dropped = replaced[owner]
+        new_lengths = lengths.copy()
+        new_lengths[ids] = np.diff(offsets)
+        new_offsets = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(new_lengths, out=new_offsets[1:])
+        merged = np.empty(int(new_offsets[-1]), dtype=np.int64)
+        kept = ~dropped
+        merged[
+            (new_offsets[:-1] - old_offsets[:-1])[owner[kept]]
+            + np.flatnonzero(kept)
+        ] = old_flat[kept]
+        fresh_owner = np.repeat(ids, np.diff(offsets))
+        merged[
+            new_offsets[fresh_owner]
+            + np.arange(flat.size)
+            - np.repeat(offsets[:-1], np.diff(offsets))
+        ] = flat
+        self._degrees -= np.bincount(old_flat[dropped], minlength=self.num_nodes)
+        self._degrees += np.bincount(flat, minlength=self.num_nodes)
+        self._flat = _grow(np.empty(_INITIAL_CAPACITY, dtype=np.int64), merged.size)
+        self._flat[: merged.size] = merged
+        self._flat_len = int(merged.size)
+        self._offsets[: count + 1] = new_offsets
         self._inc_indptr = None
         self._inc_paths = None
-        self.removals += 1
-        self.removed_paths += dropped
-        return dropped
 
     def path(self, pid: int) -> np.ndarray:
         """The (sorted, deduplicated) node array of path ``pid``."""

@@ -31,6 +31,8 @@ import abc
 import weakref
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .._rng import as_generator
 from ..coverage.hypergraph import CoverageInstance
 from ..exceptions import CheckpointError, ParameterError
@@ -251,7 +253,7 @@ class SampleEngine(abc.ABC):
 
         Applies the engine's endpoint convention to every drawn path
         and appends the whole draw in one
-        :meth:`~repro.coverage.CoverageInstance.add_paths_packed` call;
+        :meth:`~repro.coverage.CoverageInstance.add_samples` call;
         a no-op when the instance already holds enough samples.  The
         draw is reported to :attr:`telemetry` (a ``draw`` span plus
         ``engine.*`` counter deltas), and :attr:`debug` mode validates
@@ -289,10 +291,34 @@ class SampleEngine(abc.ABC):
         if self.debug:
             for sample in samples:
                 check_sample(self.graph, sample)
-        instance.add_paths_packed(*samples.coverage(self.include_endpoints))
+        instance.add_samples(samples, self.include_endpoints)
         if self.debug:
             check_instance(instance)
         self._flush_coverage(instance)
+
+    def redraw(self, sources, targets) -> PackedSamples:
+        """One fresh sample for each given ordered pair, on the engine's
+        graph — how a session replaces, in place, the samples a graph
+        update invalidated.
+
+        A pair with source ``-1`` (unknown, from a snapshot that
+        predates the pair columns) is drawn afresh first.  The paths
+        come from the engine's *redraw stream*: the generator
+        :meth:`_redraw_sampler` draws from, which :meth:`rng_state`
+        captures, so a checkpoint taken after a redraw continues
+        bit-identically.  :attr:`stats` does not count redraws.
+        """
+        sampler = self._redraw_sampler()
+        sources = np.array(sources, dtype=np.int64)
+        targets = np.array(targets, dtype=np.int64)
+        unknown = np.flatnonzero(sources < 0)
+        if unknown.size:
+            sources[unknown], targets[unknown] = sampler.draw_pairs(unknown.size)
+        return sampler.sample_pairs(sources, targets)
+
+    def _redraw_sampler(self) -> PathSampler:
+        """The sampler :meth:`redraw` draws through."""
+        return PathSampler(self.graph, seed=self._rng)
 
     def close(self) -> None:
         """Release engine resources (worker processes); idempotent."""

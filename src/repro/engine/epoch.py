@@ -35,6 +35,11 @@ following the low-sync recipe of van der Grinten, Angriman & Meyerhenke
   zero effect on results because unused suffixes never enter the
   stream.
 
+Redraws after a graph update (:meth:`~repro.engine.base.SampleEngine.redraw`)
+come from the master generator, which nothing else draws from once the
+entropy word is taken; the epoch cursor never moves for them, and
+:meth:`EpochEngine.rng_state` carries the master state along.
+
 ``extend`` rounds its target **up to an epoch boundary**: the stores
 of a :class:`~repro.session.SamplingSession` then always sit on a
 whole number of epochs, which is where checkpoints land and where

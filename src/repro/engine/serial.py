@@ -37,6 +37,10 @@ class SerialEngine(SampleEngine):
         super().__init__(graph, seed=seed, include_endpoints=include_endpoints)
         self._sampler = PathSampler(graph, seed=self._rng)
 
+    def _redraw_sampler(self) -> PathSampler:
+        # redraws continue the one stream the draws use
+        return self._sampler
+
     def draw(self, count: int) -> PackedSamples:
         self._check_count(count)
         sampler = self._sampler

@@ -14,7 +14,7 @@ from .components import (
     weakly_connected_components,
 )
 from .csr import CSRGraph
-from .delta import DeltaGraph, GraphUpdate, read_delta_file
+from .delta import DeltaGraph, GraphUpdate, arc_changes, read_delta_file
 from .generators import (
     barabasi_albert,
     barbell_graph,
@@ -45,6 +45,7 @@ __all__ = [
     "DeltaGraph",
     "GraphUpdate",
     "read_delta_file",
+    "arc_changes",
     "GraphSummary",
     "graph_summary",
     "degree_statistics",

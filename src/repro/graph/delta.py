@@ -12,13 +12,9 @@ mutable tier on top:
   rebuilds the CSR once, and only then swaps the snapshot in, so a
   rejected batch changes nothing; :meth:`DeltaGraph.compact` returns
   the snapshot.
-
-Each applied update bumps a monotonically increasing ``version`` and
-returns a *touched-nodes frontier*: the endpoints of every changed
-edge expanded ``touch_radius`` hops through the union of the pre- and
-post-update neighborhoods.  That frontier is what
-:meth:`repro.session.SampleStore.invalidate` consumes to drop exactly
-the stored paths that traversed the mutated region.
+* :func:`arc_changes` — the arcs two snapshots disagree on, which the
+  exact per-pair invalidation test of a sample pool
+  (:mod:`repro.session.invalidation`) reads.
 """
 
 from __future__ import annotations
@@ -155,28 +151,50 @@ def _arc_position(graph: CSRGraph, u: int, v: int) -> int:
     return -1
 
 
-def _touched_frontier(
-    graph: CSRGraph, endpoints: np.ndarray, radius: int
-) -> np.ndarray:
-    """``endpoints`` expanded ``radius`` hops through ``graph``'s
-    out-rows (sorted unique node ids).
+def _arcs(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Every arc of ``graph`` as a ``u * n + v`` key, with its weight
+    (1 on unweighted graphs)."""
+    src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.out_degrees())
+    keys = src * graph.n + graph.indices.astype(np.int64)
+    if isinstance(graph, WeightedCSRGraph):
+        return keys, graph.weights.astype(np.int64)
+    return keys, np.ones(keys.size, dtype=np.int64)
 
-    Run on the post-update graph, this equals the expansion through the
-    union of the pre- and post-update rows: only endpoint rows differ
-    between the two, and only by other endpoints, which are touched
-    from the start.
+
+def arc_changes(old: CSRGraph, new: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The arcs two graphs on one node universe disagree on.
+
+    Returns ``(removed, added)``, each a ``(k, 3)`` array of
+    ``(u, v, w)`` rows sorted by arc: ``removed`` holds the arcs deleted
+    or made heavier, with their *old* weight; ``added`` the arcs
+    inserted or made lighter, with their *new* weight.  Undirected
+    graphs list each changed edge in both orientations, as their CSR
+    stores it.
     """
-    touched = np.unique(np.asarray(endpoints, dtype=np.int64))
-    frontier = touched
-    for _ in range(radius):
-        if frontier.size == 0:
-            break
-        reached = np.unique(
-            np.concatenate([graph.neighbors(int(v)) for v in frontier])
-        ).astype(np.int64)
-        frontier = reached[~np.isin(reached, touched, assume_unique=True)]
-        touched = np.union1d(touched, frontier)
-    return touched
+    if old.n != new.n:
+        raise GraphError(
+            f"cannot compare graphs on different node universes "
+            f"({old.n} vs {new.n})"
+        )
+    old_keys, old_w = _arcs(old)
+    new_keys, new_w = _arcs(new)
+    _, at_old, at_new = np.intersect1d(
+        old_keys, new_keys, assume_unique=True, return_indices=True
+    )
+    gone = np.ones(old_keys.size, dtype=bool)
+    gone[at_old] = False
+    fresh = np.ones(new_keys.size, dtype=bool)
+    fresh[at_new] = False
+    gone[at_old[new_w[at_new] > old_w[at_old]]] = True
+    fresh[at_new[new_w[at_new] < old_w[at_old]]] = True
+
+    def rows(keys, weights, pick):
+        keys, weights = keys[pick], weights[pick]
+        order = np.argsort(keys)
+        keys, weights = keys[order], weights[order]
+        return np.column_stack([keys // old.n, keys % old.n, weights])
+
+    return rows(old_keys, old_w, gone), rows(new_keys, new_w, fresh)
 
 
 class DeltaGraph:
@@ -190,28 +208,19 @@ class DeltaGraph:
         :class:`~repro.graph.weighted.WeightedCSRGraph` — the first
         snapshot.  The node universe is fixed; updates mutate edges
         only.
-    touch_radius:
-        How many hops to expand the touched-nodes frontier around the
-        endpoints of each update (default 1).  Larger radii invalidate
-        more stored samples per update — higher recall of truly stale
-        paths at a higher resampling cost.
     telemetry:
         Optional :class:`~repro.obs.Telemetry` hub; applied updates
-        emit ``graph.delta.updates`` / ``graph.delta.edges_changed`` /
-        ``graph.delta.touched_nodes``.
+        emit ``graph.delta.updates`` / ``graph.delta.edges_changed``.
     """
 
-    def __init__(self, base: CSRGraph, *, touch_radius: int = 1, telemetry=None):
+    def __init__(self, base: CSRGraph, *, telemetry=None):
         if isinstance(base, DeltaGraph):
             raise GraphError("cannot stack a DeltaGraph on a DeltaGraph")
         if not isinstance(base, CSRGraph):
             raise GraphError(
                 f"DeltaGraph needs a CSRGraph base, got {type(base).__name__}"
             )
-        if touch_radius < 0:
-            raise GraphError(f"touch_radius must be >= 0, got {touch_radius}")
         self.base = base
-        self.touch_radius = int(touch_radius)
         self._hub = None
         if telemetry is not None:
             from ..obs import as_telemetry  # local import avoids a cycle
@@ -309,21 +318,19 @@ class DeltaGraph:
             np.vstack([pairs, added[:, :2]]), n=base.n, directed=base.directed
         )
 
-    def apply(self, update: GraphUpdate) -> np.ndarray:
-        """Apply one update batch; returns the touched-node frontier.
+    def apply(self, update: GraphUpdate) -> CSRGraph:
+        """Apply one update batch; returns the new snapshot.
 
         The batch is validated op by op against the snapshot plus its
         own earlier ops (inserting an existing edge, deleting or
         reweighting a missing one, out-of-range ids and self-loops all
         raise :class:`~repro.exceptions.GraphError`), then rebuilt into
         a fresh CSR.  Only a fully valid batch replaces the snapshot
-        and bumps :attr:`version`; a rejected one changes nothing.  The
-        returned frontier is the sorted array of the batch's edge
-        endpoints expanded ``touch_radius`` hops through the union of
-        the pre- and post-update neighborhoods.
+        and bumps :attr:`version`; a rejected one changes nothing.  An
+        empty batch returns the snapshot unchanged.
         """
         if update.is_empty:
-            return np.empty(0, dtype=np.int64)
+            return self.base
         endpoints = update.endpoints()
         if endpoints[0] < 0 or endpoints[-1] >= self.n:
             bad = int(endpoints[0]) if endpoints[0] < 0 else int(endpoints[-1])
@@ -331,15 +338,12 @@ class DeltaGraph:
                 f"update names node {bad} outside the 0..{self.n - 1} "
                 "node universe — updates mutate edges, never nodes"
             )
-        new = self._rebuild(self._validated_changes(update))
-        touched = _touched_frontier(new, endpoints, self.touch_radius)
-        self.base = new
+        self.base = self._rebuild(self._validated_changes(update))
         self.version += 1
         if self._hub is not None:
             self._hub.count("graph.delta.updates", 1)
             self._hub.count("graph.delta.edges_changed", update.num_ops)
-            self._hub.count("graph.delta.touched_nodes", int(touched.size))
-        return touched
+        return self.base
 
     def compact(self) -> CSRGraph:
         """The current snapshot — every applied update is already in

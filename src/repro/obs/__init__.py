@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .clock import Stopwatch, monotonic
 from .invariants import check_coverage, check_instance, check_sample
-from .registry import COUNTERS, EVENTS, is_counter, is_event
+from .registry import COUNTERS, EVENTS, SPANS, is_counter, is_event, is_span
 from .telemetry import (
     NULL_TELEMETRY,
     REQUIRED_FIELDS,
@@ -41,6 +41,8 @@ __all__ = [
     "Stopwatch",
     "COUNTERS",
     "EVENTS",
+    "SPANS",
     "is_counter",
     "is_event",
+    "is_span",
 ]

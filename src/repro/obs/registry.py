@@ -7,10 +7,10 @@ engines, so a typo in one engine's counter name silently breaks the
 comparison instead of failing it.  This module pins every name the
 package is allowed to emit; the static-analysis rule ``RPR301``
 (:mod:`repro.checks.rules_telemetry`) rejects any
-``telemetry.count``/``telemetry.event`` call whose literal name is not
-registered here.
+``telemetry.count``/``telemetry.event``/``telemetry.span`` call whose
+literal name is not registered here.
 
-Adding a new counter or event is a two-line change: emit it at the call
+Adding a new counter, event or span is a two-line change: emit it at the call
 site and register it below (with a short comment saying what it
 measures).  The checker keeps the two in lockstep; see
 ``docs/static-analysis.md`` for the workflow.
@@ -18,7 +18,7 @@ measures).  The checker keeps the two in lockstep; see
 
 from __future__ import annotations
 
-__all__ = ["COUNTERS", "EVENTS", "is_counter", "is_event"]
+__all__ = ["COUNTERS", "EVENTS", "SPANS", "is_counter", "is_event", "is_span"]
 
 #: Every monotonic counter name the package may pass to
 #: :meth:`repro.obs.Telemetry.count`.
@@ -39,7 +39,6 @@ COUNTERS: frozenset[str] = frozenset(
         # dynamic graph tier (repro.graph.delta)
         "graph.delta.updates",  # update batches applied to a DeltaGraph
         "graph.delta.edges_changed",  # edge inserts/deletes/reweights applied
-        "graph.delta.touched_nodes",  # touched-frontier nodes reported
         # weighted wavefront kernel (repro.paths.wavefront_weighted)
         "paths.weighted_cohorts",  # weighted cohort draws executed
         "paths.bucket_relaxations",  # delta-stepping level relaxation rounds
@@ -52,7 +51,8 @@ COUNTERS: frozenset[str] = frozenset(
         "session.extend_calls",  # extend() requests served
         "session.checkpoints",  # checkpoints written
         "session.restores",  # checkpoints thawed
-        "store.invalidated",  # stored samples dropped by invalidation
+        "store.invalidated",  # stored samples whose pair a graph update changed
+        "store.redrawn",  # stored samples redrawn in place after an update
         # serving layer (repro.serve daemon)
         "serve.connections",  # client connections accepted
         "serve.requests",  # frames received (queries + control)
@@ -83,6 +83,27 @@ EVENTS: frozenset[str] = frozenset(
 )
 
 
+#: Every literal span name the package may pass to
+#: :meth:`repro.obs.Telemetry.span` (the algorithms' outer spans are
+#: named after the algorithm at run time and are not listed).
+SPANS: frozenset[str] = frozenset(
+    {
+        "draw",  # one engine draw inside SampleEngine.extend
+        "sample",  # one algorithm's extend of a lane
+        "greedy",  # one CELF pass
+        "era",  # CentRa's empirical Rademacher average
+        "adaalg",  # AdaAlg's whole run
+        "centra",  # CentRa's whole run
+        "exhaust",  # EXHAUST's whole run
+        "checkpoint",  # one session checkpoint write
+        "restore",  # one session checkpoint thaw
+        "session.invalidate",  # the exact per-pair test of a graph update
+        "session.redraw",  # the in-place redraws after a graph update
+        "serve.compute",  # one computed daemon query
+    }
+)
+
+
 def is_counter(name: str) -> bool:
     """Whether ``name`` is a registered counter name."""
     return name in COUNTERS
@@ -91,3 +112,8 @@ def is_counter(name: str) -> bool:
 def is_event(name: str) -> bool:
     """Whether ``name`` is a registered event name."""
     return name in EVENTS
+
+
+def is_span(name: str) -> bool:
+    """Whether ``name`` is a registered span name."""
+    return name in SPANS

@@ -30,7 +30,7 @@ from .bfs import bfs_sigma, cohort_neighbors
 from .bidirectional import BidirectionalResult, bidirectional_search
 from .dijkstra import dijkstra_sigma
 from .packed import PackedSamples, PathSample
-from .wavefront import WavefrontResults, wavefront_search
+from .wavefront import DEFAULT_COHORT, WavefrontResults, wavefront_search
 from .wavefront_weighted import wavefront_weighted_search
 
 __all__ = ["PathSample", "PackedSamples", "PathSampler"]
@@ -159,7 +159,7 @@ class PathSampler:
             raise ParameterError("sample count must be non-negative")
         return [self.sample() for _ in range(count)]
 
-    def _draw_pairs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+    def draw_pairs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """``count`` i.i.d. uniform ordered pairs with ``s != t``."""
         n = self.graph.n
         sources = self._rng.integers(0, n, size=count)
@@ -180,7 +180,7 @@ class PathSampler:
         """
         if count < 0:
             raise ParameterError("sample count must be non-negative")
-        sources, targets = self._draw_pairs(count)
+        sources, targets = self.draw_pairs(count)
         return PackedSamples.from_samples(
             self.sample_pair(source, target)
             for source, target in zip(sources.tolist(), targets.tolist())
@@ -218,15 +218,44 @@ class PathSampler:
         """
         if count < 0:
             raise ParameterError("sample count must be non-negative")
+        sources, targets = self.draw_pairs(count)
+        return self.sample_pairs(sources, targets, cohort_size, delta)
+
+    def sample_pairs(
+        self,
+        sources,
+        targets,
+        cohort_size: int | None = None,
+        delta: int | None = None,
+    ) -> PackedSamples:
+        """Draw one uniform shortest path for each *given* ordered pair
+        ``(sources[i], targets[i])`` — the search-and-walk half of
+        :meth:`sample_cohort`, in the same chunks and consuming the
+        generator the same way (the walks' uniforms only).
+
+        A session redraws the samples a graph update invalidated through
+        this: same pair, fresh path on the current graph.
+        """
         if self.method not in ("bidirectional", "dijkstra"):
             raise ParameterError(
                 "cohort sampling requires the 'bidirectional' or "
                 "'dijkstra' method"
             )
-        sources, targets = self._draw_pairs(count)
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        if sources.shape != targets.shape or sources.ndim != 1:
+            raise ParameterError(
+                "sources and targets must be 1-D arrays of equal length"
+            )
+        count = sources.size
         if self.method == "dijkstra":
             packed = self._weighted_cohort(sources, targets, cohort_size, delta)
         else:
+            # one pair of sigma planes serves every chunk: each search
+            # leaves them all-zero.  They are not kept past the call —
+            # a sampler per warm lane would hold them for its lifetime
+            capacity = min(cohort_size or DEFAULT_COHORT, count, _CHUNK)
+            planes = np.zeros((2, max(capacity, 1), self.graph.n))
             packed = PackedSamples.concat([
                 self._walk_cohort(
                     wavefront_search(
@@ -235,6 +264,7 @@ class PathSampler:
                         targets[lo:lo + _CHUNK],
                         cohort_size=cohort_size,
                         frontiers=False,
+                        planes=planes,
                     )
                 )
                 for lo in range(0, count, _CHUNK)

@@ -36,7 +36,9 @@ Memory
 ------
 
 Only the queries in flight hold dense state: two ``(cohort_size, n)``
-float64 sigma planes, where ``0.0`` marks an undiscovered node.  Each
+float64 sigma planes, where ``0.0`` marks an undiscovered node.  A
+caller that searches repeatedly can pass the planes in (``planes=``)
+and keep them across calls: every search leaves them all-zero again.  Each
 slot remembers the nodes it discovered, level by level, so a retiring
 query hands its discovered nodes (with their distance and sigma) to
 the result as *sparse* state and resets exactly those plane entries —
@@ -220,7 +222,9 @@ class _Cohort:
     zeroes exactly those, leaving the row clean for the next query.
     """
 
-    def __init__(self, graph: CSRGraph, capacity: int, out: _Collector):
+    def __init__(
+        self, graph: CSRGraph, capacity: int, out: _Collector, planes: np.ndarray
+    ):
         self.n = graph.n
         self.capacity = capacity
         self.out = out
@@ -229,7 +233,7 @@ class _Cohort:
             (graph.rev_indptr, graph.rev_indices),
         )
         self.degrees = (np.diff(graph.indptr), np.diff(graph.rev_indptr))
-        self.sigma = np.zeros((2, capacity, graph.n))
+        self.sigma = planes
         self.edges = np.zeros((2, capacity), dtype=np.int64)
         self.levels: tuple[list, list] = ([None] * capacity, [None] * capacity)
         #: original query index per slot; -1 marks a free slot
@@ -428,6 +432,7 @@ def wavefront_search(
     targets,
     cohort_size: int | None = None,
     frontiers: bool = True,
+    planes: np.ndarray | None = None,
 ) -> WavefrontResults:
     """Run many balanced bidirectional (s, t) searches, batched.
 
@@ -447,6 +452,11 @@ def wavefront_search(
         Keep each side's outermost level in the sparse state.  The
         sampler's path walk never reads it, and it is most of what a
         search discovers, so the sampler passes ``False``.
+    planes:
+        An all-zero float64 array of shape ``(2, c, n)`` with ``c`` at
+        least the cohort capacity, used as the sigma planes instead of a
+        fresh allocation.  The search leaves it all-zero again unless it
+        raises.
 
     Returns
     -------
@@ -476,7 +486,22 @@ def wavefront_search(
     if cohort_size < 1:
         raise ParameterError(f"cohort_size must be >= 1, got {cohort_size}")
 
-    cohort = _Cohort(graph, min(int(cohort_size), total), out)
+    capacity = min(int(cohort_size), total)
+    if planes is None:
+        planes = np.zeros((2, capacity, n))
+    elif (
+        planes.shape[0] != 2
+        or planes.shape[1] < capacity
+        or planes.shape[2] != n
+        or not planes.flags.c_contiguous
+    ):
+        raise ParameterError(
+            f"planes must be a C-contiguous (2, >={capacity}, {n}) array, "
+            f"got shape {planes.shape}"
+        )
+    # the leading rows of each C-contiguous plane stay contiguous, so the
+    # kernel's flat views write through to the caller's buffer
+    cohort = _Cohort(graph, capacity, out, planes[:, :capacity])
     free = list(range(cohort.capacity - 1, -1, -1))
     admitted = 0
     done = 0

@@ -101,17 +101,15 @@ class ServeClient:
         insert=(),
         delete=(),
         reweight=(),
-        touch_radius: int = 1,
     ) -> dict:
         """Apply an edge delta to a held dataset.
 
         ``insert`` rows are ``(u, v)`` or ``(u, v, w)``, ``delete``
-        rows ``(u, v)``, ``reweight`` rows ``(u, v, w)``;
-        ``touch_radius`` controls the invalidation frontier around
-        each mutated edge (0 = endpoints only).  Returns the server's
-        ``mutated`` summary (touched frontier size, samples
-        invalidated/surviving across warm lanes, new graph version);
-        raises :class:`~repro.exceptions.ServeError` on rejection.
+        rows ``(u, v)``, ``reweight`` rows ``(u, v, w)``.  Returns the
+        server's answer, whose ``mutated`` summary counts the warm-lane
+        samples tested, invalidated (= redrawn in place) and kept
+        surviving, and carries the new graph version; raises
+        :class:`~repro.exceptions.ServeError` on rejection.
         """
         answer = self.request(
             {
@@ -120,7 +118,6 @@ class ServeClient:
                 "insert": [list(map(int, row)) for row in insert],
                 "delete": [list(map(int, row)) for row in delete],
                 "reweight": [list(map(int, row)) for row in reweight],
-                "touch_radius": int(touch_radius),
             }
         )
         if not answer.get("ok"):

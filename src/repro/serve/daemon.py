@@ -34,11 +34,12 @@ Answer paths, cheapest first:
 
 A ``mutate`` op applies an edge delta to a held dataset *in place*:
 the update is rebuilt into a fresh CSR on the compute thread, every warm
-lane of that dataset migrates onto it (invalidating exactly the stored
-paths that traversed the touched frontier, keeping the rest), and the
-dataset's graph version bumps — retiring the superseded generation's
-cache entries, since :class:`~repro.serve.protocol.QueryKey` carries
-the version it was admitted under.
+lane of that dataset migrates onto it (each stored sample whose pair's
+shortest paths or distance changed is redrawn in place for the same
+pair, the rest are kept), and the dataset's graph version bumps —
+retiring the superseded generation's cache entries, since
+:class:`~repro.serve.protocol.QueryKey` carries the version it was
+admitted under.
 
 ``SIGTERM``/``SIGINT`` trigger a graceful drain: stop accepting,
 finish in-flight queries, checkpoint every warm lane to ``--warm-dir``
@@ -229,44 +230,39 @@ class GBCServer:
             result = algorithm.run(graph, key.k)
         return result_payload(result, key.k), reused
 
-    def _apply_mutation(
-        self, dataset: str, update: GraphUpdate, touch_radius: int = 1
-    ) -> dict:
+    def _apply_mutation(self, dataset: str, update: GraphUpdate) -> dict:
         """Apply one edge-delta batch to ``dataset`` (compute thread).
 
         Runs the update through a :class:`~repro.graph.delta.DeltaGraph`
         (validated, then rebuilt once), migrates every warm lane of the
-        dataset onto the new snapshot (invalidating exactly the stored
-        paths that traversed the touched frontier), and swaps the held
-        graph.  Queries queued behind this job on the single compute
-        thread see the new graph; queries ahead of it finished on the
-        old one.
+        dataset onto the new snapshot — each stored sample is tested by
+        its pair, and the stale ones are redrawn in place — and swaps
+        the held graph.  Queries queued
+        behind this job on the single compute thread see the new graph;
+        queries ahead of it finished on the old one.
         """
         graph: CSRGraph = self.config.datasets[dataset]
-        delta = DeltaGraph(
-            graph, touch_radius=touch_radius, telemetry=self.telemetry
-        )
-        touched = delta.apply(update)
+        delta = DeltaGraph(graph, telemetry=self.telemetry)
+        delta.apply(update)
         new_graph = delta.compact()
-        invalidated = surviving = lanes_updated = 0
+        totals = {"tested": 0, "invalidated": 0, "redrawn": 0, "surviving": 0}
+        lanes_updated = 0
         with self._lane_lock:
             lanes = sorted(self._lanes.items())
         for (name, _algorithm, _seed), lane in lanes:
             if name != dataset:
                 continue
-            stats = lane.session.migrate(new_graph, touched)
-            invalidated += stats["invalidated"]
-            surviving += stats["surviving"]
+            stats = lane.session.migrate(new_graph)
+            for key in totals:
+                totals[key] += stats[key]
             lanes_updated += 1
         with self._lane_lock:
             self.config.datasets[dataset] = new_graph
         return {
             "dataset": dataset,
             "ops": int(update.num_ops),
-            "touched": int(touched.size),
             "lanes_updated": lanes_updated,
-            "invalidated": invalidated,
-            "surviving": surviving,
+            **totals,
             "n": int(new_graph.n),
             "m": int(new_graph.num_edges),
         }
@@ -420,9 +416,7 @@ class GBCServer:
         )
         return answer
 
-    async def _serve_mutation(
-        self, dataset: str, update: GraphUpdate, touch_radius: int = 1
-    ) -> dict:
+    async def _serve_mutation(self, dataset: str, update: GraphUpdate) -> dict:
         """Run one admitted ``mutate`` op: apply on the compute thread,
         then retire the superseded generation's cache entries and bump
         the dataset's version (loop thread)."""
@@ -431,7 +425,7 @@ class GBCServer:
         loop = asyncio.get_running_loop()
         mutated = await loop.run_in_executor(
             self._executor,
-            partial(self._apply_mutation, dataset, update, touch_radius),
+            partial(self._apply_mutation, dataset, update),
         )
         # bump only after the compute thread swapped the graph: queries
         # admitted during the mutation were stamped with the old version
@@ -509,10 +503,8 @@ class GBCServer:
             key = parse_request(frame, self.config.datasets, self._versions)
             return await self._serve_query(key)
         if op == "mutate":
-            dataset, update, radius = parse_mutation(
-                frame, self.config.datasets
-            )
-            return await self._serve_mutation(dataset, update, radius)
+            dataset, update = parse_mutation(frame, self.config.datasets)
+            return await self._serve_mutation(dataset, update)
         raise ServeError(
             f"unknown op {op!r}; expected query, ping, stats, or mutate"
         )

@@ -121,31 +121,34 @@ def parse_request(frame: dict, datasets, versions=None) -> QueryKey:
     )
 
 
-def parse_mutation(frame: dict, datasets) -> tuple[str, GraphUpdate, int]:
-    """Validate a ``mutate`` frame; returns
-    ``(dataset, update, touch_radius)``.
+#: The fields a ``mutate`` frame may carry.
+_MUTATE_FIELDS = frozenset({"op", "dataset", "insert", "delete", "reweight"})
+
+
+def parse_mutation(frame: dict, datasets) -> tuple[str, GraphUpdate]:
+    """Validate a ``mutate`` frame; returns ``(dataset, update)``.
 
     The frame carries the ops as JSON lists of edge rows::
 
         {"op": "mutate", "dataset": "...",
          "insert": [[u, v], [u, v, w], ...],
          "delete": [[u, v], ...],
-         "reweight": [[u, v, w], ...],
-         "touch_radius": 1}
+         "reweight": [[u, v, w], ...]}
 
-    ``touch_radius`` (optional, default 1) controls how many hops the
-    touched-node frontier expands around each mutated edge when
-    invalidating warm-lane samples; 0 = endpoints only.  Shape errors
-    (and graph-level validity, checked later against the actual graph)
+    Any other field is refused — among them the invalidation radius
+    older clients sent: which warm-lane samples an update stales is
+    decided exactly, per pair, and nothing tunes it.  Shape errors (and
+    graph-level validity, checked later against the actual graph)
     surface as :class:`~repro.exceptions.ServeError`.
     """
     dataset = _named_dataset(frame, datasets)
-    try:
-        radius = int(frame.get("touch_radius", 1))
-    except (TypeError, ValueError):
-        raise ServeError("touch_radius must be an integer")
-    if radius < 0:
-        raise ServeError("touch_radius must be >= 0")
+    unknown = sorted(set(frame) - _MUTATE_FIELDS)
+    if unknown:
+        raise ServeError(
+            f"mutate frame has unknown field(s) {', '.join(unknown)}; "
+            "invalidation is now exact (each warm sample is tested by its "
+            "pair and redrawn in place), so it takes no parameters"
+        )
     try:
         inserts = [
             (int(row[0]), int(row[1]), int(row[2]) if len(row) >= 3 else 1)
@@ -169,7 +172,7 @@ def parse_mutation(frame: dict, datasets) -> tuple[str, GraphUpdate, int]:
             "mutate frame carries no ops; expected at least one of "
             "insert, delete, or reweight"
         )
-    return dataset, update, radius
+    return dataset, update
 
 
 def build_algorithm(key: QueryKey, *, telemetry=None, debug=False, **engine):

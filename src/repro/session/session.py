@@ -33,9 +33,10 @@ from .._rng import as_generator, spawn
 from ..engine import SampleEngine, create_engine
 from ..exceptions import CheckpointError, ParameterError
 from ..graph.csr import CSRGraph
-from ..obs import as_telemetry
+from ..obs import as_telemetry, check_instance, check_sample
 from ..paths._dispatch import is_weighted
-from .store import SampleStore, _atomic_savez
+from .invalidation import ExactInvalidation
+from .store import SNAPSHOT_FIELDS, SampleStore, _atomic_savez
 
 __all__ = ["SamplingSession", "CHECKPOINT_FORMAT", "CHECKPOINT_VERSION"]
 
@@ -251,10 +252,10 @@ class SamplingSession:
     # ------------------------------------------------------------------
     # dynamic-graph updates
     # ------------------------------------------------------------------
-    def apply_update(self, update, *, touch_radius: int = 1) -> dict:
+    def apply_update(self, update) -> dict:
         """Apply one :class:`~repro.graph.delta.GraphUpdate` to the
-        session's graph and migrate every lane onto the compacted
-        result; returns the :meth:`migrate` stats dict.
+        session's graph and migrate every lane onto the result; returns
+        the :meth:`migrate` stats dict.
 
         The update runs through a fresh
         :class:`~repro.graph.delta.DeltaGraph` (validated op by op,
@@ -263,23 +264,32 @@ class SamplingSession:
         """
         from ..graph.delta import DeltaGraph  # local import avoids a cycle
 
-        delta = DeltaGraph(
-            self.graph, touch_radius=touch_radius, telemetry=self.telemetry
-        )
-        touched = delta.apply(update)
-        return self.migrate(delta.compact(), touched)
+        delta = DeltaGraph(self.graph, telemetry=self.telemetry)
+        delta.apply(update)
+        return self.migrate(delta.compact())
 
-    def migrate(self, new_graph: CSRGraph, touched_nodes) -> dict:
-        """Move the session onto ``new_graph``, invalidating every
-        stored path that traversed ``touched_nodes``.
+    def migrate(self, new_graph: CSRGraph) -> dict:
+        """Move the session onto ``new_graph``, redrawing in place every
+        stored sample whose pair's shortest paths or distance changed.
+
+        Each sample is decided by its pair alone, in one
+        :class:`~repro.session.ExactInvalidation` test over every lane.
+        A stale sample is redrawn for the same pair at the
+        same path id on the new graph, through its lane's
+        :meth:`~repro.engine.SampleEngine.redraw` stream; the rest are
+        kept.  The pool then holds i.i.d. draws of
+        the new graph's law, with no change in size, so nothing needs
+        topping up.  Samples whose pair is unknown — every sample of a
+        checkpoint that predates the stores' pair columns — are always
+        redrawn, each for a fresh pair: such a pool is redrawn whole.
 
         The node universe must be unchanged (the stores index into it
         by id).  Every lane's engine is rebuilt on the new graph from
         the recorded provenance with its RNG state carried over, so the
-        surviving pool plus the continued stream stay bit-identically
+        migrated pool plus the continued stream stay bit-identically
         checkpointable.  Returns a stats dict with the new ``version``,
-        the ``touched`` frontier size, the number of ``invalidated``
-        paths, and the ``surviving`` pool size.
+        the samples ``tested``, the ``invalidated`` (= ``redrawn``)
+        ones, and the ``surviving`` ones kept as they were.
         """
         if new_graph.n != self.graph.n:
             raise ParameterError(
@@ -287,6 +297,16 @@ class SamplingSession:
                 f"({self.graph.n} -> {new_graph.n}); graph updates mutate "
                 "edges, never nodes"
             )
+        invalidation = ExactInvalidation(self.graph, new_graph)
+        telemetry = self.telemetry
+        columns = [store.pairs() for store in self.stores]
+        with telemetry.span("session.invalidate", lanes=self.lanes):
+            # one test over every lane's pairs, then split per lane
+            mask = invalidation.stale(
+                *(np.concatenate(column) for column in zip(*columns))
+            )
+            bounds = np.cumsum([store.num_paths for store in self.stores])[:-1]
+            stale = [np.flatnonzero(part) for part in np.split(mask, bounds)]
         # capture the stream positions first: mid-epoch engines refuse
         # to snapshot, and we must not have torn anything down yet
         rng_states = [engine.rng_state() for engine in self.engines]
@@ -301,11 +321,20 @@ class SamplingSession:
                     include_endpoints=provenance["include_endpoints"],
                     workers=provenance["workers"],
                     epoch_size=provenance["epoch_size"],
-                    telemetry=self.telemetry,
+                    telemetry=telemetry,
                     debug=self.debug,
                 )
                 engine.set_rng_state(child_state)
                 new_engines.append(engine)
+            # redraw before anything is swapped: a failure here leaves
+            # the session on the old graph with its old pool
+            with telemetry.span("session.redraw", samples=sum(map(len, stale))):
+                redrawn = [
+                    engine.redraw(sources[ids], targets[ids])
+                    for engine, (sources, targets, _), ids in zip(
+                        new_engines, columns, stale
+                    )
+                ]
         except BaseException:
             for built in new_engines:
                 built.close()
@@ -316,25 +345,28 @@ class SamplingSession:
         self.graph = new_graph
         self._fingerprint = None
         self.graph_version += 1
-        invalidated = 0
-        for store in self.stores:
-            invalidated += store.invalidate(touched_nodes)
-        touched = np.unique(np.asarray(touched_nodes, dtype=np.int64))
+        for engine, store, ids, samples in zip(
+            new_engines, self.stores, stale, redrawn
+        ):
+            store.replace_samples(ids, samples, engine.include_endpoints)
+            if self.debug:
+                for sample in samples:
+                    check_sample(new_graph, sample)
+                check_instance(store)
+        tested = self.total_samples
+        invalidated = sum(ids.size for ids in stale)
         if invalidated:
-            self.telemetry.count("store.invalidated", invalidated)
-        self.telemetry.event(
-            "session.update",
-            version=self.graph_version,
-            touched=int(touched.size),
-            invalidated=invalidated,
-            surviving=self.total_samples,
-        )
-        return {
+            telemetry.count("store.invalidated", invalidated)
+            telemetry.count("store.redrawn", invalidated)
+        stats = {
             "version": self.graph_version,
-            "touched": int(touched.size),
+            "tested": tested,
             "invalidated": invalidated,
-            "surviving": self.total_samples,
+            "redrawn": invalidated,
+            "surviving": tested - invalidated,
         }
+        telemetry.event("session.update", **stats)
+        return stats
 
     # ------------------------------------------------------------------
     def checkpoint(self, path: str, state: dict | None = None) -> str:
@@ -447,10 +479,10 @@ class SamplingSession:
                             graph.n,
                             {
                                 key: payload[f"lane{lane}_{key}"]
-                                # older checkpoints also carry per-path
-                                # versions/fingerprints, which are ignored
-                                for key in ("flat", "offsets", "degrees",
-                                            "schedule")
+                                # older checkpoints lack the pair columns,
+                                # and may carry per-path versions and
+                                # fingerprints, which are ignored
+                                for key in SNAPSHOT_FIELDS
                                 if f"lane{lane}_{key}" in payload.files
                             },
                             debug=debug,

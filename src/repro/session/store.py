@@ -8,7 +8,9 @@ serializes to a single ``.npz`` snapshot that also carries the engine
 RNG state and provenance needed to resume the stream bit-identically:
 
 * the flat path arrays (``flat``, ``offsets``, ``degrees``) — the
-  append-only sample pool itself;
+  sample pool itself;
+* the per-sample pair columns (``sources``, ``targets``,
+  ``distances``) — what a graph update's exact per-pair test reads;
 * the ``schedule`` of extend targets served so far;
 * a JSON ``meta`` blob: node-universe size, the engine's
   :meth:`~repro.engine.SampleEngine.rng_state`, and the engine
@@ -31,7 +33,7 @@ import tempfile
 import numpy as np
 
 from ..coverage.hypergraph import CoverageInstance
-from ..exceptions import CheckpointError, ParameterError
+from ..exceptions import CheckpointError
 
 __all__ = ["SampleStore", "STORE_FORMAT", "STORE_VERSION"]
 
@@ -90,16 +92,27 @@ def _checked_array(
     return value.astype(dtype, copy=False)
 
 
+#: The per-sample pair columns a store keeps beside the paths.
+PAIR_COLUMNS = ("sources", "targets", "distances")
+
+#: Every array a snapshot may carry (older ones lack the pair columns).
+SNAPSHOT_FIELDS = ("flat", "offsets", "degrees", "schedule", *PAIR_COLUMNS)
+
+
 class SampleStore(CoverageInstance):
-    """An append-only, serializable pool of sampled paths.
+    """A serializable pool of sampled paths and the pairs they were
+    drawn for.
 
     Everything a :class:`~repro.coverage.CoverageInstance` can do, plus
-    the persistence layer described in the module docstring and
-    :meth:`invalidate`, which drops exactly the paths whose node sets
-    intersect a touched-nodes frontier.  The four sampling algorithms
-    operate on stores through a
+    the persistence layer described in the module docstring and the
+    pair columns: the source, target and distance of every sample
+    ingested through :meth:`add_samples` (distance ``-1`` for a null
+    sample).  A path added without its pair (:meth:`add_path`, or a
+    snapshot predating the columns) has source ``-1``: its pair is
+    unknown.  The four sampling algorithms operate on stores through a
     :class:`~repro.session.SamplingSession`, which owns the pairing of
-    each store with the engine whose stream filled it.
+    each store with the engine whose stream filled it and redraws
+    samples in place (:meth:`replace_samples`) when the graph changes.
     """
 
     def __init__(self, num_nodes: int, *, debug: bool = False):
@@ -107,40 +120,42 @@ class SampleStore(CoverageInstance):
         #: Extend targets served so far, in order — the draw schedule
         #: provenance a snapshot carries.
         self.draw_schedule: list[int] = []
+        # rows: PAIR_COLUMNS; columns past what was written read -1
+        self._pairs = np.full((3, 64), -1, dtype=np.int64)
 
-    def invalidate(self, touched_nodes) -> int:
-        """Drop every stored path whose node set intersects
-        ``touched_nodes``; returns the number of paths dropped.
+    def _pair_rows(self, needed: int) -> np.ndarray:
+        """The pair-column buffer, grown to hold ``needed`` samples."""
+        capacity = self._pairs.shape[1]
+        if needed > capacity:
+            grown = np.full((3, max(needed, 2 * capacity)), -1, dtype=np.int64)
+            grown[:, :capacity] = self._pairs
+            self._pairs = grown
+        return self._pairs
 
-        The test is exact: one vectorized membership gather over the
-        flat arrays.  Untouched paths are never dropped.  The draw
-        schedule is reset to the surviving pool size so later extends
-        append monotone targets again.
-        """
-        touched = np.unique(np.asarray(touched_nodes, dtype=np.int64))
-        if touched.size == 0 or self._num_paths == 0:
-            return 0
-        if touched[0] < 0 or touched[-1] >= self.num_nodes:
-            bad = int(touched[0]) if touched[0] < 0 else int(touched[-1])
-            raise ParameterError(
-                f"touched node {bad} outside the 0..{self.num_nodes - 1} "
-                "universe"
-            )
-        mask = np.zeros(self.num_nodes, dtype=bool)
-        mask[touched] = True
-        lengths = np.diff(self._offsets[: self._num_paths + 1])
-        owner = np.repeat(
-            np.arange(self._num_paths, dtype=np.int64), lengths
-        )
-        hit = mask[self._flat[: self._flat_len]]
-        drop = np.zeros(self._num_paths, dtype=bool)
-        drop[owner[hit]] = True
-        dropped = self.remove_paths(drop)
-        if dropped:
-            self.draw_schedule = (
-                [int(self._num_paths)] if self._num_paths else []
-            )
-        return dropped
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(sources, targets, distances)`` of every stored sample, in
+        path-id order (copies; source ``-1`` marks an unknown pair)."""
+        rows = self._pair_rows(self._num_paths)[:, : self._num_paths].copy()
+        return rows[0], rows[1], rows[2]
+
+    def add_samples(self, samples, include_endpoints: bool = True) -> None:
+        """Append a draw's paths and record its pair columns."""
+        first = self._num_paths
+        super().add_samples(samples, include_endpoints)
+        rows = self._pair_rows(self._num_paths)
+        for row, name in enumerate(PAIR_COLUMNS):
+            rows[row, first : self._num_paths] = getattr(samples, name)
+
+    def replace_samples(
+        self, ids, samples, include_endpoints: bool = True
+    ) -> None:
+        """Put ``samples[i]`` at path id ``ids[i]`` (ascending ids): the
+        node sets via :meth:`replace_paths`, and the pair columns."""
+        ids = np.asarray(ids, dtype=np.int64)
+        self.replace_paths(ids, *samples.coverage(include_endpoints))
+        rows = self._pair_rows(self._num_paths)
+        for row, name in enumerate(PAIR_COLUMNS):
+            rows[row, ids] = getattr(samples, name)
 
     # ------------------------------------------------------------------
     def record_extend(self, target: int) -> None:
@@ -161,6 +176,7 @@ class SampleStore(CoverageInstance):
             "offsets": self._offsets[: self._num_paths + 1].copy(),
             "degrees": self._degrees.copy(),
             "schedule": np.asarray(self.draw_schedule, dtype=np.int64),
+            **dict(zip(PAIR_COLUMNS, self.pairs())),
         }
         if self.debug:
             for array in arrays.values():
@@ -176,8 +192,10 @@ class SampleStore(CoverageInstance):
         Every field is validated against the expected dtype family,
         dimensionality, and length before any array is adopted; a
         mismatch raises :class:`~repro.exceptions.CheckpointError`
-        naming the offending field.  The per-path ``versions`` and
-        ``fingerprints`` columns older snapshots carry are ignored.
+        naming the offending field.  The pair columns must match the
+        path count; snapshots without them (older ones) load with every
+        pair unknown, and the per-path ``versions`` and ``fingerprints``
+        columns older snapshots carry are ignored.
         """
         store = cls(int(num_nodes), debug=debug)
         flat = _checked_array(arrays, "flat", np.int64)
@@ -196,6 +214,18 @@ class SampleStore(CoverageInstance):
             arrays, "degrees", np.int64, length=store.num_nodes
         )
         schedule = _checked_array(arrays, "schedule", np.int64, required=False)
+        paired = any(name in arrays for name in PAIR_COLUMNS)
+        pairs = [
+            _checked_array(arrays, name, np.int64, length=num_paths)
+            for name in PAIR_COLUMNS
+            if paired
+        ]
+        for name, column in zip(PAIR_COLUMNS[:2], pairs):
+            if column.size and (column.min() < -1 or column.max() >= store.num_nodes):
+                raise CheckpointError(
+                    f"store snapshot field {name!r}: node ids outside "
+                    f"-1..{store.num_nodes - 1}"
+                )
         capacity = max(64, int(flat.size))
         store._flat = np.empty(capacity, dtype=np.int64)
         store._flat[: flat.size] = flat
@@ -209,6 +239,8 @@ class SampleStore(CoverageInstance):
         store.draw_schedule = (
             [int(t) for t in schedule] if schedule is not None else []
         )
+        if pairs:
+            store._pair_rows(num_paths)[:, :num_paths] = pairs
         return store
 
     # ------------------------------------------------------------------
@@ -257,7 +289,7 @@ class SampleStore(CoverageInstance):
                     )
                 arrays = {
                     key: payload[key]
-                    for key in ("flat", "offsets", "degrees", "schedule")
+                    for key in SNAPSHOT_FIELDS
                     if key in payload.files
                 }
                 store = cls.from_arrays(meta["num_nodes"], arrays)

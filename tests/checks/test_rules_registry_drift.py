@@ -66,6 +66,27 @@ class TestDrift:
         )
         assert findings == []
 
+    def test_unemitted_span_is_drift(self):
+        registry = REGISTRY + 'SPANS = frozenset({"draw", "ghost.span"})\n'
+        emitter = EMITTER + (
+            "\n\ndef timed(hub):\n"
+            '    hub.count("engine.ghost")\n'
+            '    with hub.span("draw"):\n'
+            "        pass\n"
+        )
+        findings = _drift(
+            _records(
+                [
+                    ("mypkg", ROOT),
+                    ("mypkg.obs.registry", registry),
+                    ("mypkg.engine", emitter),
+                ]
+            )
+        )
+        assert [f.rule for f in findings] == ["RPR302"]
+        assert "ghost.span" in findings[0].message
+        assert "SPANS" in findings[0].message
+
     def test_subset_runs_stay_silent(self):
         """Without the package root among the checked modules this is a
         file subset, and a missing emitter proves nothing."""

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.obs import COUNTERS, EVENTS, is_counter, is_event
+from repro.obs import COUNTERS, EVENTS, is_counter, is_event, is_span
 
 def rule_ids_of(findings):
     """The sorted rule-ID list of a findings batch."""
@@ -34,6 +34,36 @@ class TestUnregisteredTelemetryName:
             """,
         )
         assert rule_ids_of(findings) == ["RPR301"]
+
+    def test_triggers_on_unknown_span(self, findings_for):
+        findings = check(
+            findings_for,
+            """
+            def run(self):
+                with self.telemetry.span("session.redraws", samples=3):
+                    pass
+            """,
+        )
+        assert rule_ids_of(findings) == ["RPR301"]
+        assert "span name 'session.redraws'" in findings[0].message
+
+    def test_span_names_registered_or_dynamic(self, findings_for):
+        """Literal span names must be registered; a name computed at
+        run time (the algorithms' outer spans) is left alone."""
+        findings = check(
+            findings_for,
+            """
+            def run(self, telemetry):
+                with telemetry.span("session.invalidate", lanes=2):
+                    pass
+                with telemetry.span("session.redraw", samples=3):
+                    pass
+                with telemetry.span(self.name.lower()):
+                    pass
+            """,
+        )
+        assert findings == []
+        assert is_span("session.invalidate") and is_span("session.redraw")
 
     def test_triggers_on_non_literal_name(self, findings_for):
         findings = check(
@@ -154,7 +184,7 @@ class TestUnregisteredTelemetryName:
         assert len(findings) == 2
 
     def test_dynamic_graph_names_registered(self, findings_for):
-        """The delta / invalidation / mutate names emit
+        """The delta / invalidation / redraw / mutate names emit
         findings-free."""
         findings = check(
             findings_for,
@@ -162,10 +192,10 @@ class TestUnregisteredTelemetryName:
             def run(self, hub):
                 self.telemetry.count("graph.delta.updates", 1)
                 self.telemetry.count("graph.delta.edges_changed", 5)
-                self.telemetry.count("graph.delta.touched_nodes", 12)
                 hub.count("store.invalidated", 40)
+                hub.count("store.redrawn", 40)
                 hub.count("serve.mutations", 1)
-                self.telemetry.event("session.update", touched=12)
+                self.telemetry.event("session.update", tested=500)
                 hub.event("serve.mutate", seconds=0.1)
             """,
             module="repro.graph.delta",
@@ -174,8 +204,8 @@ class TestUnregisteredTelemetryName:
         for name in (
             "graph.delta.updates",
             "graph.delta.edges_changed",
-            "graph.delta.touched_nodes",
             "store.invalidated",
+            "store.redrawn",
             "serve.mutations",
         ):
             assert is_counter(name)

@@ -88,3 +88,53 @@ class TestQueries:
         inst = CoverageInstance(5)
         inst.add_path(np.array([3, 1], dtype=np.int64))
         assert inst.covered_count([1]) == 1
+
+
+class TestReplacePaths:
+    def test_random_replacements_match_rebuilt_instance(self):
+        """Rewriting random paths in place leaves exactly the instance
+        built from scratch with the new node sets: ids, degrees and
+        incidence."""
+        rng = np.random.default_rng(3)
+        paths = [
+            np.unique(rng.choice(30, size=rng.integers(0, 6), replace=False))
+            for _ in range(120)
+        ]
+        inst = CoverageInstance(30)
+        inst.add_paths(paths)
+        inst.covered_count([0])  # build the incidence, so it must go stale
+        for _round in range(3):
+            ids = np.sort(rng.choice(len(paths), size=25, replace=False))
+            fresh = [
+                np.unique(rng.choice(30, size=rng.integers(0, 6), replace=False))
+                for _ in ids
+            ]
+            offsets = np.zeros(ids.size + 1, dtype=np.int64)
+            np.cumsum([p.size for p in fresh], out=offsets[1:])
+            inst.replace_paths(ids, np.concatenate(fresh), offsets)
+            for pid, nodes in zip(ids, fresh):
+                paths[pid] = nodes
+            reference = CoverageInstance(30)
+            reference.add_paths(paths)
+            assert inst.num_paths == len(paths)
+            for pid, nodes in enumerate(paths):
+                assert inst.path(pid).tolist() == nodes.tolist()
+            np.testing.assert_array_equal(inst.degrees(), reference.degrees())
+            for node in range(30):
+                assert inst.paths_through(node) == reference.paths_through(node)
+
+    def test_bad_replacements_rejected(self):
+        inst = CoverageInstance(5)
+        inst.add_paths([[0, 1], [2], [3, 4]])
+        good = (np.array([0, 1]), np.array([0, 1, 2]))
+        for ids, flat, offsets in (
+            (np.array([1, 0]), *good),  # not ascending
+            (np.array([0, 3]), *good),  # out of range
+            (np.array([0, 0]), *good),  # repeated
+            (np.array([0, 1]), np.array([0, 9]), np.array([0, 1, 2])),
+            (np.array([0, 1]), np.array([0, 1]), np.array([0, 2])),
+        ):
+            with pytest.raises(ParameterError):
+                inst.replace_paths(ids, flat, np.asarray(offsets))
+        inst.replace_paths(np.array([], dtype=np.int64), [], np.zeros(1, np.int64))
+        assert [inst.path(i).tolist() for i in range(3)] == [[0, 1], [2], [3, 4]]

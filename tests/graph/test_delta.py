@@ -2,9 +2,10 @@
 
 The load-bearing properties: after any sequence of inserts, deletes,
 and reweights, the snapshot ``compact()`` returns is bit-identical to
-a from-scratch build of the same edge set, the frontier ``apply()``
-returns matches one computed independently from the old and new CSRs,
-and a rejected batch changes nothing.
+a from-scratch build of the same edge set, the arc changes
+``arc_changes()`` reports between two snapshots match ones computed
+independently from their edge sets, and a rejected batch changes
+nothing.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.exceptions import GraphError
 from repro.graph import (
     DeltaGraph,
     GraphUpdate,
+    arc_changes,
     barabasi_albert,
     from_edges,
     from_weighted_edges,
@@ -42,21 +44,34 @@ def _assert_csr_identical(graph, reference):
         np.testing.assert_array_equal(graph.weights, reference.weights)
 
 
-def _reference_frontier(old, new, update, radius):
-    """Breadth-first expansion over Python sets of the old and new
-    adjacency — written independently of the module's vectorized one."""
-    adjacency = {
-        v: {int(x) for x in old.neighbors(v)} | {int(x) for x in new.neighbors(v)}
-        for v in range(old.n)
-    }
-    touched = {int(x) for x in update.inserts[:, :2].ravel()}
-    touched |= {int(x) for x in update.deletes.ravel()}
-    touched |= {int(x) for x in update.reweights[:, :2].ravel()}
-    layer = set(touched)
-    for _ in range(radius):
-        layer = {x for v in layer for x in adjacency[v]} - touched
-        touched |= layer
-    return sorted(touched)
+def _reference_changes(old, new):
+    """``(removed, added)`` as sorted ``(u, v, w)`` lists, from Python
+    dicts of both graphs' arcs — written independently of the module's
+    vectorized diff."""
+
+    def arcs(graph):
+        weights = getattr(graph, "weights", None)
+        return {
+            (u, int(v)): int(weights[graph.indptr[u] + i]) if weights is not None else 1
+            for u in range(graph.n)
+            for i, v in enumerate(graph.neighbors(u))
+        }
+
+    before, after = arcs(old), arcs(new)
+    removed = sorted(
+        (u, v, w) for (u, v), w in before.items() if after.get((u, v), w + 1) > w
+    )
+    added = sorted(
+        (u, v, w) for (u, v), w in after.items() if before.get((u, v), w + 1) > w
+    )
+    return removed, added
+
+
+def _assert_changes_match(old, new):
+    removed, added = arc_changes(old, new)
+    assert (removed.tolist(), added.tolist()) == tuple(
+        [list(row) for row in rows] for rows in _reference_changes(old, new)
+    )
 
 
 class TestGraphUpdate:
@@ -187,7 +202,7 @@ class TestSnapshots:
         base = from_edges([(0, 1)], n=2)
         delta = DeltaGraph(base)
         assert delta.compact() is base
-        assert delta.apply(GraphUpdate.from_ops()).size == 0
+        assert delta.apply(GraphUpdate.from_ops()) is base
         assert delta.compact() is base and delta.version == 0
 
     def test_rejected_batch_leaves_snapshot_unchanged(self):
@@ -214,42 +229,54 @@ class TestSnapshots:
         _assert_csr_identical(delta.compact(), from_edges([(0, 1), (0, 2)], n=3))
 
 
-class TestTouchedFrontier:
-    def test_radius_zero_is_endpoints_only(self):
-        delta = DeltaGraph(
-            from_edges([(0, 1), (1, 2), (2, 3)], n=4), touch_radius=0
+class TestArcChanges:
+    def test_delete_and_insert_split_by_kind(self):
+        """A delete is a removed arc and an insert an added one — both
+        orientations on an undirected graph — and ``apply`` returns the
+        new snapshot."""
+        old = from_edges([(0, 1), (1, 2), (2, 3)], n=4)
+        new = DeltaGraph(old).apply(
+            GraphUpdate.from_ops(inserts=[(0, 3, 1)], deletes=[(1, 2)])
         )
-        touched = delta.apply(GraphUpdate.from_ops(deletes=[(1, 2)]))
-        np.testing.assert_array_equal(touched, [1, 2])
+        removed, added = arc_changes(old, new)
+        assert removed.tolist() == [[1, 2, 1], [2, 1, 1]]
+        assert added.tolist() == [[0, 3, 1], [3, 0, 1]]
 
-    def test_radius_one_covers_pre_and_post_neighborhoods(self):
-        # deleting (1, 2) must still reach 2's old neighbor 3 AND the
-        # endpoints' surviving neighbors
-        delta = DeltaGraph(from_edges([(0, 1), (1, 2), (2, 3)], n=5))
-        touched = delta.apply(GraphUpdate.from_ops(deletes=[(1, 2)]))
-        np.testing.assert_array_equal(touched, [0, 1, 2, 3])
+    def test_reweights_split_by_direction(self):
+        """A heavier arc is removed at its old weight, a lighter one
+        added at its new weight; an unchanged weight is no change."""
+        old = from_weighted_edges([(0, 1, 3), (1, 2, 3), (2, 3, 3)], n=4)
+        new = DeltaGraph(old).apply(
+            GraphUpdate.from_ops(reweights=[(0, 1, 5), (1, 2, 1), (2, 3, 3)])
+        )
+        removed, added = arc_changes(old, new)
+        assert removed.tolist() == [[0, 1, 3], [1, 0, 3]]
+        assert added.tolist() == [[1, 2, 1], [2, 1, 1]]
+        assert [rows.size for rows in arc_changes(old, old)] == [0, 0]
 
-    def test_directed_frontier_follows_out_rows(self):
+    def test_directed_changes_keep_orientation(self):
         graph = from_edges([(0, 1), (1, 2), (3, 1)], n=5, directed=True)
-        delta = DeltaGraph(graph, touch_radius=2)
-        update = GraphUpdate.from_ops(inserts=[(1, 4, 1)])
-        touched = delta.apply(update)
-        assert touched.tolist() == _reference_frontier(
-            graph, delta.compact(), update, 2
+        new = DeltaGraph(graph).apply(
+            GraphUpdate.from_ops(inserts=[(1, 4, 1)], deletes=[(3, 1)])
         )
-        assert touched.tolist() == [1, 2, 4]
+        removed, added = arc_changes(graph, new)
+        assert removed.tolist() == [[3, 1, 1]]
+        assert added.tolist() == [[1, 4, 1]]
+        _assert_changes_match(graph, new)
+        with pytest.raises(GraphError, match="node universes"):
+            arc_changes(graph, from_edges([(0, 1)], n=4, directed=True))
 
 
 class TestRandomSequencesMatchFromScratch:
     """The property: after every ``apply``, the snapshot equals a
-    from-scratch rebuild and the frontier equals the reference."""
+    from-scratch rebuild and the arc changes equal the reference."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_unweighted_random_sequence(self, seed):
-        for radius in (0, 1, 2):
-            rng = np.random.default_rng(seed)
+        for repeat in range(3):
+            rng = np.random.default_rng([seed, repeat])
             base = barabasi_albert(40, 2, seed=seed)
-            delta = DeltaGraph(base, touch_radius=radius, telemetry=Telemetry())
+            delta = DeltaGraph(base, telemetry=Telemetry())
             edges = _edge_set(base)
             for _round in range(6):
                 inserts, deletes = [], []
@@ -267,18 +294,16 @@ class TestRandomSequencesMatchFromScratch:
                         inserts.append((int(u), int(v), 1))
                 update = GraphUpdate.from_ops(inserts, deletes)
                 old = delta.compact()
-                touched = delta.apply(update)
-                new = delta.compact()
+                new = delta.apply(update)
+                assert new is delta.compact()
                 _assert_csr_identical(new, from_edges(sorted(edges), n=40))
-                assert touched.tolist() == _reference_frontier(
-                    old, new, update, radius
-                )
+                _assert_changes_match(old, new)
             assert delta.version == 6
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_weighted_random_sequence(self, seed):
-        for radius in (0, 1, 2):
-            rng = np.random.default_rng(100 + seed)
+        for repeat in range(3):
+            rng = np.random.default_rng([100 + seed, repeat])
             weights = {}
             for _ in range(60):
                 u, v = sorted(rng.choice(25, size=2, replace=False))
@@ -286,7 +311,7 @@ class TestRandomSequencesMatchFromScratch:
             base = from_weighted_edges(
                 [(u, v, w) for (u, v), w in sorted(weights.items())], n=25
             )
-            delta = DeltaGraph(base, touch_radius=radius)
+            delta = DeltaGraph(base)
             for _round in range(5):
                 inserts, deletes, reweights = [], [], []
                 for _ in range(rng.integers(1, 4)):
@@ -308,15 +333,12 @@ class TestRandomSequencesMatchFromScratch:
                         inserts.append((int(u), int(v), weights[(u, v)]))
                 update = GraphUpdate.from_ops(inserts, deletes, reweights)
                 old = delta.compact()
-                touched = delta.apply(update)
-                new = delta.compact()
+                new = delta.apply(update)
                 reference = from_weighted_edges(
                     [(u, v, w) for (u, v), w in sorted(weights.items())], n=25
                 )
                 _assert_csr_identical(new, reference)
-                assert touched.tolist() == _reference_frontier(
-                    old, new, update, radius
-                )
+                _assert_changes_match(old, new)
 
     def test_weighted_reweight_guards(self):
         base = from_weighted_edges([(0, 1, 3)], n=3)
@@ -338,4 +360,3 @@ class TestTelemetry:
         delta.compact()
         assert hub.counters["graph.delta.updates"] == 1
         assert hub.counters["graph.delta.edges_changed"] == 1
-        assert hub.counters["graph.delta.touched_nodes"] > 0

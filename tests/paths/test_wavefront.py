@@ -131,6 +131,30 @@ class TestCohortEdgeCases:
                 grid3x3, np.array([0]), np.array([5]), cohort_size=0
             )
 
+    def test_caller_planes_shared_and_left_clean(self):
+        """Sigma planes passed in serve call after call: the results
+        match fresh planes, and every search leaves them all-zero."""
+        graph = barabasi_albert(80, 2, seed=5)
+        rng = np.random.default_rng(6)
+        planes = np.zeros((2, 12, graph.n))
+        for cohort_size in (12, 5):
+            sources, targets = _random_pairs(rng, graph.n, 40)
+            shared = wavefront_search(
+                graph, sources, targets, cohort_size=cohort_size, planes=planes
+            )
+            fresh = wavefront_search(graph, sources, targets, cohort_size=cohort_size)
+            assert not planes.any()
+            for name in ("distance", "sigma_st", "edges", "cut_nodes"):
+                np.testing.assert_array_equal(
+                    getattr(shared, name), getattr(fresh, name)
+                )
+        for bad in (np.zeros((2, 4, graph.n)), np.zeros((2, 12, graph.n + 1)),
+                    np.zeros((2, graph.n, 12)).transpose(0, 2, 1)):
+            with pytest.raises(ParameterError, match="planes"):
+                wavefront_search(
+                    graph, sources, targets, cohort_size=12, planes=bad
+                )
+
 
 class TestScalarRangeValidation:
     """Satellite: bad ids raise ParameterError, never IndexError."""
@@ -166,6 +190,27 @@ class TestSamplerCrossKernel:
                 assert np.array_equal(a.nodes, b.nodes)
                 assert a.sigma_st == b.sigma_st
                 assert a.edges_explored == b.edges_explored
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_sample_pairs_is_the_cohort_draw_after_its_pairs(self, weighted):
+        """``sample_cohort(count)`` is ``draw_pairs(count)`` followed by
+        ``sample_pairs`` on them — across chunk boundaries too."""
+        from repro.graph import from_weighted_edges
+        from repro.paths import PathSampler
+
+        graph = barabasi_albert(150, 2, seed=8)
+        if weighted:
+            rng = np.random.default_rng(1)
+            graph = from_weighted_edges(
+                [(u, v, int(rng.integers(1, 4))) for u, v in graph.edges()],
+                n=graph.n,
+            )
+        count = 80 if weighted else 600
+        cohort = PathSampler(graph, seed=3).sample_cohort(count)
+        split = PathSampler(graph, seed=3)
+        pairs = split.sample_pairs(*split.draw_pairs(count))
+        for name in ("sources", "targets", "distances", "sigmas", "nodes", "offsets"):
+            np.testing.assert_array_equal(getattr(pairs, name), getattr(cohort, name))
 
     def test_cohort_requires_bidirectional(self, grid3x3):
         from repro.paths import PathSampler

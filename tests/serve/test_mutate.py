@@ -2,8 +2,9 @@
 
 The headline contract: after a mutation, a re-issued query must return
 the same group as a cold single-shot run on the compacted post-delta
-graph — the daemon is allowed to reuse surviving samples, never to
-serve a stale cached answer.
+graph — the daemon reuses the warm samples whose pairs the delta left
+alone and redraws the rest in place, and never serves a stale cached
+answer.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _config(graph, **overrides) -> ServerConfig:
 
 class TestParseMutation:
     def test_parses_all_three_op_kinds(self, ba60):
-        dataset, update, radius = parse_mutation(
+        dataset, update = parse_mutation(
             {
                 "dataset": "ba",
                 "insert": [[0, 55], [1, 56, 3]],
@@ -89,7 +90,6 @@ class TestParseMutation:
         )
         assert dataset == "ba"
         assert update.num_ops == 4
-        assert radius == 1
 
     def test_empty_frame_rejected(self, ba60):
         with pytest.raises(ServeError, match="no ops"):
@@ -102,13 +102,14 @@ class TestParseMutation:
             )
 
     def test_touch_radius_validated(self, ba60):
+        """The removed invalidation-radius field is refused, whatever
+        its value, with a message saying invalidation is exact."""
         frame = {"dataset": "ba", "insert": [[0, 1]]}
-        _, _, radius = parse_mutation({**frame, "touch_radius": 0}, {"ba": ba60})
-        assert radius == 0
-        with pytest.raises(ServeError, match="touch_radius"):
-            parse_mutation({**frame, "touch_radius": -1}, {"ba": ba60})
-        with pytest.raises(ServeError, match="touch_radius"):
-            parse_mutation({**frame, "touch_radius": "wide"}, {"ba": ba60})
+        for radius in (0, 1, "wide"):
+            with pytest.raises(ServeError, match="touch_radius.*exact"):
+                parse_mutation({**frame, "touch_radius": radius}, {"ba": ba60})
+        with pytest.raises(ServeError, match="unknown field"):
+            parse_mutation({**frame, "radius": 1}, {"ba": ba60})
 
     def test_unknown_dataset_rejected(self, ba60):
         with pytest.raises(ServeError):
@@ -158,7 +159,11 @@ class TestMutateEndToEnd:
             assert mutated["dataset"] == "ba"
             assert mutated["ops"] == 3  # undirected delete counts one op each
             assert mutated["version"] == 1
-            assert mutated["touched"] > 0
+            assert "touched" not in mutated
+            assert mutated["tested"] == (
+                mutated["invalidated"] + mutated["surviving"]
+            )
+            assert mutated["redrawn"] == mutated["invalidated"]
             assert mutated["n"] == compacted.num_nodes
             assert mutated["m"] == compacted.num_edges
             assert mutated["cache_evicted"] == 1
@@ -181,8 +186,13 @@ class TestMutateEndToEnd:
 
             mutated = answer["mutated"]
             assert mutated["lanes_updated"] >= 1
-            assert mutated["invalidated"] + mutated["surviving"] > 0
+            assert mutated["invalidated"] > 0 and mutated["surviving"] > 0
+            assert mutated["tested"] == (
+                mutated["invalidated"] + mutated["surviving"]
+            )
             assert after["served"]["source"] == "computed"
+            # the pool was kept at size: the requery reuses all of it
+            assert after["served"]["samples_reused"] == mutated["tested"]
             assert after["result"]["converged"]
 
     def test_mutate_unknown_dataset_is_client_error(self, ba60):

@@ -1,10 +1,9 @@
-"""Dynamic-graph tests: sample invalidation and incremental re-solve.
+"""Dynamic-graph tests: exact sample invalidation and re-solve.
 
-Covers the store's exact invalidation semantics, session migration
-across all four engines, the checkpoint/resume behaviour of a mutated
-pool, and the headline equivalence contract: mutate → requery returns
-the same group as a cold run on the compacted graph at equal sample
-count.
+Covers the exact per-pair invalidation test, session migration across
+both engines (stale samples redrawn in place), the checkpoint/resume
+behaviour of a mutated pool, and the equivalence contract: mutate →
+requery returns the same group as a cold run on the mutated graph.
 """
 
 from __future__ import annotations
@@ -13,9 +12,17 @@ import numpy as np
 import pytest
 
 from repro.algorithms import AdaAlg, CentRa, Exhaust, Hedge
-from repro.exceptions import ParameterError
-from repro.graph import DeltaGraph, GraphUpdate, barabasi_albert
-from repro.session import SampleStore, SamplingSession
+from repro.exceptions import CheckpointError, ParameterError
+from repro.graph import (
+    DeltaGraph,
+    GraphUpdate,
+    barabasi_albert,
+    from_edges,
+)
+from repro.paths.bfs import bfs_distances
+from repro.session import ExactInvalidation, SampleStore, SamplingSession
+
+from brute_force import path_length, random_graph, random_update, shortest_path_sets
 
 
 def _first_edge(graph, u=0):
@@ -52,74 +59,106 @@ def _one_percent_update(graph, rng):
     return GraphUpdate.from_ops(inserts, deletes)
 
 
+def _stale(old, new, pairs):
+    """``ExactInvalidation.stale`` over hand-written ``(s, t)`` pairs,
+    with their distances on ``old``."""
+    sources = np.array([s for s, _ in pairs], dtype=np.int64)
+    targets = np.array([t for _, t in pairs], dtype=np.int64)
+    distances = np.array(
+        [bfs_distances(old, s)[t] for s, t in pairs], dtype=np.int64
+    )
+    return ExactInvalidation(old, new).stale(sources, targets, distances).tolist()
+
+
 class TestStoreInvalidation:
+    """The exact per-pair test, on hand-built changes."""
+
     def test_drops_exactly_intersecting_paths(self):
-        store = SampleStore(10)
-        paths = [(0, 1, 2), (3, 4), (5, 6, 7), (2, 8)]
-        for path in paths:
-            store.add_path(np.asarray(path, dtype=np.int64))
-        dropped = store.invalidate([2])
-        assert dropped == 2
-        assert store.num_paths == 2
-        # survivors are exactly the paths avoiding node 2, order kept
-        assert store.covered_count([3]) == 1
-        assert store.covered_count([5]) == 1
-        assert store.covered_count([0]) == 0
+        """Deleting an edge stales exactly the pairs with a shortest
+        path through it."""
+        old = from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 3)], n=6)
+        new = DeltaGraph(old).apply(GraphUpdate.from_ops(deletes=[(1, 2)]))
+        pairs = [(0, 2), (1, 2), (1, 3), (2, 1), (0, 3), (0, 1), (2, 3), (3, 4)]
+        # 0-1-2-3 (length 3) never was a shortest 0->3 path: 0-5-3 is
+        assert _stale(old, new, pairs) == [
+            True, True, True, True, False, False, False, False
+        ]
 
     def test_untouched_frontier_drops_nothing(self):
+        """A change on no pool pair's shortest paths stales nothing —
+        not even a pair whose paths pass next to it."""
+        # triangle 0-1-2 and a 4-cycle 3-4-5-6
+        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 3)]
+        old = from_edges(edges, n=7)
+        new = DeltaGraph(old).apply(GraphUpdate.from_ops(deletes=[(5, 6)]))
+        untouched = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (3, 6)]
+        assert _stale(old, new, untouched) == [False] * len(untouched)
+        # and the pairs it does change are caught
+        assert _stale(old, new, [(3, 5), (4, 6), (5, 6)]) == [True, True, True]
+
+    def test_pairs_sharing_nodes_decided_by_pair(self):
+        """Two samples through the same nodes are decided by their own
+        pairs: on a 6-cycle, deleting 2-3 reroutes 1->3 but leaves
+        0->2 (path 0-1-2, sharing nodes 1 and 2) alone."""
+        old = from_edges([(i, (i + 1) % 6) for i in range(6)], n=6)
+        new = DeltaGraph(old).apply(GraphUpdate.from_ops(deletes=[(2, 3)]))
+        assert _stale(old, new, [(0, 2), (1, 3)]) == [False, True]
+
+    def test_out_of_range_pair_columns_rejected(self):
         store = SampleStore(10)
         store.add_path(np.asarray([0, 1], dtype=np.int64))
-        assert store.invalidate([9]) == 0
-        assert store.invalidate([]) == 0
-        assert store.num_paths == 1
+        arrays = store.export_arrays()
+        for bad in ({"sources": np.asarray([10])}, {"targets": np.asarray([-2])},
+                    {"distances": np.asarray([1, 1])}):
+            with pytest.raises(CheckpointError):
+                SampleStore.from_arrays(10, {**arrays, **bad})
 
-    def test_bloom_collisions_stay_exact(self):
-        # nodes 3 and 67 share fingerprint bit 3 (mod 64): the packed
-        # word alone cannot separate them, the exact pass must
-        store = SampleStore(128)
-        store.add_path(np.asarray([3, 10], dtype=np.int64))
-        store.add_path(np.asarray([67, 20], dtype=np.int64))
-        assert store.invalidate([3]) == 1
-        assert store.num_paths == 1
-        assert store.covered_count([67]) == 1
-
-    def test_out_of_range_frontier_rejected(self):
-        store = SampleStore(10)
-        store.add_path(np.asarray([0, 1], dtype=np.int64))
-        with pytest.raises(ParameterError):
-            store.invalidate([10])
-        with pytest.raises(ParameterError):
-            store.invalidate([-1])
-
-    def test_schedule_reset_to_surviving_pool(self):
-        store = SampleStore(10)
-        for path in ((0, 1), (2, 3), (4, 5)):
-            store.add_path(np.asarray(path, dtype=np.int64))
-        store.record_extend(3)
-        store.invalidate([0])
-        assert store.draw_schedule == [2]
-        store.invalidate([2, 4])
-        assert store.draw_schedule == []
+    def test_migrate_keeps_pool_size_ids_and_schedule(self):
+        """A migration rewrites stale samples at their own ids: the pool
+        size, the draw schedule and every kept sample stay put."""
+        graph = barabasi_albert(60, 2, seed=3)
+        with SamplingSession(graph, seed=5) as sess:
+            sess.extend(200)
+            store = sess.store(0)
+            before = [store.path(i).tolist() for i in range(store.num_paths)]
+            pairs_before = store.pairs()
+            schedule = list(store.draw_schedule)
+            u, v = _first_edge(graph)
+            update = GraphUpdate.from_ops(deletes=[(u, v)])
+            stale = ExactInvalidation(
+                graph, DeltaGraph(graph).apply(update)
+            ).stale(*pairs_before)
+            stats = sess.apply_update(update)
+            assert stats["invalidated"] == int(stale.sum()) > 0
+            assert store.num_paths == 200
+            assert store.draw_schedule == schedule
+            for i in np.flatnonzero(~stale):
+                assert store.path(int(i)).tolist() == before[i]
+            np.testing.assert_array_equal(store.pairs()[0], pairs_before[0])
+            np.testing.assert_array_equal(store.pairs()[1], pairs_before[1])
 
     def test_random_invalidation_matches_reference(self):
-        rng = np.random.default_rng(7)
-        store = SampleStore(200)
-        paths = []
-        for _ in range(300):
-            length = int(rng.integers(1, 8))
-            path = rng.choice(200, size=length, replace=False)
-            paths.append(set(int(v) for v in path))
-            store.add_path(np.sort(path).astype(np.int64))
-        touched = rng.choice(200, size=11, replace=False)
-        frontier = set(int(v) for v in touched)
-        expected_survivors = [p for p in paths if not (p & frontier)]
-        dropped = store.invalidate(touched)
-        assert dropped == len(paths) - len(expected_survivors)
-        assert store.num_paths == len(expected_survivors)
-        # surviving incidence matches the reference sets exactly
-        for node in range(200):
-            expected = sum(1 for p in expected_survivors if node in p)
-            assert store.covered_count([node]) == expected
+        """On random small graphs and mixed deltas, the test stales
+        exactly the pairs whose brute-force shortest-path set or
+        distance changed — directed, undirected and weighted."""
+        for seed, (directed, weighted) in enumerate(
+            [(False, False), (True, False), (False, True), (True, True)]
+        ):
+            rng = np.random.default_rng(seed)
+            old = random_graph(rng, 11, 20, directed, weighted)
+            new = DeltaGraph(old).apply(random_update(rng, old, 4))
+            before, after = shortest_path_sets(old), shortest_path_sets(new)
+            pairs = sorted(before)
+            sources = np.array([s for s, _ in pairs])
+            targets = np.array([t for _, t in pairs])
+            distances = np.array([path_length(old, before[p]) for p in pairs])
+            stale = ExactInvalidation(old, new).stale(sources, targets, distances)
+            expected = [
+                (before[p], distances[i]) != (after[p], path_length(new, after[p]))
+                for i, p in enumerate(pairs)
+            ]
+            assert stale.tolist() == expected
+            assert any(expected) and not all(expected)
 
     def test_legacy_provenance_columns_ignored(self):
         """Snapshots that still carry the per-path ``versions`` and
@@ -128,7 +167,10 @@ class TestStoreInvalidation:
         store.add_path(np.asarray([0, 1], dtype=np.int64))
         store.add_path(np.asarray([2, 3], dtype=np.int64))
         arrays = store.export_arrays()
-        assert sorted(arrays) == ["degrees", "flat", "offsets", "schedule"]
+        assert sorted(arrays) == [
+            "degrees", "distances", "flat", "offsets", "schedule", "sources",
+            "targets",
+        ]
         legacy = dict(
             arrays,
             versions=np.asarray([0, 3], dtype=np.int64),
@@ -144,7 +186,7 @@ class TestSessionMigration:
     def test_migrate_rejects_node_universe_change(self):
         with SamplingSession(barabasi_albert(30, 2, seed=0), seed=1) as sess:
             with pytest.raises(ParameterError, match="node universes"):
-                sess.migrate(barabasi_albert(31, 2, seed=0), [0])
+                sess.migrate(barabasi_albert(31, 2, seed=0))
 
     def test_apply_update_invalidates_and_bumps_version(self):
         graph = barabasi_albert(60, 2, seed=3)
@@ -154,8 +196,8 @@ class TestSessionMigration:
             u, v = _first_edge(graph)
             stats = sess.apply_update(GraphUpdate.from_ops(deletes=[(u, v)]))
             assert stats["version"] == 1 == sess.graph_version
-            assert stats["invalidated"] > 0
-            assert stats["surviving"] == sess.total_samples
+            assert stats["invalidated"] == stats["redrawn"] > 0
+            assert stats["tested"] == sess.total_samples == 80
             assert stats["invalidated"] + stats["surviving"] == 80
             assert sess.graph is not graph
             assert sess.graph.num_edges == graph.num_edges - 1
@@ -208,11 +250,10 @@ def _equivalence_case(
 
     The group (and convergence verdict) must match; a
     ``samples_tolerance`` additionally pins the sample count to within
-    that slack — structural for EXHAUST's fixed budget (0 exactly,
-    except the epoch engine's round-up-to-epoch-boundary, where one
-    epoch of slack is inherent: the surviving pool size is not an
-    epoch multiple).  The adaptive stopping rules may legitimately
-    halt at a different schedule entry on a different stream.
+    that slack — structural for EXHAUST's fixed budget (0 for the
+    serial engine; the epoch engine rounds extends up to an epoch
+    boundary).  The adaptive stopping rules may legitimately halt at a
+    different schedule entry on a different stream.
     """
     graph = barabasi_albert(60, 2, seed=3)
     rng = np.random.default_rng(11)
@@ -319,14 +360,13 @@ class TestEquivalenceContract:
         assert resumed.num_samples == warm.num_samples
 
     def test_reuse_fraction_is_substantial(self):
-        """A 1%-edge delta keeps well over 40% of the pool warm at
-        touch radius 0 (endpoint-only invalidation)."""
+        """A 1%-edge delta leaves the pairs of well over 80% of the pool
+        untouched, and exactly those samples are kept."""
         graph = barabasi_albert(200, 2, seed=3)
         rng = np.random.default_rng(5)
         update = _one_percent_update(graph, rng)
         with SamplingSession(graph, seed=7) as sess:
             sess.extend(500)
-            delta = DeltaGraph(graph, touch_radius=0)
-            touched = delta.apply(update)
-            stats = sess.migrate(delta.compact(), touched)
-        assert stats["surviving"] / 500 >= 0.4
+            stats = sess.apply_update(update)
+        assert stats["tested"] == 500
+        assert stats["surviving"] / 500 >= 0.8

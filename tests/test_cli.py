@@ -363,8 +363,12 @@ class TestMutateCommand:
         args = build_parser().parse_args(
             ["mutate", "d.txt", "--checkpoint", "c", "--out", "g"]
         )
-        assert args.touch_radius == 1
+        assert not hasattr(args, "touch_radius")
         assert args.checkpoint_out is None
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["mutate", "d.txt", "--graph-dir", "g", "--touch-radius", "1"]
+            )
 
     def test_graph_dir_mode_matches_overlay(self, tmp_path, capsys):
         from repro.graph import (
@@ -409,7 +413,8 @@ class TestMutateCommand:
                      "--out", gdir])
         assert code == 0
         out = capsys.readouterr().out
-        assert "invalidated" in out
+        assert "invalidated and redrawn" in out
+        assert "touched" not in out
 
         warm = tmp_path / "warm.json"
         assert main(["resume", str(ck), "--json", str(warm)]) == 0
