@@ -17,9 +17,9 @@ Usage::
 
 The CI gates:
 
-* epoch engine — ``--metric speedup_epoch_vs_batch_w4 --workload-keys
-  n m targets epoch_size seed``;
-* weighted wavefront — ``--metric speedup_wavefront_vs_grouped
+* worker fan-out — ``--metric speedup_epoch_vs_serial_w2
+  --workload-keys n m targets seed``;
+* weighted wavefront — ``--metric speedup_wavefront_vs_scalar
   --workload-keys n m draws max_weight seed``;
 * dynamic graphs — ``--metric reuse_fraction --workload-keys n m pool
   delta_fraction seed --floor 0.80``.

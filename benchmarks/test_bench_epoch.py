@@ -1,26 +1,29 @@
-"""Epoch-engine benchmark: persistent epoch loops vs in-process draws.
+"""Worker fan-out benchmark: persistent worker loops vs in-process draws.
 
 Times the *stopping-rule workload* — a geometric ``extend`` schedule
 against a growing :class:`~repro.coverage.CoverageInstance`, the access
 pattern of every sampling algorithm in the package — through:
 
-* ``serial`` (in-process, the single-core floor);
-* ``epoch`` at 1 and 4 workers — persistent workers, one packed-array
-  pickle per epoch, vectorized coverage ingestion, speculative
-  lookahead across the extend boundaries.
+* ``workers=0`` (the in-process serial engine, the single-core floor);
+* ``workers=1`` and ``workers=2`` (the epoch engine) — persistent
+  workers, one packed-array pickle per index-range ticket.
 
-Every configuration draws the same number of samples (the epoch size
-divides every target, so the round-up lands exactly).  The performance
-assertion only runs on strict presets (bench+): at smoke scale every
-configuration finishes in well under a second, so the ratios are pure
-startup-and-scheduler noise — smoke checks mechanics, not speed.  Rows
-with more workers than ``cpu_count`` (recorded in the meta) measure
-oversubscription, not the engine.
+Every configuration draws exactly the same samples (sample ``i`` is a
+pure function of the seed and ``i``).  Each configuration runs
+``_REPEATS`` times from a cold engine (worker startup included),
+interleaved with the others, and records its fastest run.  The
+performance assertion only
+runs on strict presets (bench+): at smoke scale every configuration
+finishes in well under a second, so the ratios are pure
+startup-and-scheduler noise — smoke checks mechanics, not speed.  The
+gated row, ``workers=2``, uses no more workers than a 2-vCPU host has
+cores; rows with more workers than ``cpu_count`` (recorded in the
+meta) would measure oversubscription, not the engine.
 
 Results land in ``benchmarks/results/bench_epoch.json``; the CI
 regression gate (``benchmarks/check_regression.py``) compares a
 fresh bench-preset run against the checked-in artifact and fails on a
->25% regression of the ``speedup_epoch_vs_serial_w4`` ratio.
+>25% regression of the ``speedup_epoch_vs_serial_w2`` ratio.
 """
 
 from __future__ import annotations
@@ -45,49 +48,43 @@ _SCALE = {
 
 _SEED = 20250807
 
-#: Samples per epoch — divides every target above, so every extend
-#: lands exactly on its requested size for all engines alike.
-_EPOCH_SIZE = 400
-
 #: (engine, workers); the serial engine never starts workers.
 _CONFIGS = [
     ("serial", 0),
     ("epoch", 1),
-    ("epoch", 4),
+    ("epoch", 2),
 ]
+
+
+#: Cold runs per configuration, interleaved; the fastest is recorded.
+#: On a shared 2-vCPU host a single cold run of a fresh worker pool
+#: swings by +-40% (first-touch page faults in new processes, host
+#: noise), which a single-run ratio cannot tell from a regression.
+_REPEATS = 3
 
 
 def _run_epoch_bench(preset_name):
     n, m, targets = _SCALE[preset_name]
     graph = barabasi_albert(n, m, seed=_SEED)
+    seconds = {config: [] for config in _CONFIGS}
+    last = {}
+    for _ in range(_REPEATS):
+        for engine_name, workers in _CONFIGS:
+            instance = CoverageInstance(graph.n)
+            with create_engine(graph, seed=_SEED, workers=workers) as engine:
+                assert engine.name == engine_name
+                start = time.perf_counter()
+                for target in targets:
+                    engine.extend(instance, target)
+                seconds[(engine_name, workers)].append(time.perf_counter() - start)
+                last[(engine_name, workers)] = (engine.stats, instance.num_paths)
+    best = {config: min(times) for config, times in seconds.items()}
     rows = []
-    seconds = {}
-    for engine_name, workers in _CONFIGS:
-        instance = CoverageInstance(graph.n)
-        with create_engine(
-            engine_name,
-            graph,
-            seed=_SEED,
-            workers=workers,
-            epoch_size=_EPOCH_SIZE,
-        ) as engine:
-            start = time.perf_counter()
-            for target in targets:
-                engine.extend(instance, target)
-            elapsed = time.perf_counter() - start
-            stats = engine.stats
-        seconds[(engine_name, workers)] = elapsed
+    for config in _CONFIGS:
+        stats, paths = last[config]
         rows.append(
-            [
-                engine_name,
-                workers,
-                stats.workers,
-                instance.num_paths,
-                stats.batches,
-                stats.dispatches,
-                stats.pool_startups,
-                round(elapsed, 4),
-            ]
+            [*config, stats.workers, paths, stats.batches, stats.pool_startups,
+             round(best[config], 4)]
         )
     return FigureResult(
         name="Bench: epoch",
@@ -98,7 +95,6 @@ def _run_epoch_bench(preset_name):
             "live_workers",
             "paths",
             "batches",
-            "dispatches",
             "pool_startups",
             "seconds",
         ],
@@ -109,12 +105,12 @@ def _run_epoch_bench(preset_name):
             "n": n,
             "m": m,
             "targets": targets,
-            "epoch_size": _EPOCH_SIZE,
+            "repeats": _REPEATS,
             "speedup_epoch_vs_serial_w1": round(
-                seconds[("serial", 0)] / seconds[("epoch", 1)], 4
+                best[("serial", 0)] / best[("epoch", 1)], 4
             ),
-            "speedup_epoch_vs_serial_w4": round(
-                seconds[("serial", 0)] / seconds[("epoch", 4)], 4
+            "speedup_epoch_vs_serial_w2": round(
+                best[("serial", 0)] / best[("epoch", 2)], 4
             ),
         },
     )
@@ -128,24 +124,20 @@ def test_epoch_vs_serial(benchmark, preset_name, strict_shapes):
     by_config = {(row[0], row[1]): row for row in figure.rows}
     final = _SCALE[preset_name][2][-1]
 
-    # identical workload everywhere: the epoch size divides every
-    # target, so all three configurations hold exactly `final` paths
+    # identical workload everywhere: every configuration holds
+    # exactly `final` paths
     for (name, workers), row in by_config.items():
         assert row[3] == final, f"{name}@{workers}: {row[3]} of {final} paths"
 
     # the persistent pool starts exactly once per run
-    for workers in (1, 4):
-        assert by_config[("epoch", workers)][6] <= 1
-        # speculation dispatches at least one ticket per ingested epoch
-        epoch_row = by_config[("epoch", workers)]
-        if epoch_row[2] > 0:  # live workers (not a sandboxed fallback)
-            assert epoch_row[5] >= epoch_row[4]
+    for workers in (1, 2):
+        assert by_config[("epoch", workers)][5] <= 1
 
-    # at scales where sampling (not startup noise) dominates, packed
-    # epochs + vectorized ingestion must outrun the in-process draw
+    # at scales where sampling (not startup noise) dominates, two
+    # workers must outrun the in-process draw
     if strict_shapes:
-        serial = by_config[("serial", 0)][7]
-        epoch = by_config[("epoch", 4)][7]
+        serial = by_config[("serial", 0)][6]
+        epoch = by_config[("epoch", 2)][6]
         assert epoch < serial, (
-            f"epoch@4 ({epoch}s) not faster than serial ({serial}s)"
+            f"epoch@2 ({epoch}s) not faster than serial ({serial}s)"
         )

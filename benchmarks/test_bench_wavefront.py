@@ -49,7 +49,7 @@ def _run_wavefront(preset_name):
     for method in _METHODS:
         sampler = PathSampler(graph, seed=_SEED)
         start = time.perf_counter()
-        drawn[method] = getattr(sampler, method)(draws)
+        drawn[method] = getattr(sampler, method)(np.arange(draws))
         elapsed = time.perf_counter() - start
         rows.append(
             [method, draws, len(drawn[method]), sampler.total_edges_explored,

@@ -93,8 +93,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="serve_smoke_") as tmp:
         ready = os.path.join(tmp, "ready.json")
         warm = os.path.join(tmp, "warm")
-        # epoch engine with persistent workers: the drain check below
-        # then actually exercises worker reaping, not just loop exit
+        # persistent worker processes: the drain check below then
+        # actually exercises worker reaping, not just loop exit
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
@@ -107,7 +107,6 @@ def main() -> None:
                 "--port", "0",
                 "--ready-file", ready,
                 "--warm-dir", warm,
-                "--engine", "epoch",
                 "--workers", "2",
             ],
             env=env,
@@ -161,10 +160,9 @@ def main() -> None:
                     "--eps", str(QUERY["eps"]),
                     "--gamma", str(QUERY["gamma"]),
                     "--seed", str(QUERY["seed"]),
-                    # same engine config as the daemon: the epoch
-                    # stream is part of the sample identity (it is
-                    # worker-count invariant, but not serial-identical)
-                    "--engine", "epoch",
+                    # same worker count as the daemon; the samples do
+                    # not depend on it, so this diff would also hold
+                    # in process
                     "--workers", "2",
                     "--json", run_json,
                 ],

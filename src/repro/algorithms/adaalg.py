@@ -97,9 +97,7 @@ class AdaAlg(SamplingAlgorithm):
         b_min: float = 1.1,
         include_endpoints: bool = True,
         seed=None,
-        engine: str = "serial",
-        workers: int | None = None,
-        epoch_size: int | None = None,
+        workers: int = 0,
         max_samples: int | None = None,
         validation_set: bool = True,
         telemetry=None,
@@ -115,9 +113,7 @@ class AdaAlg(SamplingAlgorithm):
             gamma=gamma,
             include_endpoints=include_endpoints,
             seed=seed,
-            engine=engine,
             workers=workers,
-            epoch_size=epoch_size,
             telemetry=telemetry,
             debug=debug,
             session=session,

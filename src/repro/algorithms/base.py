@@ -12,7 +12,7 @@ import abc
 from dataclasses import dataclass, field
 
 from .._rng import as_generator
-from ..engine import ENGINES, SampleEngine
+from ..engine import SampleEngine
 from ..exceptions import CheckpointError, ParameterError, SessionInterrupted
 from ..graph.csr import CSRGraph
 from ..obs import as_telemetry, monotonic
@@ -101,26 +101,19 @@ class SamplingAlgorithm(GBCAlgorithm):
     *stopping-rule policy* that decides how far to extend the session's
     sample stores and when the accumulated evidence suffices, while the
     session owns the engines, the growing stores, and their
-    persistence.  This class handles session construction with
-    independent child RNG streams (bit-identical to the historical
-    direct-engine plumbing for a fixed seed), checkpoint cadence,
-    resume, endpoint-convention slicing, and timing.
+    persistence.  This class handles session construction (one entropy
+    word of the algorithm's RNG keys the lanes' sample streams),
+    checkpoint cadence, resume, endpoint-convention slicing, and
+    timing.
 
     Parameters
     ----------
-    engine:
-        Name of the execution engine (:data:`repro.engine.ENGINES`)
-        every sample set is drawn through.  The default ``"serial"``
-        draws packed cohorts in process; ``"epoch"`` draws the same
-        kind of cohorts in persistent worker processes.
     workers:
-        Worker-process count for the ``"epoch"`` engine (ignored by
-        ``"serial"``); ``None`` means all available cores.
-    epoch_size:
-        Samples per epoch for the ``"epoch"`` engine (ignored by
-        ``"serial"``; ``None`` keeps the engine default).  Part of the
-        determinism contract: results are a pure function of
-        ``(seed, epoch_size)``, never of the worker count.
+        Worker processes every sample set is drawn through
+        (:func:`~repro.engine.create_engine`): ``0`` (default) draws
+        in process, more fan the same draws out to persistent worker
+        processes.  Results are a pure function of the seed, never of
+        the worker count.
     telemetry:
         An optional :class:`~repro.obs.Telemetry` hub the run reports
         to: timed spans around sampling/greedy phases, per-iteration
@@ -166,9 +159,7 @@ class SamplingAlgorithm(GBCAlgorithm):
         gamma: float = 0.01,
         include_endpoints: bool = True,
         seed=None,
-        engine: str = "serial",
-        workers: int | None = None,
-        epoch_size: int | None = None,
+        workers: int = 0,
         telemetry=None,
         debug: bool = False,
         session: SamplingSession | None = None,
@@ -181,13 +172,8 @@ class SamplingAlgorithm(GBCAlgorithm):
             raise ParameterError(f"eps must lie in (0, 1), got {eps}")
         if not 0.0 < gamma < 1.0:
             raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
-        if engine not in ENGINES:
-            known = ", ".join(sorted(ENGINES))
-            raise ParameterError(
-                f"unknown engine {engine!r}; expected one of: {known}"
-            )
-        if epoch_size is not None and epoch_size < 1:
-            raise ParameterError(f"epoch_size must be >= 1, got {epoch_size}")
+        if workers < 0:
+            raise ParameterError(f"workers must be >= 0, got {workers}")
         if checkpoint_every < 1:
             raise ParameterError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
@@ -210,9 +196,7 @@ class SamplingAlgorithm(GBCAlgorithm):
         self.eps = eps
         self.gamma = gamma
         self.include_endpoints = include_endpoints
-        self.engine = engine
         self.workers = workers
-        self.epoch_size = epoch_size
         self.telemetry = as_telemetry(telemetry)
         self.debug = debug
         self.session = session
@@ -254,10 +238,8 @@ class SamplingAlgorithm(GBCAlgorithm):
             graph,
             lanes=lanes,
             seed=self._rng,
-            engine=self.engine,
             include_endpoints=self.include_endpoints,
             workers=self.workers,
-            epoch_size=self.epoch_size,
             telemetry=self.telemetry,
             debug=self.debug,
         )
@@ -333,7 +315,6 @@ class SamplingAlgorithm(GBCAlgorithm):
             "eps": self.eps,
             "gamma": self.gamma,
             "include_endpoints": self.include_endpoints,
-            "epoch_size": self.epoch_size,
         }
 
     def _checkpoint(
@@ -399,7 +380,7 @@ class SamplingAlgorithm(GBCAlgorithm):
         stats = [eng.stats.as_dict() for eng in engines]
         return {
             "edges_explored": sum(s["edges_explored"] for s in stats),
-            "engine": {"name": self.engine, "stats": stats},
+            "engine": {"name": engines[0].name, "stats": stats},
             **self._telemetry_diagnostics(),
         }
 

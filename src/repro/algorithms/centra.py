@@ -45,9 +45,7 @@ class CentRa(Hedge):
         guess_base: float = 2.0,
         include_endpoints: bool = True,
         seed=None,
-        engine: str = "serial",
-        workers: int | None = None,
-        epoch_size: int | None = None,
+        workers: int = 0,
         max_samples: int | None = None,
         empirical_stop: bool = False,
         era_draws: int = 8,
@@ -65,9 +63,7 @@ class CentRa(Hedge):
             guess_base=guess_base,
             include_endpoints=include_endpoints,
             seed=seed,
-            engine=engine,
             workers=workers,
-            epoch_size=epoch_size,
             max_samples=max_samples,
             telemetry=telemetry,
             debug=debug,

@@ -42,9 +42,7 @@ class Exhaust(Hedge):
         num_samples: int | None = _DEFAULT_SAMPLES,
         include_endpoints: bool = True,
         seed=None,
-        engine: str = "serial",
-        workers: int | None = None,
-        epoch_size: int | None = None,
+        workers: int = 0,
         max_samples: int | None = None,
         telemetry=None,
         debug: bool = False,
@@ -59,9 +57,7 @@ class Exhaust(Hedge):
             gamma=gamma,
             include_endpoints=include_endpoints,
             seed=seed,
-            engine=engine,
             workers=workers,
-            epoch_size=epoch_size,
             max_samples=max_samples,
             telemetry=telemetry,
             debug=debug,

@@ -51,9 +51,7 @@ class Hedge(SamplingAlgorithm):
         guess_base: float = 2.0,
         include_endpoints: bool = True,
         seed=None,
-        engine: str = "serial",
-        workers: int | None = None,
-        epoch_size: int | None = None,
+        workers: int = 0,
         max_samples: int | None = None,
         telemetry=None,
         debug: bool = False,
@@ -68,9 +66,7 @@ class Hedge(SamplingAlgorithm):
             gamma=gamma,
             include_endpoints=include_endpoints,
             seed=seed,
-            engine=engine,
             workers=workers,
-            epoch_size=epoch_size,
             telemetry=telemetry,
             debug=debug,
             session=session,

@@ -32,6 +32,7 @@ from .registry import all_rules
 __all__ = [
     "main",
     "run_cli",
+    "add_arguments",
     "build_parser",
     "render_text",
     "render_json",
@@ -52,6 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
             "hygiene, RNG taint) — see docs/static-analysis.md"
         ),
     )
+    add_arguments(parser)
+    return parser
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The checker's arguments, shared by ``python -m repro.checks``
+    and the ``repro-gbc check`` subcommand."""
     parser.add_argument(
         "paths",
         nargs="*",
@@ -90,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print every registered rule and exit",
     )
-    return parser
 
 
 def render_text(report: Report) -> str:

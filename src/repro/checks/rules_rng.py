@@ -7,7 +7,7 @@ lineage rooted at the run's ``seed`` argument — one draw from numpy's
 OS-seeded generator silently changes the empirical distribution and
 breaks bit-identical replay across engines, worker counts, and
 checkpoint/resume.  All randomness therefore flows through
-:mod:`repro._rng` (``as_generator`` / ``spawn`` / ``spawn_seeds``),
+:mod:`repro._rng` (``as_generator`` / ``spawn_seeds`` / the counter stream),
 and these rules reject every other entry point for entropy.
 """
 
@@ -163,7 +163,7 @@ class AdHocGenerator(Rule):
     name = "ad-hoc-generator"
     rationale = (
         "Constructing Generators outside repro._rng bypasses the child-"
-        "stream derivation (spawn/spawn_seeds) that keeps lanes, worker "
+        "stream derivation (spawn_seeds/stream_key) that keeps lanes, worker "
         "chunks, and resumed sessions on independent, reproducible "
         "streams; a seedless default_rng() is fresh OS entropy."
     )
@@ -177,5 +177,5 @@ class AdHocGenerator(Rule):
                 node,
                 f"ad-hoc generator construction ({dotted}); accept a seed "
                 f"and normalize it with {RNG_MODULE}.as_generator, or "
-                f"derive children with {RNG_MODULE}.spawn",
+                f"derive children with {RNG_MODULE}.spawn_seeds",
             )

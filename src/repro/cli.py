@@ -44,7 +44,7 @@ Examples
     repro-gbc run --algorithm adaalg --dataset GrQc -k 20 --eps 0.3
     repro-gbc run --algorithm hedge --edge-list my_graph.txt -k 10
     repro-gbc run --algorithm adaalg --dataset GrQc -k 20 \
-        --engine epoch --workers 4 --epoch-size 4096 --mmap graph.mmap
+        --workers 2 --mmap graph.mmap
     repro-gbc run --algorithm adaalg --dataset GrQc -k 20 \
         --checkpoint run.ckpt.npz --checkpoint-every 2
     repro-gbc resume run.ckpt.npz
@@ -71,7 +71,6 @@ from .algorithms import (
     YoshidaSketch,
 )
 from .datasets import DATASETS, load
-from .engine import ENGINES
 from .exceptions import CheckpointError, SessionInterrupted
 from .experiments import (
     BENCH,
@@ -173,27 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="do not restrict to the giant component",
         )
         parser_.add_argument("--seed", type=int, default=0, help="random seed")
-        parser_.add_argument(
-            "--engine",
-            choices=sorted(ENGINES),
-            default="serial",
-            help="execution engine for path sampling (default serial)",
-        )
-        parser_.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="worker processes for --engine epoch (default: all cores)",
-        )
-        parser_.add_argument(
-            "--epoch-size",
-            type=int,
-            default=None,
-            metavar="N",
-            help="samples per epoch for --engine epoch (default: engine "
-            "default; results depend on (seed, epoch-size), never on "
-            "--workers)",
-        )
+        add_workers_flag(parser_)
         parser_.add_argument(
             "--mmap",
             nargs="?",
@@ -224,6 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
             "--progress",
             action="store_true",
             help="print per-iteration progress lines to stderr",
+        )
+
+    def add_workers_flag(parser_):
+        parser_.add_argument(
+            "--workers",
+            type=int,
+            default=0,
+            metavar="N",
+            help="worker processes that compute the samples (default 0: "
+            "in process); results never depend on it",
         )
 
     def add_checkpoint_flags(parser_, resuming: bool):
@@ -378,20 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="serve on a Unix socket at PATH instead of TCP",
     )
-    serve.add_argument(
-        "--engine",
-        choices=sorted(ENGINES),
-        default="serial",
-        help="execution engine every query samples through",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for --engine epoch",
-    )
-    serve.add_argument(
-        "--epoch-size", type=int, default=None, metavar="N",
-        help="samples per epoch for --engine epoch",
-    )
+    add_workers_flag(serve)
     serve.add_argument(
         "--mmap",
         metavar="DIR",
@@ -497,24 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the static-analysis pass (determinism / RNG hygiene / "
         "cross-process safety rules)",
     )
-    check.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        metavar="PATH",
-        help="files or directories to check (default: src/repro)",
-    )
-    check.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default text)",
-    )
-    check.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print every registered rule and exit",
-    )
+    # the same arguments as `python -m repro.checks`
+    from .checks.cli import add_arguments
+
+    add_arguments(check)
     return parser
 
 
@@ -523,9 +485,7 @@ def _make_algorithm(
     eps: float,
     gamma: float,
     seed: int,
-    engine: str = "serial",
-    workers: int | None = None,
-    epoch_size: int | None = None,
+    workers: int = 0,
     telemetry=None,
     debug: bool = False,
     checkpoint_path: str | None = None,
@@ -534,9 +494,7 @@ def _make_algorithm(
     stop_after_checkpoints: int | None = None,
 ):
     sampling = {
-        "engine": engine,
         "workers": workers,
-        "epoch_size": epoch_size,
         "telemetry": telemetry,
         "debug": debug,
         "checkpoint_path": checkpoint_path,
@@ -625,6 +583,28 @@ def _load_graph(args):
     return graph
 
 
+def _cli_checkpoint(path: str, hint: str) -> tuple[dict, dict, dict, object]:
+    """``(meta, state, provenance, graph)`` of a checkpoint written by
+    ``run --checkpoint``; ``hint`` says what to do with a library-API
+    checkpoint instead."""
+    meta = SamplingSession.peek(path)
+    state = meta.get("state") or {}
+    saved = state.get("meta") or {}
+    if not saved or "algorithm" not in saved:
+        raise CheckpointError(
+            f"{path!r} does not carry CLI run provenance; {hint}"
+        )
+    return meta, state, saved, _load_graph(argparse.Namespace(
+        dataset=saved.get("dataset"),
+        edge_list=saved.get("edge_list"),
+        directed=bool(saved.get("directed")),
+        weighted=bool(saved.get("weighted")),
+        whole_graph=bool(saved.get("whole_graph")),
+        seed=saved.get("seed", 0),
+        mmap=saved.get("mmap"),
+    ))
+
+
 def _result_payload(result, k: int) -> dict:
     """The deterministic result contract written by ``--json``.
 
@@ -637,10 +617,7 @@ def _result_payload(result, k: int) -> dict:
 def _print_result(result, graph, args, k: int) -> None:
     pairs = graph.num_ordered_pairs
     print(f"algorithm   : {result.algorithm}")
-    print(f"engine      : {args.engine}"
-          + (f" (workers={args.workers})" if args.workers else "")
-          + (f" epoch_size={args.epoch_size}"
-             if getattr(args, "epoch_size", None) else ""))
+    print(f"workers     : {args.workers}")
     print(f"graph       : n={graph.n} m={graph.num_edges} "
           f"({'directed' if graph.directed else 'undirected'})")
     print(f"group (K={k}): {sorted(result.group)}")
@@ -686,9 +663,7 @@ def _cmd_run(args) -> int:
         args.eps,
         args.gamma,
         args.seed,
-        args.engine,
         args.workers,
-        epoch_size=args.epoch_size,
         telemetry=telemetry,
         debug=args.debug_invariants,
         checkpoint_path=args.checkpoint,
@@ -706,9 +681,7 @@ def _cmd_run(args) -> int:
             "whole_graph": args.whole_graph,
             "seed": args.seed,
             "algorithm": args.algorithm,
-            "engine": args.engine,
             "workers": args.workers,
-            "epoch_size": args.epoch_size,
             "mmap": args.mmap,
         }
     try:
@@ -720,36 +693,19 @@ def _cmd_run(args) -> int:
 
 def _cmd_resume(args) -> int:
     path = args.checkpoint_file
-    meta = SamplingSession.peek(path)
-    state = meta.get("state") or {}
-    saved = state.get("meta") or {}
-    if not saved or "algorithm" not in saved:
-        raise CheckpointError(
-            f"{path!r} does not carry CLI run provenance; it was written "
-            "by the library API — resume it with "
-            "SamplingAlgorithm(resume_from=...) instead"
-        )
+    meta, state, saved, graph = _cli_checkpoint(
+        path,
+        "it was written by the library API — resume it with "
+        "SamplingAlgorithm(resume_from=...) instead",
+    )
     params = state.get("params") or {}
-
-    class _GraphArgs:
-        dataset = saved.get("dataset")
-        edge_list = saved.get("edge_list")
-        directed = bool(saved.get("directed"))
-        weighted = bool(saved.get("weighted"))
-        whole_graph = bool(saved.get("whole_graph"))
-        seed = saved.get("seed", 0)
-        mmap = saved.get("mmap")
-
-    graph = _load_graph(_GraphArgs)
     telemetry = _build_telemetry(args)
     algorithm = _make_algorithm(
         saved["algorithm"],
         params.get("eps", 0.3),
         params.get("gamma", 0.01),
         saved.get("seed", 0),
-        saved.get("engine", "serial"),
-        saved.get("workers"),
-        epoch_size=saved.get("epoch_size"),
+        saved.get("workers") or 0,
         telemetry=telemetry,
         debug=args.debug_invariants,
         checkpoint_path=args.checkpoint or path,
@@ -757,9 +713,7 @@ def _cmd_resume(args) -> int:
         resume_from=path,
         stop_after_checkpoints=args.stop_after_checkpoints,
     )
-    args.engine = saved.get("engine", "serial")
-    args.workers = saved.get("workers")
-    args.epoch_size = saved.get("epoch_size")
+    args.workers = saved.get("workers") or 0
     print(f"resuming    : {path} ({state['algorithm']}, "
           f"K={state['k']}, {sum(meta['num_paths'])} samples banked)")
     try:
@@ -781,9 +735,7 @@ def _cmd_compare(args) -> int:
                 args.eps,
                 args.gamma,
                 args.seed,
-                args.engine,
                 args.workers,
-                epoch_size=args.epoch_size,
                 telemetry=telemetry,
                 debug=args.debug_invariants,
             )
@@ -852,9 +804,7 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         socket_path=args.socket,
-        engine=args.engine,
         workers=args.workers,
-        epoch_size=args.epoch_size,
         cache_size=args.cache_size,
         warm_dir=args.warm_dir,
         log_json=args.log_json,
@@ -916,26 +866,11 @@ def _mutate_checkpoint(args, update) -> int:
             "compacted graph (the rewritten checkpoint resumes against it)"
         )
     path = args.checkpoint
-    meta = SamplingSession.peek(path)
-    state = meta.get("state") or {}
-    saved = state.get("meta") or {}
-    if not saved or "algorithm" not in saved:
-        raise CheckpointError(
-            f"{path!r} does not carry CLI run provenance; mutate "
-            "library-API checkpoints through "
-            "SamplingSession.resume(...).apply_update(...) instead"
-        )
-
-    class _GraphArgs:
-        dataset = saved.get("dataset")
-        edge_list = saved.get("edge_list")
-        directed = bool(saved.get("directed"))
-        weighted = bool(saved.get("weighted"))
-        whole_graph = bool(saved.get("whole_graph"))
-        seed = saved.get("seed", 0)
-        mmap = saved.get("mmap")
-
-    graph = _load_graph(_GraphArgs)
+    _meta, _state, _saved, graph = _cli_checkpoint(
+        path,
+        "mutate library-API checkpoints through "
+        "SamplingSession.resume(...).apply_update(...) instead",
+    )
     session, state = SamplingSession.resume(path, graph)
     try:
         stats = session.apply_update(update)

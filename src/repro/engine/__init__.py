@@ -1,20 +1,19 @@
 """Execution engines for shortest-path sampling.
 
 All sampling algorithms draw their paths through a
-:class:`~repro.engine.base.SampleEngine`, selected by name.  Both
-engines draw every sample through the same packed cohort draw
-(:meth:`~repro.paths.sampler.PathSampler.sample_cohort`): pairs up
-front, wavefront searches in chunks, one vectorized walk per chunk,
-returned as a :class:`~repro.paths.packed.PackedSamples` record and
-ingested by ``extend`` in one vectorized append.
+:class:`~repro.engine.base.SampleEngine`.  Both engines read the same
+index-addressed stream — sample ``i`` is a pure function of
+``(seed, i, graph)`` — through the same packed cohort draw
+(:meth:`~repro.paths.sampler.PathSampler.sample_cohort`), returned as a
+:class:`~repro.paths.packed.PackedSamples` record and ingested by
+``extend`` in one vectorized append.  ``workers`` picks where the
+samples are computed, never which:
 
-``serial``
-    The default: the cohort draw in process, one draw per ``extend``.
-``epoch``
-    Persistent worker loops sampling fixed-size epochs continuously
-    (:class:`~repro.engine.epoch.EpochEngine`): one pickle per epoch,
-    speculative lookahead, bulk coverage ingestion — bit-identical
-    across worker counts for a fixed ``(seed, epoch_size)``.
+``workers=0`` → :class:`~repro.engine.serial.SerialEngine`
+    The default: the cohort draw in process.
+``workers>=1`` → :class:`~repro.engine.epoch.EpochEngine`
+    The same draw cut into index-range tickets for persistent worker
+    processes.
 
 A draw holds its output, the sparse search state of one chunk (the
 nodes its queries discovered short of their outermost levels) and the
@@ -28,12 +27,19 @@ from ..exceptions import ParameterError
 from ..graph.csr import CSRGraph
 from ..obs import as_telemetry
 from ..paths.packed import PackedSamples
-from .base import EngineStats, SampleEngine, sampler_work
+from .base import (
+    STREAM_TAG,
+    EngineStats,
+    SampleEngine,
+    check_stream_state,
+    sampler_work,
+)
 from .epoch import EpochEngine
 from .serial import SerialEngine
 from .shm import SharedGraphBlocks, attach_graph
 
 __all__ = [
+    "STREAM_TAG",
     "EngineStats",
     "SampleEngine",
     "SerialEngine",
@@ -41,52 +47,37 @@ __all__ = [
     "PackedSamples",
     "SharedGraphBlocks",
     "attach_graph",
-    "ENGINES",
+    "check_stream_state",
     "create_engine",
     "sampler_work",
 ]
 
-#: Name -> engine class registry used by ``create_engine`` and the CLI.
-ENGINES: dict[str, type[SampleEngine]] = {
-    SerialEngine.name: SerialEngine,
-    EpochEngine.name: EpochEngine,
-}
-
 
 def create_engine(
-    name: str,
     graph: CSRGraph,
     *,
     seed=None,
     include_endpoints: bool = True,
-    workers: int | None = None,
-    epoch_size: int | None = None,
+    workers: int = 0,
     telemetry=None,
     debug: bool = False,
 ) -> SampleEngine:
-    """Instantiate the engine registered under ``name``.
+    """The engine for ``workers``: in process for ``0``, else that many
+    persistent worker processes.
 
-    ``workers`` and ``epoch_size`` only apply to the epoch engine
-    (``None`` keeps its defaults); the serial engine accepts and
-    ignores them so callers can thread one set of knobs through
-    unconditionally.  ``telemetry`` attaches a
-    :class:`~repro.obs.Telemetry` hub the engine reports draws to, and
-    ``debug`` turns on the per-draw invariant validators
-    (:mod:`repro.obs.invariants`).
+    ``telemetry`` attaches a :class:`~repro.obs.Telemetry` hub the
+    engine reports draws to, and ``debug`` turns on the per-draw
+    invariant validators (:mod:`repro.obs.invariants`).
     """
-    try:
-        cls = ENGINES[name]
-    except KeyError:
-        known = ", ".join(sorted(ENGINES))
-        raise ParameterError(f"unknown engine {name!r}; expected one of: {known}")
-    if epoch_size is not None and epoch_size < 1:
-        raise ParameterError(f"epoch_size must be >= 1, got {epoch_size}")
-    kwargs = {"seed": seed, "include_endpoints": include_endpoints}
-    if cls is EpochEngine:
-        kwargs["workers"] = workers
-        if epoch_size is not None:
-            kwargs["epoch_size"] = epoch_size
-    engine = cls(graph, **kwargs)
-    engine.telemetry = as_telemetry(telemetry)
-    engine.debug = bool(debug)
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 0:
+        raise ParameterError(f"workers must be an int >= 0, got {workers!r}")
+    hub = as_telemetry(telemetry)
+    if workers:
+        engine: SampleEngine = EpochEngine(
+            graph, seed=seed, include_endpoints=include_endpoints, workers=workers
+        )
+    else:
+        engine = SerialEngine(graph, seed=seed, include_endpoints=include_endpoints)
+    engine.telemetry = hub
+    engine.debug = debug
     return engine

@@ -9,17 +9,21 @@ runtime knob instead of per-algorithm code.
 
 The contract every engine honors:
 
-* ``draw(count)`` returns ``count`` i.i.d. samples from the paper's
-  uniform shortest-path law (Sec. III-D) — engines differ in *how*
-  the traversals are executed, never in the sampled distribution;
-* a fixed construction seed makes the engine's sample sequence
-  deterministic, and :class:`~repro.engine.epoch.EpochEngine` is
-  additionally deterministic *across worker counts* (see its
-  docstring for the indexed epoch-stream scheme);
+* an engine reads one *index-addressed* sample stream: sample ``i`` is
+  a pure function of ``(key, i, graph)``
+  (:class:`~repro.paths.sampler.PathSampler`), and ``draw(count)``
+  returns the samples at indices ``cursor .. cursor + count - 1``, then
+  advances the cursor.  Engines differ in *where* the samples are
+  computed, never in which samples come out, so the stream does not
+  depend on the worker count or on how requests slice it;
+* ``rng_state()`` is ``{stream tag, key, cursor}``; restoring it
+  continues the stream exactly;
+* ``redraw(ids)`` is the samples of ``ids`` on the engine's graph —
+  after a graph update, exactly what a cold draw of those indices on
+  the new graph gives;
 * ``extend(instance, upto)`` applies the endpoint convention
   (``include_endpoints``) and appends to a
-  :class:`~repro.coverage.CoverageInstance` — the plumbing that used
-  to live on ``SamplingAlgorithm``;
+  :class:`~repro.coverage.CoverageInstance`;
 * ``stats`` exposes the work counters (samples, traversals, batches,
   arcs, worker utilization) that algorithms surface in
   ``GBCResult.diagnostics``.
@@ -29,11 +33,9 @@ from __future__ import annotations
 
 import abc
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
-from .._rng import as_generator
+from .._rng import stream_key
 from ..coverage.hypergraph import CoverageInstance
 from ..exceptions import CheckpointError, ParameterError
 from ..graph.csr import CSRGraph
@@ -41,10 +43,35 @@ from ..obs import NULL_TELEMETRY, check_instance, check_sample
 from ..paths.sampler import PackedSamples, PathSampler
 
 __all__ = [
+    "STREAM_TAG",
     "EngineStats",
     "SampleEngine",
+    "check_stream_state",
     "sampler_work",
 ]
+
+#: Tag of the index-addressed sample stream in :meth:`SampleEngine.rng_state`.
+STREAM_TAG = "repro-index-stream"
+
+
+def check_stream_state(state, where: str = "the RNG state") -> None:
+    """Refuse a stream state that is not of the index-addressed stream.
+
+    Older checkpoints hold a PCG64 generator state or the epoch
+    engine's ``repro-epoch-stream`` cursor.  Their samples came from
+    generators this package no longer has, so no engine can continue
+    them; :class:`~repro.exceptions.CheckpointError` says so.
+    """
+    if not isinstance(state, dict):
+        state = {}
+    found = state.get("stream", state.get("bit_generator"))
+    if found != STREAM_TAG:
+        raise CheckpointError(
+            f"{where} belongs to an older sample stream ({found!r}); sample "
+            f"i is now a pure function of (seed, i, graph) on the "
+            f"{STREAM_TAG!r} stream, which cannot continue it — start a "
+            "new run"
+        )
 
 
 def sampler_work(sampler: PathSampler) -> tuple[int, ...]:
@@ -71,15 +98,8 @@ class EngineStats:
     traversals:
         Graph traversals executed (one search per sample).
     batches:
-        Work units dispatched: one per non-empty serial draw, one per
-        epoch for the epoch engine.
-    epochs:
-        Fixed-size sample epochs *ingested* into the stream, in index
-        order (epoch engine only; 0 elsewhere).
-    dispatches:
-        Epoch tasks handed to workers — or run in-process when no
-        workers back the engine.  Exceeds :attr:`epochs` by whatever
-        speculative lookahead was discarded at close.
+        Work units: one per non-empty serial draw, one per index-range
+        ticket for the epoch engine.
     edges_explored:
         Total arcs touched across all traversals.
     workers:
@@ -109,8 +129,6 @@ class EngineStats:
     draw_calls: int = 0
     traversals: int = 0
     batches: int = 0
-    epochs: int = 0
-    dispatches: int = 0
     edges_explored: int = 0
     workers: int = 0
     worker_samples: dict[int, int] = field(default_factory=dict)
@@ -130,22 +148,7 @@ class EngineStats:
 
     def as_dict(self) -> dict:
         """A JSON-friendly copy for ``GBCResult.diagnostics``."""
-        return {
-            "samples": self.samples,
-            "draw_calls": self.draw_calls,
-            "traversals": self.traversals,
-            "batches": self.batches,
-            "epochs": self.epochs,
-            "dispatches": self.dispatches,
-            "edges_explored": self.edges_explored,
-            "workers": self.workers,
-            "worker_samples": dict(self.worker_samples),
-            "pool_startups": self.pool_startups,
-            "weighted_cohorts": self.weighted_cohorts,
-            "bucket_relaxations": self.bucket_relaxations,
-            "coverage_rebuilds": self.coverage_rebuilds,
-            "coverage_rebuilt_elements": self.coverage_rebuilt_elements,
-        }
+        return asdict(self)
 
 
 class SampleEngine(abc.ABC):
@@ -156,13 +159,17 @@ class SampleEngine(abc.ABC):
     graph:
         The network to sample from.
     seed:
-        Anything accepted by :func:`repro._rng.as_generator`; the
-        engine's whole sample sequence is a pure function of it.
+        The stream key, or anything :func:`repro._rng.stream_key` turns
+        into one; the engine's whole sample sequence is a pure function
+        of it.
     include_endpoints:
         Endpoint convention applied by :meth:`extend`.
 
     Attributes
     ----------
+    key, cursor:
+        The stream key and the index of the next sample :meth:`draw`
+        returns.
     telemetry:
         The :class:`~repro.obs.Telemetry` hub :meth:`extend` reports
         to (spans around ``draw``, :class:`EngineStats` deltas as
@@ -175,13 +182,14 @@ class SampleEngine(abc.ABC):
         recount (:mod:`repro.obs.invariants`) — slow, opt-in.
     """
 
-    #: Registry name, set by subclasses ("serial", "epoch").
+    #: Engine name reported in telemetry ("serial", "epoch").
     name: str = "abstract"
 
     def __init__(self, graph: CSRGraph, seed=None, include_endpoints: bool = True):
         self.graph = graph
         self.include_endpoints = include_endpoints
-        self._rng = as_generator(seed)
+        self._sampler = PathSampler(graph, seed=stream_key(seed))
+        self.cursor = 0
         self.stats = EngineStats()
         self.telemetry = NULL_TELEMETRY
         self.debug = False
@@ -192,35 +200,24 @@ class SampleEngine(abc.ABC):
             weakref.WeakKeyDictionary()
         )
 
+    @property
+    def key(self) -> int:
+        """The stream key."""
+        return self._sampler.key
+
     # ------------------------------------------------------------------
     def rng_state(self) -> dict:
-        """The engine's random-stream state, as a JSON-serializable dict.
-
-        Every engine's sample sequence is a pure function of this state
-        (the epoch engine derives its epoch streams from the same
-        stream), so capturing it at a draw boundary and restoring it
-        with :meth:`set_rng_state` continues the sequence bit-identically
-        — the contract :class:`~repro.session.SamplingSession`
-        checkpoints rely on.
-        """
-        return self._rng.bit_generator.state
+        """The stream position, as a JSON-serializable dict: the stream
+        tag, the key and the cursor.  Valid between any two draws."""
+        return {"stream": STREAM_TAG, "key": self.key, "cursor": self.cursor}
 
     def set_rng_state(self, state: dict) -> None:
-        """Restore a state captured by :meth:`rng_state`.
-
-        The engine must be backed by the same bit-generator type the
-        state was captured from (``default_rng`` seeds always yield
-        ``PCG64``); a mismatch raises
-        :class:`~repro.exceptions.CheckpointError`.
-        """
-        current = self._rng.bit_generator.state.get("bit_generator")
-        wanted = state.get("bit_generator") if isinstance(state, dict) else None
-        if wanted != current:
-            raise CheckpointError(
-                f"cannot restore RNG state of bit generator {wanted!r} "
-                f"into {current!r}"
-            )
-        self._rng.bit_generator.state = state
+        """Reposition the stream at a state captured by
+        :meth:`rng_state`; a state of any other stream raises
+        :class:`~repro.exceptions.CheckpointError`."""
+        check_stream_state(state)
+        self._sampler.key = stream_key(int(state["key"]))
+        self.cursor = int(state["cursor"])
 
     def _flush_coverage(self, instance: CoverageInstance) -> None:
         """Fold the instance's rebuild-counter growth since the last
@@ -296,29 +293,13 @@ class SampleEngine(abc.ABC):
             check_instance(instance)
         self._flush_coverage(instance)
 
-    def redraw(self, sources, targets) -> PackedSamples:
-        """One fresh sample for each given ordered pair, on the engine's
-        graph — how a session replaces, in place, the samples a graph
-        update invalidated.
-
-        A pair with source ``-1`` (unknown, from a snapshot that
-        predates the pair columns) is drawn afresh first.  The paths
-        come from the engine's *redraw stream*: the generator
-        :meth:`_redraw_sampler` draws from, which :meth:`rng_state`
-        captures, so a checkpoint taken after a redraw continues
-        bit-identically.  :attr:`stats` does not count redraws.
-        """
-        sampler = self._redraw_sampler()
-        sources = np.array(sources, dtype=np.int64)
-        targets = np.array(targets, dtype=np.int64)
-        unknown = np.flatnonzero(sources < 0)
-        if unknown.size:
-            sources[unknown], targets[unknown] = sampler.draw_pairs(unknown.size)
-        return sampler.sample_pairs(sources, targets)
-
-    def _redraw_sampler(self) -> PathSampler:
-        """The sampler :meth:`redraw` draws through."""
-        return PathSampler(self.graph, seed=self._rng)
+    def redraw(self, ids) -> PackedSamples:
+        """The samples of indices ``ids`` on the engine's graph — how a
+        session replaces, in place, the samples a graph update
+        invalidated.  Sample ``i`` is the cold sample ``i`` of the new
+        graph; the cursor does not move and :attr:`stats` does not
+        count redraws."""
+        return self._sampler.sample_cohort(ids)
 
     def close(self) -> None:
         """Release engine resources (worker processes); idempotent."""

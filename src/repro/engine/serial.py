@@ -1,13 +1,12 @@
 """The in-process engine: packed cohort draws.
 
-:class:`SerialEngine`, the default everywhere, serves every draw as one
-packed cohort draw
-(:meth:`~repro.paths.sampler.PathSampler.sample_cohort`): the ``count``
-ordered pairs are drawn up front, resolved in sample-order chunks by
-the wavefront kernel — the level-synchronous bidirectional BFS
-(:mod:`repro.paths.wavefront`) on unweighted graphs, the bucketed
-delta-stepping cohort (:mod:`repro.paths.wavefront_weighted`) on
-weighted ones — and each chunk's paths are drawn by one vectorized
+:class:`SerialEngine`, the default everywhere, serves ``draw(count)``
+as one packed cohort draw of the next ``count`` stream indices
+(:meth:`~repro.paths.sampler.PathSampler.sample_cohort`): their pairs
+are resolved in chunks by the wavefront kernel — the level-synchronous
+bidirectional BFS (:mod:`repro.paths.wavefront`) on unweighted graphs,
+the bucketed delta-stepping cohort (:mod:`repro.paths.wavefront_weighted`)
+on weighted ones — and each chunk's paths are drawn by one vectorized
 walk into a single :class:`~repro.paths.packed.PackedSamples` record,
 which :meth:`~repro.engine.base.SampleEngine.extend` ingests with one
 vectorized append.  A draw holds the sparse search state of one chunk
@@ -15,14 +14,15 @@ vectorized append.  A draw holds the sparse search state of one chunk
 ``(cohort_size, n)`` sigma planes, never a dense row per sample.
 
 The samples are bit-identical to the scalar oracle
-:meth:`~repro.paths.sampler.PathSampler.sample_batch` for the same
-seed.
+:meth:`~repro.paths.sampler.PathSampler.sample_batch` of the same
+indices.
 """
 
 from __future__ import annotations
 
-from ..graph.csr import CSRGraph
-from ..paths.sampler import PackedSamples, PathSampler
+import numpy as np
+
+from ..paths.sampler import PackedSamples
 from .base import SampleEngine, sampler_work
 
 __all__ = ["SerialEngine"]
@@ -33,19 +33,12 @@ class SerialEngine(SampleEngine):
 
     name = "serial"
 
-    def __init__(self, graph: CSRGraph, seed=None, include_endpoints: bool = True):
-        super().__init__(graph, seed=seed, include_endpoints=include_endpoints)
-        self._sampler = PathSampler(graph, seed=self._rng)
-
-    def _redraw_sampler(self) -> PathSampler:
-        # redraws continue the one stream the draws use
-        return self._sampler
-
     def draw(self, count: int) -> PackedSamples:
         self._check_count(count)
         sampler = self._sampler
         before = sampler_work(sampler)
-        packed = sampler.sample_cohort(count)
+        packed = sampler.sample_cohort(np.arange(self.cursor, self.cursor + count))
+        self.cursor += count
         self.stats.add_work(
             tuple(b - a for a, b in zip(before, sampler_work(sampler)))
         )

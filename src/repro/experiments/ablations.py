@@ -300,9 +300,7 @@ def run_local_search_ablation(
         result = AdaAlg(eps=eps, gamma=config.gamma, seed=master).run(graph, k)
         # rebuild a selection-sized sample set to refine against
         instance = CoverageInstance(graph.n)
-        with create_engine(
-            config.engine, graph, seed=master, workers=config.workers
-        ) as engine:
+        with create_engine(graph, seed=master, workers=config.workers) as engine:
             engine.extend(instance, max(result.num_samples // 2, 500))
         refined = swap_local_search(instance, result.group)
         rows.append(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
-from .._rng import as_generator, spawn
+from .._rng import as_generator, spawn_seeds
 from ..coverage import CoverageInstance, greedy_max_cover
 from ..engine import create_engine
 from .harness import (
@@ -41,7 +41,6 @@ __all__ = [
 def engine_meta(config: ExperimentConfig) -> dict:
     """Provenance entries recording which engine produced a figure."""
     return {
-        "engine": config.engine,
         "workers": config.workers,
         "telemetry": config.telemetry,
         "reuse_sessions": config.reuse_sessions,
@@ -100,16 +99,14 @@ def run_fig1(config: ExperimentConfig, ks: Sequence[int] = (50, 100)) -> FigureR
                 length: [] for length in config.fig1_lengths
             }
             for _ in range(config.fig1_simulations):
-                rng_s, rng_t = spawn(master, 2)
+                rng_s, rng_t = spawn_seeds(master, 2)
                 # with-managed so neither engine's workers leak if the
                 # other's construction or an extend raises mid-figure
                 with create_engine(
-                    config.engine,
                     graph,
                     seed=rng_s,
                     workers=config.workers,
                 ) as engine_s, create_engine(
-                    config.engine,
                     graph,
                     seed=rng_t,
                     workers=config.workers,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, replace
 
-from .._rng import as_generator, spawn
+from .._rng import as_generator, spawn_seeds
 from ..algorithms import AdaAlg, CentRa, Hedge
 from ..coverage import CoverageInstance, greedy_max_cover
 from ..datasets import load
@@ -88,13 +88,10 @@ class ExperimentConfig:
         Safety cap on HEDGE/CentRa sample demands (None = faithful).
     quality_mode:
         ``"holdout"`` (default) or ``"exact"``.
-    engine:
-        Execution engine (:data:`repro.engine.ENGINES`) every sample —
-        the algorithms' own and the harness's holdout/reference pools —
-        is drawn through.
     workers:
-        Worker-process count for the ``"epoch"`` engine (``None`` =
-        all cores); ignored by ``"serial"``.
+        Worker processes every sample — the algorithms' own and the
+        harness's holdout/reference pools — is computed by (``0`` = in
+        process); never changes a sample.
     telemetry:
         When true, every sampling algorithm gets its own in-memory
         :class:`repro.obs.Telemetry` hub, so per-run span timings,
@@ -126,8 +123,7 @@ class ExperimentConfig:
     eval_samples: int = 100_000
     max_samples: int | None = 500_000
     quality_mode: str = "holdout"
-    engine: str = "serial"
-    workers: int | None = None
+    workers: int = 0
     telemetry: bool = False
     reuse_sessions: bool = False
     seed: int = 20250704
@@ -228,7 +224,6 @@ class SessionBank:
                 self.graph,
                 lanes=ALGORITHM_LANES.get(name, 1),
                 seed=self._rng,
-                engine=self.config.engine,
                 workers=self.config.workers,
             )
         else:
@@ -263,7 +258,6 @@ def build_sampling_algorithm(
     attaches an external (bank-owned) session for warm-started sweeps.
     """
     sampling = {
-        "engine": config.engine,
         "workers": config.workers,
         "telemetry": Telemetry() if config.telemetry else None,
         "session": session,
@@ -309,7 +303,7 @@ class DatasetContext:
         self.graph = graph
         self.config = config
         rng = as_generator(config.seed if seed is None else seed)
-        rng_eval, rng_pool = spawn(rng, 2)
+        rng_eval, rng_pool = spawn_seeds(rng, 2)
         self._holdout = self._draw(graph, rng_eval, config.eval_samples)
         self._pool = self._draw(graph, rng_pool, config.exhaust_samples)
         self._exhaust_cache: dict[int, list[int]] = {}
@@ -317,7 +311,6 @@ class DatasetContext:
     def _draw(self, graph: CSRGraph, rng, count: int) -> CoverageInstance:
         instance = CoverageInstance(graph.n)
         with create_engine(
-            self.config.engine,
             graph,
             seed=rng,
             include_endpoints=True,

@@ -29,10 +29,8 @@ COUNTERS: frozenset[str] = frozenset(
         "engine.draw_calls",  # draw() invocations served
         "engine.traversals",  # graph traversals executed
         "engine.edges_explored",  # arcs touched across traversals
-        # epoch engine (continuous sampling over persistent workers)
-        "engine.epoch.epochs",  # epochs ingested into the stream
-        "engine.epoch.dispatches",  # epoch tickets issued (incl. in-process)
-        "engine.epoch.discarded",  # speculative epochs dropped at close/reset
+        # epoch engine (the worker fan-out)
+        "engine.epoch.dispatches",  # index-range tickets drawn (incl. in-process)
         # out-of-core graph tier (repro.graph.mmap)
         "graph.mmap.opens",  # memory-mapped graph directories opened
         "graph.mmap.bytes_mapped",  # bytes attached read-only via np.memmap
@@ -74,7 +72,6 @@ EVENTS: frozenset[str] = frozenset(
     {
         "iteration",  # one outer-loop iteration of a sampling algorithm
         "capped",  # a sample-budget cap preempted the stopping rule
-        "engine.epoch.barrier",  # one epoch-boundary stopping-rule evaluation
         "serve.request",  # one served query (outcome + latency)
         "serve.drain",  # one graceful-drain pass (checkpoints written)
         "session.update",  # one graph update migrated through a session

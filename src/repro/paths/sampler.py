@@ -11,6 +11,14 @@ by no group but still counts toward the sample size ``L``, which keeps
 the estimator ``L'/L * n(n-1)`` exactly unbiased for ``B(C)`` under the
 paper's ``n(n-1)`` normalization.
 
+Every sample has an *index*, and sample ``i`` is a pure function of
+``(key, i, graph)``: its pair comes from
+:func:`~repro._rng.counter_pairs` and walk step ``k`` uses the uniform
+``counter_uniforms(key, i, k)`` (step 0 picks the separator, the next
+steps walk toward the source, then toward the target).  So drawing
+indices in one call, in many, in another process or after a restart
+gives the same samples, and the cohort draw equals the scalar oracle.
+
 The uniform choice in step 3 never materializes the (potentially
 exponential) path set.  A separator node ``v`` is drawn with probability
 ``sigma_f(v) * sigma_b(v) / sigma_st``, then the two half-paths are
@@ -20,9 +28,11 @@ products leave every concrete path with probability ``1 / sigma_st``.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .._rng import as_generator
+from .._rng import counter_pairs, counter_uniforms, stream_key
 from ..exceptions import GraphError, ParameterError
 from ..graph.csr import CSRGraph
 from ._dispatch import is_weighted
@@ -60,7 +70,7 @@ def _spans(weights: np.ndarray, budget: int) -> list[tuple[int, int]]:
 def _segmented_pick(
     counts: np.ndarray, weights: np.ndarray, draws: np.ndarray
 ) -> np.ndarray:
-    """Vectorized :meth:`PathSampler._weighted_pick` over segments.
+    """Vectorized :func:`_weighted_pick` over segments.
 
     ``weights`` concatenates one non-empty candidate segment per row
     (``counts[i]`` entries each); row ``i`` draws with ``draws[i]``.
@@ -98,14 +108,16 @@ def _segmented_pick(
 
 
 class PathSampler:
-    """Draws independent uniform shortest-path samples from a graph.
+    """Draws uniform shortest-path samples from a graph, addressed by
+    sample index.
 
     Parameters
     ----------
     graph:
         The network to sample from (``n >= 2``).
     seed:
-        Anything accepted by :func:`repro._rng.as_generator`.
+        The stream key, or anything :func:`repro._rng.stream_key`
+        turns into one.
     method:
         ``"bidirectional"`` (default, the paper's procedure) or
         ``"forward"`` (plain early-stopping BFS from the source; same
@@ -116,9 +128,11 @@ class PathSampler:
 
     Notes
     -----
-    The sampler is stateful only through its random generator, so one
-    instance can serve an entire adaptive algorithm run; successive
-    calls produce independent samples.
+    :meth:`sample_cohort` and :meth:`sample_batch` draw the samples of
+    the given indices and keep no state.  :meth:`sample`,
+    :meth:`sample_many` and :meth:`sample_pair` take the next indices
+    from the sampler's own :attr:`cursor`, so successive calls produce
+    independent samples.
     """
 
     def __init__(self, graph: CSRGraph, seed=None, method: str = "bidirectional"):
@@ -135,7 +149,9 @@ class PathSampler:
             raise ParameterError(f"unknown sampling method {method!r}")
         self.graph = graph
         self.method = method
-        self._rng = as_generator(seed)
+        self.key = stream_key(seed)
+        #: The next index :meth:`sample` and friends draw.
+        self.cursor = 0
         self.total_edges_explored = 0
         self.total_samples = 0
         self.total_traversals = 0
@@ -144,71 +160,65 @@ class PathSampler:
 
     # ------------------------------------------------------------------
     def sample(self) -> PathSample:
-        """Draw one sample (random pair, then uniform shortest path)."""
-        n = self.graph.n
-        rng = self._rng
-        source = int(rng.integers(n))
-        target = int(rng.integers(n - 1))
-        if target >= source:
-            target += 1
-        return self.sample_pair(source, target)
+        """Draw the sample at the cursor (random pair, then uniform
+        shortest path)."""
+        return self.sample_many(1)[0]
 
     def sample_many(self, count: int) -> list[PathSample]:
-        """Draw ``count`` independent samples."""
+        """Draw the next ``count`` samples."""
         if count < 0:
             raise ParameterError("sample count must be non-negative")
-        return [self.sample() for _ in range(count)]
+        self.cursor += count
+        return [
+            self._sample_index(index)
+            for index in range(self.cursor - count, self.cursor)
+        ]
 
-    def draw_pairs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """``count`` i.i.d. uniform ordered pairs with ``s != t``."""
-        n = self.graph.n
-        sources = self._rng.integers(0, n, size=count)
-        targets = self._rng.integers(0, n - 1, size=count)
-        return sources, np.where(targets >= sources, targets + 1, targets)
+    @staticmethod
+    def _indices(indices) -> np.ndarray:
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.ndim != 1:
+            raise ParameterError("sample indices must be a 1-D array")
+        if indices.size and indices.min() < 0:
+            raise ParameterError("sample indices must be non-negative")
+        return indices
 
-    def sample_batch(self, count: int) -> PackedSamples:
-        """Draw ``count`` samples one scalar search and walk at a time —
-        the reference oracle of :meth:`sample_cohort`.
+    def _sample_index(self, index: int) -> PathSample:
+        sources, targets = counter_pairs(self.key, [index], self.graph.n)
+        return self._sample_at(int(sources[0]), int(targets[0]), index)
 
-        All ``count`` ordered pairs are drawn up front, then every pair
-        runs :meth:`sample_pair`'s search and walk, in sample order.
-        That consumes the generator exactly as :meth:`sample_cohort`
-        does, so with the ``"bidirectional"`` method (``"dijkstra"`` on
-        weighted graphs) the samples are bit-identical to the cohort
-        draw's; the ``"forward"`` method draws the same law through a
-        plain BFS per pair, for the sampler ablation.
+    def sample_batch(self, indices) -> PackedSamples:
+        """The samples of ``indices``, one scalar search and walk at a
+        time — the reference oracle of :meth:`sample_cohort`.
+
+        With the ``"bidirectional"`` method (``"dijkstra"`` on weighted
+        graphs) the samples are bit-identical to the cohort draw's; the
+        ``"forward"`` method draws the same law through a plain BFS
+        per pair, for the sampler ablation.
         """
-        if count < 0:
-            raise ParameterError("sample count must be non-negative")
-        sources, targets = self.draw_pairs(count)
         return PackedSamples.from_samples(
-            self.sample_pair(source, target)
-            for source, target in zip(sources.tolist(), targets.tolist())
+            self._sample_index(index) for index in self._indices(indices).tolist()
         )
 
     def sample_cohort(
         self,
-        count: int,
+        indices,
         cohort_size: int | None = None,
         delta: int | None = None,
     ) -> PackedSamples:
-        """Draw ``count`` samples through the pair-first cohort schedule.
+        """The samples of ``indices``, drawn as one batch.
 
-        Statistically identical to :meth:`sample_many`; the draw order
-        is restructured for batching: all ``count`` ordered pairs are
-        drawn i.i.d. up front, then resolved in sample-order chunks —
-        each chunk's searches first, then its uniform path walks, in
-        sample order.  The searches execute through a vectorized
-        multi-query kernel — the level-synchronous bidirectional BFS
+        The pairs of all the indices are drawn up front, then resolved
+        in chunks — each chunk's searches first, then its uniform path
+        walks.  The searches execute through a vectorized multi-query
+        kernel — the level-synchronous bidirectional BFS
         (:func:`~repro.paths.wavefront.wavefront_search`) on unweighted
         graphs, the bucketed delta-stepping cohort
         (:func:`~repro.paths.wavefront_weighted.wavefront_weighted_search`)
         on weighted ones — and on unweighted graphs one vectorized walk
-        draws every path of the chunk.  Each reachable sample takes
-        ``distance + 1`` uniforms (the separator pick, then the steps
-        toward the source, then those toward the target), exactly as
-        the scalar oracle :meth:`sample_batch` consumes them, so the
-        two yield bit-identical samples.
+        draws every path of the chunk.  Sample ``i`` reads the same
+        per-index uniforms as the scalar oracle :meth:`sample_batch`,
+        so the two yield bit-identical samples.
 
         ``cohort_size`` (queries in flight per search call) and
         ``delta`` (the weighted kernel's bucket width, ``None``
@@ -216,40 +226,18 @@ class PathSampler:
         graphs) are result-invariant kernel parameters.  The
         ``"forward"`` method has no cohort schedule.
         """
-        if count < 0:
-            raise ParameterError("sample count must be non-negative")
-        sources, targets = self.draw_pairs(count)
-        return self.sample_pairs(sources, targets, cohort_size, delta)
-
-    def sample_pairs(
-        self,
-        sources,
-        targets,
-        cohort_size: int | None = None,
-        delta: int | None = None,
-    ) -> PackedSamples:
-        """Draw one uniform shortest path for each *given* ordered pair
-        ``(sources[i], targets[i])`` — the search-and-walk half of
-        :meth:`sample_cohort`, in the same chunks and consuming the
-        generator the same way (the walks' uniforms only).
-
-        A session redraws the samples a graph update invalidated through
-        this: same pair, fresh path on the current graph.
-        """
         if self.method not in ("bidirectional", "dijkstra"):
             raise ParameterError(
                 "cohort sampling requires the 'bidirectional' or "
                 "'dijkstra' method"
             )
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        if sources.shape != targets.shape or sources.ndim != 1:
-            raise ParameterError(
-                "sources and targets must be 1-D arrays of equal length"
-            )
-        count = sources.size
+        indices = self._indices(indices)
+        sources, targets = counter_pairs(self.key, indices, self.graph.n)
+        count = indices.size
         if self.method == "dijkstra":
-            packed = self._weighted_cohort(sources, targets, cohort_size, delta)
+            packed = self._weighted_cohort(
+                indices, sources, targets, cohort_size, delta
+            )
         else:
             # one pair of sigma planes serves every chunk: each search
             # leaves them all-zero.  They are not kept past the call —
@@ -258,6 +246,7 @@ class PathSampler:
             planes = np.zeros((2, max(capacity, 1), self.graph.n))
             packed = PackedSamples.concat([
                 self._walk_cohort(
+                    indices[lo:lo + _CHUNK],
                     wavefront_search(
                         self.graph,
                         sources[lo:lo + _CHUNK],
@@ -265,7 +254,7 @@ class PathSampler:
                         cohort_size=cohort_size,
                         frontiers=False,
                         planes=planes,
-                    )
+                    ),
                 )
                 for lo in range(0, count, _CHUNK)
             ])
@@ -274,12 +263,14 @@ class PathSampler:
         self.total_edges_explored += int(packed.edges.sum())
         return packed
 
-    def _walk_cohort(self, found: WavefrontResults) -> PackedSamples:
+    def _walk_cohort(
+        self, indices: np.ndarray, found: WavefrontResults
+    ) -> PackedSamples:
         """Draw one uniform path per reachable query of ``found``, all
         at once.
 
-        Sample ``i`` at distance ``d`` takes the ``d + 1`` uniforms at
-        its own path offset in one ``random`` block, in the order
+        Sample ``i`` at distance ``d`` reads its ``d + 1`` walk
+        uniforms into its own path offset of one block, in the order
         :meth:`_path_nodes` consumes them: the separator pick, the
         ``cut_level`` steps toward the source, then the steps toward
         the target.  Every step advances all the walks still under way
@@ -287,10 +278,15 @@ class PathSampler:
         """
         distance = found.distance
         reach = np.flatnonzero(distance >= 0)
+        lengths = np.where(distance >= 0, distance + 1, 0)
         offsets = np.zeros(len(found) + 1, dtype=np.int64)
-        np.cumsum(np.where(distance >= 0, distance + 1, 0), out=offsets[1:])
+        np.cumsum(lengths, out=offsets[1:])
         nodes = np.empty(int(offsets[-1]), dtype=np.int64)
-        uniforms = self._rng.random(nodes.size)
+        uniforms = counter_uniforms(
+            self.key,
+            np.repeat(indices, lengths),
+            np.arange(nodes.size) - np.repeat(offsets[:-1], lengths),
+        )
 
         start = offsets[reach]
         cut_level = found.cut_level[reach]
@@ -360,6 +356,7 @@ class PathSampler:
 
     def _weighted_cohort(
         self,
+        indices: np.ndarray,
         sources: np.ndarray,
         targets: np.ndarray,
         cohort_size: int | None,
@@ -369,7 +366,7 @@ class PathSampler:
         resolve every (s, t) query, then run the backward walks in
         sample order.  The search consumes no randomness, so the
         samples match :meth:`sample_batch`'s per-pair Dijkstra and walk
-        bit for bit (and across the engines' chunkings)."""
+        bit for bit."""
         empty = np.empty(0, dtype=np.int64)
         paths, distances, sigmas, edges = [], [], [], []
         for lo in range(0, sources.size, _WEIGHTED_CHUNK):
@@ -383,13 +380,16 @@ class PathSampler:
                 counters=counters,
             )
             self.total_bucket_relaxations += counters.get("bucket_relaxations", 0)
-            for result in searched:
+            for index, result in zip(
+                indices[lo:lo + _WEIGHTED_CHUNK].tolist(), searched
+            ):
                 edges.append(result.edges_explored)
                 distances.append(result.distance)
                 sigmas.append(result.sigma_st)
                 paths.append(
                     self._walk_weighted(
-                        result.source, result.target, result.dist, result.sigma
+                        result.source, result.target, result.dist,
+                        result.sigma, self._draws(index),
                     )
                     if result.reachable
                     else empty
@@ -399,14 +399,28 @@ class PathSampler:
             sources, targets, distances, sigmas, edges, paths
         )
 
+    def _draws(self, index: int):
+        """Sample ``index``'s walk uniforms in step order, computed
+        32 at a time — the scalar walks' source of randomness."""
+        for step in itertools.count(0, 32):
+            yield from counter_uniforms(
+                self.key, index, np.arange(step, step + 32)
+            ).tolist()
+
     def sample_pair(self, source: int, target: int) -> PathSample:
-        """Draw a uniform shortest path for a *given* ordered pair."""
+        """Draw a uniform shortest path for a *given* ordered pair, with
+        the walk uniforms of the index at the cursor."""
+        self.cursor += 1
+        return self._sample_at(source, target, self.cursor - 1)
+
+    def _sample_at(self, source: int, target: int, index: int) -> PathSample:
+        """The search and walk of one pair, with ``index``'s uniforms."""
         if self.method == "bidirectional":
-            sample = self._sample_bidirectional(source, target)
+            sample = self._sample_bidirectional(source, target, index)
         elif self.method == "dijkstra":
-            sample = self._sample_dijkstra(source, target)
+            sample = self._sample_dijkstra(source, target, index)
         else:
-            sample = self._sample_forward(source, target)
+            sample = self._sample_forward(source, target, index)
         self.total_samples += 1
         self.total_traversals += 1
         self.total_edges_explored += sample.edges_explored
@@ -423,7 +437,9 @@ class PathSampler:
             edges_explored=edges,
         )
 
-    def _sample_bidirectional(self, source: int, target: int) -> PathSample:
+    def _sample_bidirectional(
+        self, source: int, target: int, index: int
+    ) -> PathSample:
         result, explored = bidirectional_search(self.graph, source, target)
         if result is None:
             # unreachable: both searches exhausted their closure — that
@@ -432,20 +448,26 @@ class PathSampler:
         return PathSample(
             source=result.source,
             target=result.target,
-            nodes=self._path_nodes(result),
+            nodes=self._path_nodes(result, self._draws(index)),
             distance=result.distance,
             sigma_st=result.sigma_st,
             edges_explored=result.edges_explored,
         )
 
-    def _path_nodes(self, result: BidirectionalResult) -> np.ndarray:
+    def _path_nodes(self, result: BidirectionalResult, draws) -> np.ndarray:
         """Draw one uniform path from a completed bidirectional search."""
-        pivot = self._weighted_pick(result.cut_nodes, result.cut_weights)
-        head = self._walk_up(pivot, result.dist_forward, result.sigma_forward)
-        tail = self._walk_down(pivot, result.dist_backward, result.sigma_backward)
+        pivot = _weighted_pick(result.cut_nodes, result.cut_weights, next(draws))
+        head = self._walk(
+            self.graph.predecessors, pivot, result.dist_forward,
+            result.sigma_forward, draws,
+        )
+        tail = self._walk(
+            self.graph.neighbors, pivot, result.dist_backward,
+            result.sigma_backward, draws,
+        )
         return np.asarray(head[::-1] + tail[1:], dtype=np.int64)
 
-    def _sample_forward(self, source: int, target: int) -> PathSample:
+    def _sample_forward(self, source: int, target: int, index: int) -> PathSample:
         dist, sigma = bfs_sigma(self.graph, source, target=target)
         # plain BFS explores every arc out of the levels it expanded —
         # for an unreachable target that is the source's whole closure
@@ -454,7 +476,9 @@ class PathSampler:
         )
         if dist[target] == -1:
             return self._null(source, target, explored)
-        head = self._walk_up(target, dist, sigma)
+        head = self._walk(
+            self.graph.predecessors, target, dist, sigma, self._draws(index)
+        )
         nodes = np.asarray(head[::-1], dtype=np.int64)
         return PathSample(
             source=source,
@@ -465,7 +489,7 @@ class PathSampler:
             edges_explored=explored,
         )
 
-    def _sample_dijkstra(self, source: int, target: int) -> PathSample:
+    def _sample_dijkstra(self, source: int, target: int, index: int) -> PathSample:
         """Weighted sampling: forward Dijkstra, then a weighted backward
         walk along shortest-path predecessors."""
         dist, sigma, order = dijkstra_sigma(self.graph, source, target=target)
@@ -475,14 +499,17 @@ class PathSampler:
         return PathSample(
             source=source,
             target=target,
-            nodes=self._walk_weighted(source, target, dist, sigma),
+            nodes=self._walk_weighted(
+                source, target, dist, sigma, self._draws(index)
+            ),
             distance=int(dist[target]),
             sigma_st=float(sigma[target]),
             edges_explored=explored,
         )
 
     def _walk_weighted(
-        self, source: int, target: int, dist: np.ndarray, sigma: np.ndarray
+        self, source: int, target: int, dist: np.ndarray, sigma: np.ndarray,
+        draws,
     ) -> np.ndarray:
         """Weighted backward walk from ``target`` to ``source`` along
         shortest-path predecessors, each weighted by its path count;
@@ -494,45 +521,32 @@ class PathSampler:
             lengths = self.graph.predecessor_weights(node)
             on_path = (dist[preds] >= 0) & (dist[preds] + lengths == dist[node])
             level = preds[on_path]
-            node = self._weighted_pick(level, sigma[level])
+            node = _weighted_pick(level, sigma[level], next(draws))
             path.append(node)
         return np.asarray(path[::-1], dtype=np.int64)
 
-    def _weighted_pick(self, candidates: np.ndarray, weights: np.ndarray) -> int:
-        """Draw one candidate with probability proportional to its weight.
-
-        Inverse-CDF sampling; an order of magnitude faster than
-        ``Generator.choice(p=...)`` on the short arrays seen here.
-        """
-        cumulative = np.cumsum(weights)
-        draw = self._rng.random() * cumulative[-1]
-        index = int(np.searchsorted(cumulative, draw, side="right"))
-        return int(candidates[min(index, candidates.size - 1)])
-
-    def _walk_up(self, start: int, dist: np.ndarray, sigma: np.ndarray) -> list[int]:
-        """Walk from ``start`` back to the BFS root, weighting each
-        predecessor by its path count (yields head of path, reversed)."""
+    @staticmethod
+    def _walk(
+        adjacent, start: int, dist: np.ndarray, sigma: np.ndarray, draws
+    ) -> list[int]:
+        """Walk from ``start`` to the root of the search that labelled
+        ``dist``, one level per step, weighting each ``adjacent``
+        candidate by its path count (yields the nodes in walk order)."""
         path = [start]
         node = start
         depth = int(dist[start])
         while depth > 0:
-            preds = self.graph.predecessors(node)
-            level = preds[dist[preds] == depth - 1]
-            node = self._weighted_pick(level, sigma[level])
+            candidates = adjacent(node)
+            level = candidates[dist[candidates] == depth - 1]
+            node = _weighted_pick(level, sigma[level], next(draws))
             path.append(node)
             depth -= 1
         return path
 
-    def _walk_down(self, start: int, dist: np.ndarray, sigma: np.ndarray) -> list[int]:
-        """Walk from ``start`` toward the *backward* root (the target),
-        following out-edges with backward-path-count weights."""
-        path = [start]
-        node = start
-        depth = int(dist[start])
-        while depth > 0:
-            succs = self.graph.neighbors(node)
-            level = succs[dist[succs] == depth - 1]
-            node = self._weighted_pick(level, sigma[level])
-            path.append(node)
-            depth -= 1
-        return path
+
+def _weighted_pick(candidates: np.ndarray, weights: np.ndarray, draw: float) -> int:
+    """The candidate a uniform ``draw`` picks with probability
+    proportional to its weight (inverse CDF)."""
+    cumulative = np.cumsum(weights)
+    index = int(np.searchsorted(cumulative, draw * cumulative[-1], side="right"))
+    return int(candidates[min(index, candidates.size - 1)])

@@ -134,9 +134,7 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port lands in ready_file
     socket_path: str | None = None  # Unix socket; overrides host/port
-    engine: str = "serial"
-    workers: int | None = None
-    epoch_size: int | None = None
+    workers: int = 0
     cache_size: int = 128
     warm_dir: str | None = None
     log_json: str | None = None
@@ -187,11 +185,6 @@ class GBCServer:
         self._server: asyncio.AbstractServer | None = None
         self._draining = asyncio.Event()
         self._started = monotonic()
-        self._engine_kwargs = {
-            "engine": config.engine,
-            "workers": config.workers,
-            "epoch_size": config.epoch_size,
-        }
         self.bound_port: int | None = None
 
     # ------------------------------------------------------------------
@@ -205,7 +198,7 @@ class GBCServer:
             key,
             telemetry=self.telemetry,
             debug=self.config.debug,
-            **self._engine_kwargs,
+            workers=self.config.workers,
         )
         lane_key = (key.dataset, key.algorithm, key.seed)
         with self._lane_lock:
@@ -608,7 +601,7 @@ class GBCServer:
         print(
             f"serve: listening on {endpoint} "
             f"({len(self.config.datasets)} dataset(s), "
-            f"engine={self.config.engine})",
+            f"workers={self.config.workers})",
             file=sys.stderr,
         )
 

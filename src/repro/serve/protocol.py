@@ -175,17 +175,17 @@ def parse_mutation(frame: dict, datasets) -> tuple[str, GraphUpdate]:
     return dataset, update
 
 
-def build_algorithm(key: QueryKey, *, telemetry=None, debug=False, **engine):
+def build_algorithm(key: QueryKey, *, telemetry=None, debug=False, workers=0):
     """The algorithm instance answering ``key`` — constructed exactly
     like the CLI ``run`` command's, so a cold-lane answer is
     bit-identical to the single-shot ``repro-gbc run`` with the same
-    seed and engine configuration.
-
-    ``engine`` carries the daemon-wide sampling knobs (``engine``,
-    ``workers``, ``epoch_size``).
+    seed (``workers``, the daemon-wide fan-out, never changes it).
     """
     cls = _CLASSES[key.algorithm]
-    kwargs = {"seed": key.seed, "telemetry": telemetry, "debug": debug, **engine}
+    kwargs = {
+        "seed": key.seed, "telemetry": telemetry, "debug": debug,
+        "workers": workers,
+    }
     if key.algorithm != "exhaust":
         # EXHAUST pins its own tiny (eps, gamma); mirroring the CLI
         # factory, the query's values are ignored for it

@@ -6,20 +6,25 @@ pool first-class: it owns one or more ``(engine, store)`` *lanes*
 (AdaAlg keeps two — the selection set S and the validation set T;
 HEDGE/CentRa/EXHAUST keep one), serves ``extend`` requests against
 them, and can freeze the whole arrangement to disk and thaw it later
-**bit-identically** — same stores, same engine RNG states, so the
-continued sample stream is exactly what the uninterrupted run would
-have drawn.
+**bit-identically** — same stores, same stream keys and cursors, so
+the continued sample stream is exactly what the uninterrupted run
+would have drawn.
 
 The algorithms are stopping-rule policies over this driver: they decide
 *how far* to extend and *when* to stop, the session decides nothing —
 it acquires, accounts, and persists.
 
+Lane ``j``'s stream key is ``indexed_seed(root, j)``, with ``root`` one
+entropy word of the session's seed, and a lane's store holds its
+stream's samples ``0 .. num_paths - 1`` in index order: path id ``i``
+*is* sample ``i``.
+
 Checkpoint files are single ``.npz`` archives holding every lane's
 :class:`~repro.session.SampleStore` arrays plus a JSON ``meta`` blob:
-graph fingerprint, engine provenance, per-lane RNG states, the draw
-schedule, and an arbitrary ``state`` payload the owning algorithm uses
-for its loop variables.  See ``docs/architecture.md`` for the format
-and its compatibility caveats.
+graph fingerprint, engine provenance, per-lane stream states (key and
+cursor), the draw schedule, and an arbitrary ``state`` payload the
+owning algorithm uses for its loop variables.  See
+``docs/architecture.md`` for the format and its compatibility caveats.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ import json
 
 import numpy as np
 
-from .._rng import as_generator, spawn
-from ..engine import SampleEngine, create_engine
+from .._rng import as_generator, indexed_seed, stream_entropy
+from ..engine import SampleEngine, check_stream_state, create_engine
 from ..exceptions import CheckpointError, ParameterError
 from ..graph.csr import CSRGraph
 from ..obs import as_telemetry, check_instance, check_sample
@@ -42,39 +47,6 @@ __all__ = ["SamplingSession", "CHECKPOINT_FORMAT", "CHECKPOINT_VERSION"]
 
 CHECKPOINT_FORMAT = "repro-session-checkpoint"
 CHECKPOINT_VERSION = 1
-
-#: Engines no longer in the registry -> the engine that replaces them.
-_REPLACED_ENGINES = {"batch": "serial", "process": "epoch"}
-
-
-def _check_provenance(path: str, provenance: dict) -> None:
-    """Refuse checkpoints whose sample stream no engine can continue.
-
-    Older checkpoints also record the since-removed kernel, bucket
-    width, tree-cache and method knobs; the ``wavefront``/``scalar``
-    kernels at any bucket width drew the samples today's engines draw,
-    so those keys are ignored.  A stream drawn by a removed engine or by
-    the removed source-grouped sampler (``kernel="grouped"``, or the
-    ``forward`` method, which always fell back to it) cannot be
-    continued bit-identically.
-    """
-    engine = provenance.get("engine")
-    if engine in _REPLACED_ENGINES:
-        raise CheckpointError(
-            f"checkpoint {path!r} was recorded with the removed {engine!r} "
-            f"engine and cannot be resumed; start a new run with engine "
-            f"{_REPLACED_ENGINES[engine]!r}"
-        )
-    if (
-        provenance.get("kernel") == "grouped"
-        or provenance.get("method", "bidirectional") != "bidirectional"
-    ):
-        raise CheckpointError(
-            f"checkpoint {path!r} was drawn by the removed source-grouped "
-            "sampler and cannot be resumed; start a new run with engine "
-            "'serial' or 'epoch'"
-        )
-
 
 def _graph_fingerprint(graph: CSRGraph) -> dict:
     """The graph identity a checkpoint records and resume checks.
@@ -117,17 +89,15 @@ class SamplingSession:
     graph:
         The network being sampled.
     lanes:
-        Number of independent ``(engine, store)`` pairs.  Each lane's
-        engine gets its own child stream spawned from ``seed`` — in the
-        same order :class:`~repro.algorithms.SamplingAlgorithm` used to
-        spawn engines directly, so seeded runs are unchanged.
+        Number of independent ``(engine, store)`` pairs.  Lane ``j``
+        reads the stream keyed ``indexed_seed(root, j)``.
     seed:
-        Master seed (or a shared :class:`numpy.random.Generator`) the
-        lane streams are derived from.
-    engine, include_endpoints, workers, epoch_size:
-        Engine configuration, recorded as provenance in checkpoints
-        (``workers`` and ``epoch_size`` only apply to the ``"epoch"``
-        engine; ``None`` keeps the defaults).
+        Master seed (or a shared :class:`numpy.random.Generator`, which
+        gives up one entropy word) the lane keys are derived from.
+    include_endpoints, workers:
+        Engine configuration (:func:`~repro.engine.create_engine`),
+        recorded as provenance in checkpoints.  ``workers`` never
+        changes a sample.
     telemetry:
         A :class:`~repro.obs.Telemetry` hub; the session reports
         ``session.*`` counters (samples drawn/reused, extend calls,
@@ -146,10 +116,8 @@ class SamplingSession:
         *,
         lanes: int = 1,
         seed=None,
-        engine: str = "serial",
         include_endpoints: bool = True,
-        workers: int | None = None,
-        epoch_size: int | None = None,
+        workers: int = 0,
         telemetry=None,
         debug: bool = False,
     ):
@@ -159,25 +127,15 @@ class SamplingSession:
         self.telemetry = as_telemetry(telemetry)
         self.debug = bool(debug)
         self.provenance = {
-            "engine": engine,
             "include_endpoints": bool(include_endpoints),
             "workers": workers,
-            "epoch_size": epoch_size,
         }
+        root = stream_entropy(as_generator(seed))
         self.engines: list[SampleEngine] = []
         try:
-            for child in spawn(as_generator(seed), lanes):
+            for lane in range(lanes):
                 self.engines.append(
-                    create_engine(
-                        engine,
-                        graph,
-                        seed=child,
-                        include_endpoints=include_endpoints,
-                        workers=workers,
-                        epoch_size=epoch_size,
-                        telemetry=self.telemetry,
-                        debug=debug,
-                    )
+                    self._engine(graph, seed=indexed_seed(root, lane))
                 )
         except BaseException:
             # a later lane failing must not leak earlier lanes' worker
@@ -203,6 +161,17 @@ class SamplingSession:
         self._fingerprint: dict | None = None
 
     # ------------------------------------------------------------------
+    def _engine(self, graph: CSRGraph, seed: int) -> SampleEngine:
+        """A lane engine on ``graph`` reading the stream keyed ``seed``."""
+        return create_engine(
+            graph,
+            seed=seed,
+            include_endpoints=self.provenance["include_endpoints"],
+            workers=self.provenance["workers"],
+            telemetry=self.telemetry,
+            debug=self.debug,
+        )
+
     @property
     def lanes(self) -> int:
         """Number of ``(engine, store)`` pairs."""
@@ -233,9 +202,6 @@ class SamplingSession:
         self.engines[lane].extend(store, upto)
         drawn = store.num_paths - before
         if drawn:
-            # record the size actually reached, not the request: epoch
-            # engines round extends up to the next epoch boundary, and
-            # warm-started sweeps must reuse what is really there
             store.record_extend(int(store.num_paths))
             self.samples_drawn += drawn
             self.telemetry.count("session.samples_drawn", drawn)
@@ -274,22 +240,20 @@ class SamplingSession:
 
         Each sample is decided by its pair alone, in one
         :class:`~repro.session.ExactInvalidation` test over every lane.
-        A stale sample is redrawn for the same pair at the
-        same path id on the new graph, through its lane's
-        :meth:`~repro.engine.SampleEngine.redraw` stream; the rest are
-        kept.  The pool then holds i.i.d. draws of
-        the new graph's law, with no change in size, so nothing needs
-        topping up.  Samples whose pair is unknown — every sample of a
-        checkpoint that predates the stores' pair columns — are always
-        redrawn, each for a fresh pair: such a pool is redrawn whole.
+        A stale sample ``i`` is redrawn through its lane's
+        :meth:`~repro.engine.SampleEngine.redraw`: the cold sample ``i``
+        of the new graph, same pair, same path id.  The rest are kept —
+        the same pair and the same shortest-path set, hence the same
+        law.  The pool then holds i.i.d. draws of the new graph's law,
+        with no change in size, so nothing needs topping up.
 
         The node universe must be unchanged (the stores index into it
-        by id).  Every lane's engine is rebuilt on the new graph from
-        the recorded provenance with its RNG state carried over, so the
-        migrated pool plus the continued stream stay bit-identically
-        checkpointable.  Returns a stats dict with the new ``version``,
-        the samples ``tested``, the ``invalidated`` (= ``redrawn``)
-        ones, and the ``surviving`` ones kept as they were.
+        by id).  Every lane's engine is rebuilt on the new graph with
+        its key and cursor, so the continued stream is the one a cold
+        session would read.  Returns a stats dict with the new
+        ``version``, the samples ``tested``, the ``invalidated``
+        (= ``redrawn``) ones, and the ``surviving`` ones kept as they
+        were.
         """
         if new_graph.n != self.graph.n:
             raise ParameterError(
@@ -299,41 +263,26 @@ class SamplingSession:
             )
         invalidation = ExactInvalidation(self.graph, new_graph)
         telemetry = self.telemetry
-        columns = [store.pairs() for store in self.stores]
         with telemetry.span("session.invalidate", lanes=self.lanes):
             # one test over every lane's pairs, then split per lane
             mask = invalidation.stale(
-                *(np.concatenate(column) for column in zip(*columns))
+                *(
+                    np.concatenate(column)
+                    for column in zip(*(store.pairs() for store in self.stores))
+                )
             )
             bounds = np.cumsum([store.num_paths for store in self.stores])[:-1]
             stale = [np.flatnonzero(part) for part in np.split(mask, bounds)]
-        # capture the stream positions first: mid-epoch engines refuse
-        # to snapshot, and we must not have torn anything down yet
-        rng_states = [engine.rng_state() for engine in self.engines]
-        provenance = self.provenance
         new_engines: list[SampleEngine] = []
         try:
-            for child_state in rng_states:
-                engine = create_engine(
-                    provenance["engine"],
-                    new_graph,
-                    seed=0,  # placeholder stream, overwritten below
-                    include_endpoints=provenance["include_endpoints"],
-                    workers=provenance["workers"],
-                    epoch_size=provenance["epoch_size"],
-                    telemetry=telemetry,
-                    debug=self.debug,
-                )
-                engine.set_rng_state(child_state)
-                new_engines.append(engine)
+            for engine in self.engines:
+                new_engines.append(self._engine(new_graph, seed=engine.key))
+                new_engines[-1].cursor = engine.cursor
             # redraw before anything is swapped: a failure here leaves
             # the session on the old graph with its old pool
             with telemetry.span("session.redraw", samples=sum(map(len, stale))):
                 redrawn = [
-                    engine.redraw(sources[ids], targets[ids])
-                    for engine, (sources, targets, _), ids in zip(
-                        new_engines, columns, stale
-                    )
+                    engine.redraw(ids) for engine, ids in zip(new_engines, stale)
                 ]
         except BaseException:
             for built in new_engines:
@@ -402,10 +351,9 @@ class SamplingSession:
 
         Lets callers (the CLI ``resume`` command) learn which
         algorithm, parameters, and graph produced a checkpoint before
-        committing to loading it.  Checkpoints recorded with a removed
-        engine or sampler raise
-        :class:`~repro.exceptions.CheckpointError` naming the
-        replacement.
+        committing to loading it.  Checkpoints drawn from an older
+        sample stream raise :class:`~repro.exceptions.CheckpointError`
+        saying why.
         """
         try:
             with np.load(path, allow_pickle=False) as payload:
@@ -419,7 +367,9 @@ class SamplingSession:
                 f"unsupported checkpoint version {meta.get('version')!r} "
                 f"(expected {CHECKPOINT_VERSION})"
             )
-        _check_provenance(path, meta.get("provenance") or {})
+        # every lane must be on the index-addressed stream
+        for lane, state in enumerate(meta.get("rng_states") or [None]):
+            check_stream_state(state, f"lane {lane} of checkpoint {path!r}")
         return meta
 
     @classmethod
@@ -439,8 +389,8 @@ class SamplingSession:
         edge count, directedness, weightedness and the CSR digest) —
         the stores index into it by node id, so resuming on a different
         graph would silently corrupt results.  Engines are rebuilt from
-        the recorded provenance and their RNG states restored, so the
-        continued stream is bit-identical to the uninterrupted run's.
+        the recorded provenance and their keys and cursors restored, so
+        the continued stream is bit-identical to the uninterrupted run's.
         """
         hub = as_telemetry(telemetry)
         with hub.span("restore", path=path):
@@ -463,12 +413,9 @@ class SamplingSession:
             session = cls(
                 graph,
                 lanes=meta["lanes"],
-                seed=0,  # placeholder streams, overwritten below
-                engine=provenance["engine"],
+                seed=0,  # placeholder keys, overwritten below
                 include_endpoints=provenance["include_endpoints"],
-                workers=provenance["workers"],
-                # absent in pre-epoch checkpoints — the default
-                epoch_size=provenance.get("epoch_size"),
+                workers=provenance.get("workers") or 0,
                 telemetry=hub,
                 debug=debug,
             )
@@ -526,6 +473,6 @@ class SamplingSession:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SamplingSession(lanes={self.lanes}, "
-            f"engine={self.provenance['engine']!r}, "
+            f"workers={self.provenance['workers']!r}, "
             f"samples={self.total_samples}, resumed={self.resumed})"
         )

@@ -14,8 +14,8 @@ RNG state and provenance needed to resume the stream bit-identically:
 * the ``schedule`` of extend targets served so far;
 * a JSON ``meta`` blob: node-universe size, the engine's
   :meth:`~repro.engine.SampleEngine.rng_state`, and the engine
-  provenance (engine, workers, epoch size, endpoint convention) the
-  samples were drawn under.
+  provenance (workers, endpoint convention) the samples were drawn
+  under.
 
 The arrays are integers, so a save→load round trip is exact: coverage
 queries, greedy runs, and continued draws on the loaded store behave
@@ -250,7 +250,7 @@ class SampleStore(CoverageInstance):
         ``rng_state`` is the owning engine's
         :meth:`~repro.engine.SampleEngine.rng_state` at the moment of
         the snapshot; ``provenance`` records how the samples were drawn
-        (engine name, epoch size, endpoint convention, ...).  Both
+        (workers, endpoint convention, ...).  Both
         are optional for bare pools but required for bit-identical
         resumption of a live session.
         """

@@ -119,25 +119,23 @@ class TestUnregisteredTelemetryName:
             findings_for,
             """
             def run(self, hub):
-                self.telemetry.count("engine.epoch.epochs", 1)
                 self.telemetry.count("engine.epoch.dispatches", 3)
-                self.telemetry.count("engine.epoch.discarded", 2)
                 hub.count("graph.mmap.opens", 1)
                 hub.count("graph.mmap.bytes_mapped", 4096)
-                self.telemetry.event("engine.epoch.barrier", epochs=1)
             """,
             module="repro.engine.epoch",
         )
         assert findings == []
         for name in (
-            "engine.epoch.epochs",
             "engine.epoch.dispatches",
-            "engine.epoch.discarded",
             "graph.mmap.opens",
             "graph.mmap.bytes_mapped",
         ):
             assert is_counter(name)
-        assert is_event("engine.epoch.barrier")
+        # the retired epoch stream's names are gone with it
+        for name in ("engine.epoch.epochs", "engine.epoch.discarded"):
+            assert not is_counter(name)
+        assert not is_event("engine.epoch.barrier")
 
     def test_epoch_typo_still_caught(self, findings_for):
         findings = check(

@@ -52,7 +52,7 @@ class TestEngineStatsFlow:
     def test_extend_folds_rebuilds_into_stats(self):
         graph = barabasi_albert(40, 2, seed=1)
         instance = CoverageInstance(graph.n)
-        with create_engine("serial", graph, seed=0) as engine:
+        with create_engine(graph, seed=0) as engine:
             engine.extend(instance, 50)
             instance.covered_count([0])  # forces one rebuild
             engine.extend(instance, 100)
@@ -64,7 +64,7 @@ class TestEngineStatsFlow:
         graph = barabasi_albert(40, 2, seed=1)
         hub = Telemetry()
         instance = CoverageInstance(graph.n)
-        with create_engine("serial", graph, seed=0, telemetry=hub) as engine:
+        with create_engine(graph, seed=0, telemetry=hub) as engine:
             engine.extend(instance, 50)
             instance.covered_count([0])
             engine.extend(instance, 100)

@@ -4,8 +4,8 @@ The engine contract under test:
 
 * every engine draws from the same path distribution (chi-square
   cross-check on a small graph where the law is known empirically);
-* a fixed seed gives a deterministic sample sequence, and the epoch
-  engine is additionally bit-identical across worker counts;
+* a fixed seed gives a deterministic sample sequence, bit-identical
+  across worker counts;
 * ``extend`` applies the endpoint convention;
 * statistics track the work actually performed.
 """
@@ -16,16 +16,18 @@ import numpy as np
 import pytest
 
 from repro.coverage import CoverageInstance
-from repro.engine import ENGINES, EpochEngine, SerialEngine, create_engine
+from repro.engine import EpochEngine, SerialEngine, create_engine
 from repro.exceptions import ParameterError
 from repro.graph import from_weighted_edges
 from repro.paths import PathSampler
 
-ENGINE_NAMES = sorted(ENGINES)
+#: Engine name -> the ``workers`` value that selects it.
+WORKERS = {"serial": 0, "epoch": 2}
+ENGINE_NAMES = sorted(WORKERS)
 
 
 def _engine(name, graph, seed=0, **kwargs):
-    return create_engine(name, graph, seed=seed, **kwargs)
+    return create_engine(graph, seed=seed, workers=WORKERS[name], **kwargs)
 
 
 class TestFactory:
@@ -35,16 +37,28 @@ class TestFactory:
                 assert engine.name == name
 
     def test_unknown_name(self, grid3x3):
-        with pytest.raises(ParameterError):
+        """Engines are no longer picked by name: naming one is refused
+        (``workers`` is the only knob)."""
+        with pytest.raises(TypeError):
             create_engine("turbo", grid3x3)
+        with pytest.raises(TypeError):
+            create_engine(grid3x3, engine="epoch")
 
-    def test_registry_covers_classes(self):
-        assert ENGINES == {"serial": SerialEngine, "epoch": EpochEngine}
+    def test_registry_covers_classes(self, grid3x3):
+        """``workers`` picks the class: in process for 0, the worker
+        fan-out (a serial-engine subclass) otherwise."""
+        assert issubclass(EpochEngine, SerialEngine)
+        with create_engine(grid3x3) as engine:
+            assert type(engine) is SerialEngine
+        with create_engine(grid3x3, workers=1) as engine:
+            assert type(engine) is EpochEngine and engine.workers == 1
 
     def test_bad_workers(self, grid3x3):
-        # workers=0 is the explicit in-process fallback; negatives are bad
+        # workers=0 is the in-process engine; negatives are bad
         with pytest.raises(ParameterError):
             EpochEngine(grid3x3, workers=-1)
+        with pytest.raises(ParameterError):
+            create_engine(grid3x3, workers=-1)
 
     def test_negative_count_rejected(self, grid3x3):
         for name in ENGINE_NAMES:
@@ -108,9 +122,7 @@ class TestDeterminism:
         from repro.algorithms import AdaAlg
 
         def run(workers):
-            algorithm = AdaAlg(
-                eps=0.5, gamma=0.1, seed=5, engine="epoch", workers=workers
-            )
+            algorithm = AdaAlg(eps=0.5, gamma=0.1, seed=5, workers=workers)
             return algorithm.run(barbell, 2)
 
         reference = run(1)
@@ -166,11 +178,8 @@ class TestDistribution:
 class TestExtend:
     @pytest.mark.parametrize("name", ENGINE_NAMES)
     def test_extend_grows_to_target(self, grid3x3, name):
-        # the epoch engine rounds extends up to epoch boundaries; pick a
-        # size that divides every target so the counts below stay exact
-        kwargs = {"epoch_size": 5} if name == "epoch" else {}
         instance = CoverageInstance(grid3x3.n)
-        with _engine(name, grid3x3, seed=1, **kwargs) as engine:
+        with _engine(name, grid3x3, seed=1) as engine:
             engine.extend(instance, 25)
             assert instance.num_paths == 25
             engine.extend(instance, 10)  # no shrink, no-op
@@ -242,7 +251,7 @@ class TestSerialMatchesBatch:
         :meth:`~repro.paths.PathSampler.sample_batch`."""
         with SerialEngine(grid3x3, seed=13) as serial:
             a = serial.draw(count)
-        b = PathSampler(grid3x3, seed=13).sample_batch(count)
+        b = PathSampler(grid3x3, seed=13).sample_batch(np.arange(count))
         assert len(a) == len(b) == count
         for x, y in zip(a, b):
             assert x.source == y.source and x.target == y.target

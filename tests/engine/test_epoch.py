@@ -1,19 +1,16 @@
-"""Tests for the epoch-based asynchronous engine (:mod:`repro.engine.epoch`).
+"""Tests for the worker fan-out engine (:mod:`repro.engine.epoch`).
 
 The contract under test:
 
-* the sample stream is a pure function of ``(seed, epoch_size)`` —
-  bit-identical for 0 (in-process), 1, or 4 persistent workers, and
-  independent of how ``draw`` requests slice it;
-* ``extend`` rounds targets up to epoch boundaries and ingests each
-  epoch as one packed delta;
-* ``rng_state`` snapshots are only defined at epoch boundaries and
-  reposition the stream exactly;
-* statistics account epochs, dispatches (including speculation), and
-  worker startup;
+* the sample stream is a pure function of the seed — bit-identical for
+  0 (in-process), 1, or 4 persistent workers, identical to the serial
+  engine, and independent of how ``draw`` requests slice it;
+* ``rng_state`` (key and cursor) snapshots reposition the stream
+  exactly, between any two draws;
+* statistics account tickets and worker startup;
 * a dying worker degrades to in-process computation without changing
-  a single sample, and a raising epoch body surfaces as an
-  ``EngineError`` without breaking the engine;
+  a single sample, and a raising ticket surfaces as an ``EngineError``
+  without breaking the engine;
 * the shared graph segments are unlinked on close.
 """
 
@@ -25,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.coverage import CoverageInstance
-from repro.engine import EpochEngine, PackedSamples, create_engine
+from repro.engine import STREAM_TAG, EpochEngine, PackedSamples, create_engine
 from repro.engine import epoch as epoch_module
 from repro.engine.serial import SerialEngine
 from repro.exceptions import CheckpointError, EngineError, ParameterError
@@ -37,10 +34,16 @@ def ba200():
     return barabasi_albert(200, 2, seed=3)
 
 
-def _epoch(graph, seed=7, workers=0, epoch_size=64, **kwargs):
-    return EpochEngine(
-        graph, seed=seed, workers=workers, epoch_size=epoch_size, **kwargs
-    )
+def _epoch(graph, seed=7, workers=0):
+    return EpochEngine(graph, seed=seed, workers=workers)
+
+
+@pytest.fixture
+def small_tickets(monkeypatch):
+    """Tickets of 16 indices, so small draws span several tickets (the
+    default ``fork`` start copies the patched size into workers)."""
+    monkeypatch.setattr(epoch_module, "_TICKET", 16)
+    return 16
 
 
 def _assert_same_samples(first, second):
@@ -59,21 +62,19 @@ class TestValidation:
             EpochEngine(grid3x3, workers=-1)
 
     def test_bad_epoch_size(self, grid3x3):
-        with pytest.raises(ParameterError):
-            EpochEngine(grid3x3, epoch_size=0)
-        with pytest.raises(ParameterError):
-            create_engine("epoch", grid3x3, epoch_size=0)
+        """The epoch size is no longer a knob (tickets have one fixed
+        internal size that never changes a sample): any value is
+        refused, never silently ignored."""
+        with pytest.raises(TypeError):
+            EpochEngine(grid3x3, epoch_size=64)
+        with pytest.raises(TypeError):
+            create_engine(grid3x3, workers=1, epoch_size=64)
 
     def test_bad_lookahead(self, grid3x3):
-        with pytest.raises(ParameterError):
-            EpochEngine(grid3x3, lookahead=-1)
-
-    def test_factory_routes_epoch_size(self, grid3x3):
-        with create_engine("epoch", grid3x3, epoch_size=17) as engine:
-            assert engine.epoch_size == 17
-        # other engines accept and ignore the knob
-        with create_engine("serial", grid3x3, epoch_size=17) as engine:
-            assert not hasattr(engine, "epoch_size")
+        """Speculative lookahead is gone with the epoch stream: any value
+        is refused, never silently ignored."""
+        with pytest.raises(TypeError):
+            EpochEngine(grid3x3, lookahead=2)
 
 
 class TestDeterminism:
@@ -93,114 +94,66 @@ class TestDeterminism:
         for pid in range(reference.num_paths):
             assert np.array_equal(observed.path(pid), reference.path(pid))
 
-    def test_draw_slicing_invariant(self, ba200):
-        """Carried epoch tails make the stream independent of how
-        requests slice it."""
-        with _epoch(ba200, epoch_size=50, workers=2) as engine:
+    def test_draw_slicing_invariant(self, ba200, small_tickets):
+        """Sample ``i`` is sample ``i``: the stream is independent of how
+        requests slice it, of the ticket boundaries and of the engine."""
+        with _epoch(ba200, workers=2) as engine:
             sliced = engine.draw(30) + engine.draw(45)
-        with _epoch(ba200, epoch_size=50, workers=0) as engine:
+        with _epoch(ba200, workers=0) as engine:
             whole = engine.draw(75)
+        with SerialEngine(ba200, seed=7) as engine:
+            serial = engine.draw(75)
         _assert_same_samples(sliced, whole)
+        _assert_same_samples(whole, serial)
 
     def test_draw_and_extend_share_the_stream(self, ba200):
-        """``extend`` after ``draw`` continues from the carry, exactly
+        """``extend`` after ``draw`` continues at the cursor, exactly
         where a pure-draw engine would be."""
         instance = CoverageInstance(ba200.n)
-        with _epoch(ba200, epoch_size=64, workers=0) as engine:
-            head = engine.draw(40)  # carries 24 samples
-            engine.extend(instance, 60)  # flushes carry + 1 epoch
-        assert instance.num_paths == 88  # 24 carried + 64
-        with _epoch(ba200, epoch_size=64, workers=0) as engine:
-            replay = engine.draw(128)
+        with _epoch(ba200, workers=0) as engine:
+            head = engine.draw(40)
+            engine.extend(instance, 60)
+        assert instance.num_paths == 60
+        with _epoch(ba200, workers=0) as engine:
+            replay = engine.draw(100)
         _assert_same_samples(head, replay[:40])
         for pid in range(instance.num_paths):
-            sample = replay[40 + pid]
-            # carried samples append in path order, packed epochs in
-            # sorted order — the covered node *set* is what must match
+            # the instance stores each path's covered node set
             assert np.array_equal(
-                np.unique(instance.path(pid)), np.unique(sample.nodes)
+                np.unique(instance.path(pid)), np.unique(replay[40 + pid].nodes)
             )
-
-    def test_epoch_size_is_part_of_stream_identity(self, ba200):
-        with _epoch(ba200, epoch_size=32, workers=0) as engine:
-            a = engine.draw(64)
-        with _epoch(ba200, epoch_size=64, workers=0) as engine:
-            b = engine.draw(64)
-        assert any(
-            x.source != y.source or x.target != y.target
-            for x, y in zip(a, b)
-        )
 
 
 class TestExtendRounding:
-    def test_extend_lands_on_epoch_boundary(self, grid3x3):
-        instance = CoverageInstance(grid3x3.n)
-        with _epoch(grid3x3, epoch_size=30, workers=0) as engine:
-            engine.extend(instance, 10)
-            assert instance.num_paths == 30
-            engine.extend(instance, 30)  # already satisfied
-            assert instance.num_paths == 30
-            engine.extend(instance, 31)
-            assert instance.num_paths == 60
-
-    def test_effective_target(self, grid3x3):
-        with _epoch(grid3x3, epoch_size=30, workers=0) as engine:
-            assert engine.effective_target(10, 0) == 30
-            assert engine.effective_target(30, 0) == 30
-            assert engine.effective_target(31, 30) == 60
-            assert engine.effective_target(20, 25) == 25  # no shrink
-            engine.draw(10)  # 20 samples carried
-            assert engine.effective_target(10, 0) == 20  # carry flushes
-            assert engine.effective_target(50, 0) == 50  # carry + 1 epoch
-
     def test_extend_flushes_carry_first(self, grid3x3):
+        """A partial draw moves the cursor; a following ``extend`` draws
+        exactly what is missing, starting there."""
         instance = CoverageInstance(grid3x3.n)
-        with _epoch(grid3x3, epoch_size=30, workers=0) as engine:
+        with _epoch(grid3x3, workers=0) as engine:
             engine.draw(10)
             engine.extend(instance, 15)
-            # 20 carried samples cover the request without a new epoch
-            assert instance.num_paths == 20
-            assert engine.stats.epochs == 1
+            assert instance.num_paths == 15
+            assert engine.cursor == 25
 
 
 class TestStats:
-    def test_in_process_accounting(self, ba200):
+    def test_in_process_accounting(self, ba200, small_tickets):
         instance = CoverageInstance(ba200.n)
-        with _epoch(ba200, epoch_size=64, workers=0) as engine:
+        with _epoch(ba200, workers=0) as engine:
             engine.extend(instance, 100)
             engine.extend(instance, 300)
             stats = engine.stats
-        assert stats.samples == 320
-        assert stats.epochs == stats.batches == stats.dispatches == 5
+        assert stats.samples == 300
+        assert stats.batches == 7 + 13  # tickets of 16
         assert stats.draw_calls == 2
         assert stats.pool_startups == 0
         assert stats.workers == 0
         assert stats.traversals > 0
-        assert sum(stats.worker_samples.values()) == 320
-        payload = stats.as_dict()
-        assert payload["epochs"] == 5
-        assert payload["dispatches"] == 5
-
-    def test_workers_speculate_but_ingest_exactly(self, ba200):
-        instance = CoverageInstance(ba200.n)
-        engine = _epoch(ba200, epoch_size=64, workers=2, lookahead=2)
-        with engine:
-            engine.extend(instance, 100)
-            engine.extend(instance, 300)
-            stats = engine.stats
-            if stats.workers == 0:  # pragma: no cover - sandboxed
-                pytest.skip("subprocesses unavailable")
-            assert stats.samples == 320
-            assert stats.epochs == 5
-            # lookahead keeps tickets in flight beyond demand
-            assert stats.dispatches > stats.epochs
-            assert stats.pool_startups == 1
-            # work counters fold at ingest: speculative epochs that are
-            # still in flight contribute nothing
-            assert sum(stats.worker_samples.values()) == 320
+        assert sum(stats.worker_samples.values()) == 300
+        assert stats.as_dict()["batches"] == 20
 
     def test_persistent_workers_survive_draws(self, ba200):
-        engine = _epoch(ba200, epoch_size=64, workers=1)
+        engine = _epoch(ba200, workers=1)
         with engine:
             engine.draw(64)
             engine.draw(64)
@@ -209,6 +162,7 @@ class TestStats:
             if engine.stats.workers == 0:  # pragma: no cover - sandboxed
                 pytest.skip("subprocesses unavailable")
             assert engine.stats.pool_startups == 1
+            assert sum(engine.stats.worker_samples.values()) == 384
 
 
 class TestWire:
@@ -240,71 +194,72 @@ class TestWire:
 
 
 class TestCheckpoint:
-    def test_mid_epoch_snapshot_refused(self, grid3x3):
-        with _epoch(grid3x3, epoch_size=30, workers=0) as engine:
-            engine.draw(10)
-            with pytest.raises(CheckpointError):
-                engine.rng_state()
-
     def test_state_repositions_the_stream(self, ba200):
-        engine = _epoch(ba200, epoch_size=64, workers=2, seed=9)
+        engine = _epoch(ba200, workers=2, seed=9)
         instance = CoverageInstance(ba200.n)
-        engine.extend(instance, 128)
+        engine.extend(instance, 100)
         state = engine.rng_state()
-        assert state["bit_generator"] == "repro-epoch-stream"
-        assert state["next_epoch"] == 2
+        assert state == {"stream": STREAM_TAG, "key": 9, "cursor": 100}
         engine.close()
 
-        resumed = _epoch(ba200, epoch_size=64, workers=0, seed=0)
+        resumed = _epoch(ba200, workers=0, seed=0)
         resumed.set_rng_state(state)
         continued = resumed.draw(64)
         resumed.close()
 
-        straight = _epoch(ba200, epoch_size=64, workers=0, seed=9)
-        straight.draw(128)
+        straight = _epoch(ba200, workers=0, seed=9)
+        straight.draw(100)
         expected = straight.draw(64)
         straight.close()
         _assert_same_samples(continued, expected)
 
     def test_epoch_size_mismatch_refused(self, grid3x3):
-        with _epoch(grid3x3, epoch_size=30, workers=0) as engine:
-            state = engine.rng_state()
-        with _epoch(grid3x3, epoch_size=31, workers=0) as other:
-            with pytest.raises(CheckpointError):
-                other.set_rng_state(state)
+        """A state of the retired epoch stream (keyed on its epoch size)
+        cannot be continued by the index-addressed stream."""
+        old = {
+            "bit_generator": "repro-epoch-stream",
+            "entropy": 5,
+            "next_epoch": 2,
+            "epoch_size": 30,
+        }
+        with _epoch(grid3x3, workers=0) as engine:
+            with pytest.raises(CheckpointError, match="repro-epoch-stream"):
+                engine.set_rng_state(old)
 
     def test_foreign_state_refused(self, grid3x3):
         with _epoch(grid3x3, workers=0) as engine:
-            with pytest.raises(CheckpointError):
+            with pytest.raises(CheckpointError, match="older sample stream"):
                 engine.set_rng_state({"bit_generator": "PCG64", "state": {}})
 
 
 class TestLifecycle:
     def test_close_is_idempotent_and_restartable(self, ba200):
-        engine = _epoch(ba200, epoch_size=64, workers=0)
+        engine = _epoch(ba200, workers=0)
         first = engine.draw(64)
         engine.close()
         engine.close()
-        # the stream position survives close: the next epoch follows on
+        # the stream position survives close
         second = engine.draw(64)
         engine.close()
-        straight = _epoch(ba200, epoch_size=64, workers=0)
+        straight = _epoch(ba200, workers=0)
         expected = straight.draw(128)
         straight.close()
         _assert_same_samples(first + second, expected)
 
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_close_mid_epoch_keeps_the_carried_tail(self, ba200, workers):
-        """Closing mid-epoch discards only speculative epochs: the
-        undelivered tail of the current epoch is still drawn next."""
-        engine = _epoch(ba200, epoch_size=64, workers=workers)
+    def test_close_mid_epoch_keeps_the_carried_tail(
+        self, ba200, workers, small_tickets
+    ):
+        """Closing between draws that split a ticket loses nothing: the
+        next draw starts at the cursor."""
+        engine = _epoch(ba200, workers=workers)
         try:
             first = engine.draw(10)
             engine.close()
             second = engine.draw(54)
         finally:
             engine.close()
-        straight = _epoch(ba200, epoch_size=64, workers=workers)
+        straight = _epoch(ba200, workers=workers)
         try:
             expected = straight.draw(64)
         finally:
@@ -312,7 +267,7 @@ class TestLifecycle:
         _assert_same_samples(first + second, expected)
 
     def test_set_rng_state_drops_the_carried_tail(self, ba200):
-        engine = _epoch(ba200, epoch_size=64, workers=0)
+        engine = _epoch(ba200, workers=0)
         state = engine.rng_state()
         first = engine.draw(10)
         engine.set_rng_state(state)
@@ -329,7 +284,7 @@ class TestLifecycle:
         import multiprocessing
 
         before = set(multiprocessing.active_children())
-        engine = _epoch(ba200, epoch_size=64, workers=2)
+        engine = _epoch(ba200, workers=2)
         engine.draw(64)
         if engine.stats.workers == 0:  # pragma: no cover - sandboxed
             engine.close()
@@ -358,101 +313,88 @@ class TestLifecycle:
         ]
         assert not leaked, f"extend failure leaked workers: {leaked}"
         # the engine stays restartable: the next draw brings the pool
-        # back and the stream continues from the carried position
+        # back and the stream continues from the cursor
         del instance.add_paths_packed
         engine.extend(instance, 64)
         assert instance.num_paths >= 64
         engine.close()
 
     def test_worker_death_degrades_deterministically(self, ba200):
-        engine = _epoch(ba200, epoch_size=64, workers=2)
+        engine = _epoch(ba200, workers=2)
         first = engine.draw(64)
         if engine.stats.workers == 0:  # pragma: no cover - sandboxed
             engine.close()
             pytest.skip("subprocesses unavailable")
         for proc in engine._procs:
             proc.terminate()
-        # draw past the speculation horizon (lookahead 2 x 2 workers):
-        # epochs the dead pool never computed must be awaited, which is
-        # what forces death detection — a draw small enough to be served
-        # from already-arrived speculative epochs may never notice
-        second = engine.draw(512)
+        second = engine.draw(1500)
         assert engine.stats.workers == 0  # degraded in-process
         engine.close()
-        straight = _epoch(ba200, epoch_size=64, workers=0)
-        expected = straight.draw(576)
+        straight = _epoch(ba200, workers=0)
+        expected = straight.draw(1564)
         straight.close()
         _assert_same_samples(first + second, expected)
 
 
-#: Epoch seed the patched epoch body refuses to serve while armed.
-_POISON = {"seed": None, "armed": False}
+#: Ticket start the patched ticket body refuses to serve while armed.
+_POISON = {"lo": None, "armed": False}
 
 
 @pytest.fixture
-def poisoned(monkeypatch):
-    """Patch the shared epoch body to raise for one seed while armed.
+def poisoned(monkeypatch, small_tickets):
+    """Patch the shared ticket body to raise for one ticket while armed.
 
     Workers start lazily on the first draw and the default ``fork``
     start method copies the patched module state into them, so the
-    same patch covers worker-side and in-process epochs."""
-    real = epoch_module._epoch_samples
+    same patch covers worker-side and in-process tickets."""
+    real = epoch_module._ticket_samples
 
-    def epoch_samples(graph, seed, count):
-        if _POISON["armed"] and seed == _POISON["seed"]:
-            raise ValueError(f"injected failure for seed {seed}")
-        return real(graph, seed, count)
+    def ticket_samples(graph, key, lo, hi):
+        if _POISON["armed"] and lo == _POISON["lo"]:
+            raise ValueError(f"injected failure for ticket {lo}")
+        return real(graph, key, lo, hi)
 
-    monkeypatch.setattr(epoch_module, "_epoch_samples", epoch_samples)
+    monkeypatch.setattr(epoch_module, "_ticket_samples", ticket_samples)
     yield _POISON
-    _POISON.update(seed=None, armed=False)
-
-
-def _poison_epoch(poison, engine, index):
-    poison.update(seed=engine._seed_for(index), armed=True)
-    return poison["seed"]
+    _POISON.update(lo=None, armed=False)
 
 
 class TestEpochFailures:
-    """An epoch body that raises inside a healthy worker (or in process)
+    """A ticket body that raises inside a healthy worker (or in process)
     surfaces as :class:`~repro.exceptions.EngineError` naming the
-    epoch's index, size and seed; the engine stays usable and the
-    stream continues exactly where the healthy one would."""
+    ticket's index range; the engine stays usable and the stream
+    continues exactly where the healthy one would."""
 
     def test_failing_epoch_raises_engine_error(self, ba200, poisoned):
-        with _epoch(ba200, epoch_size=16, workers=0) as engine:
-            seed = _poison_epoch(poisoned, engine, 1)
+        with _epoch(ba200, workers=0) as engine:
+            poisoned.update(lo=16, armed=True)
             assert len(engine.draw(16)) == 16
-            with pytest.raises(
-                EngineError, match=rf"epoch 1 \(size=16, seed={seed}\)"
-            ):
+            with pytest.raises(EngineError, match=r"ticket \[16, 32\)"):
                 engine.draw(16)
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_engine_usable_after_failure(self, ba200, poisoned, workers):
-        with _epoch(ba200, epoch_size=16, workers=workers) as engine:
-            seed = _poison_epoch(poisoned, engine, 2)
+        with _epoch(ba200, workers=workers) as engine:
+            poisoned.update(lo=32, armed=True)
             first = engine.draw(16)
-            with pytest.raises(
-                EngineError, match=rf"epoch 2 \(size=16, seed={seed}\)"
-            ):
+            with pytest.raises(EngineError, match=r"ticket \[32, 48\)"):
                 engine.draw(64)
             # a transient fault: the retried draw continues the stream
             # bit-identically, restarting any reaped workers
             poisoned["armed"] = False
             second = engine.draw(64)
-        with _epoch(ba200, epoch_size=16, workers=0) as healthy:
+        with _epoch(ba200, workers=0) as healthy:
             expected = healthy.draw(80)
         _assert_same_samples(first + second, expected)
 
     def test_extend_surfaces_the_error(self, ba200, poisoned):
-        engine = create_engine("epoch", ba200, seed=32, workers=0, epoch_size=7)
-        with engine:
-            _poison_epoch(poisoned, engine, 0)
+        with _epoch(ba200, seed=32, workers=0) as engine:
+            poisoned.update(lo=0, armed=True)
             instance = CoverageInstance(ba200.n)
-            with pytest.raises(EngineError, match=r"epoch 0 \(size=7"):
+            with pytest.raises(EngineError, match=r"ticket \[0, 7\)"):
                 engine.extend(instance, 7)
             assert instance.num_paths == 0
+            assert engine.cursor == 0
 
 
 def _segment_paths(engine):
@@ -468,7 +410,7 @@ def _segment_paths(engine):
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no POSIX shared memory")
 class TestSharedSegments:
     def test_segments_unlinked_on_close(self, ba200):
-        engine = _epoch(ba200, epoch_size=64, workers=2)
+        engine = _epoch(ba200, workers=2)
         engine.draw(64)
         paths = _segment_paths(engine)
         if engine.stats.workers:  # workers actually started
@@ -478,11 +420,11 @@ class TestSharedSegments:
         engine.close()  # idempotent
 
     def test_segments_unlinked_after_worker_death(self, ba200):
-        engine = _epoch(ba200, epoch_size=64, workers=2)
+        engine = _epoch(ba200, workers=2)
         engine.draw(64)
         paths = _segment_paths(engine)
         for proc in engine._procs:
             proc.terminate()
-        assert len(engine.draw(512)) == 512
+        assert len(engine.draw(1500)) == 1500
         engine.close()
         assert not any(os.path.exists(p) for p in paths)

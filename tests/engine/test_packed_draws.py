@@ -46,18 +46,19 @@ class _SamplerEngine(SampleEngine):
     def __init__(self, graph, seed, include_endpoints, draw):
         super().__init__(graph, seed=seed, include_endpoints=include_endpoints)
         self._draw = draw
-        self._sampler = PathSampler(graph, seed=self._rng)
 
     def draw(self, count):
-        return self._draw(self._sampler, count)
+        indices = np.arange(self.cursor, self.cursor + count)
+        self.cursor += count
+        return self._draw(self._sampler, indices)
 
 
 def _engines(graph, seed, cohort_size, include_endpoints=True):
-    def cohort(sampler, count):
-        return sampler.sample_cohort(count, cohort_size=cohort_size)
+    def cohort(sampler, indices):
+        return sampler.sample_cohort(indices, cohort_size=cohort_size)
 
-    def oracle(sampler, count):
-        return sampler.sample_batch(count)
+    def oracle(sampler, indices):
+        return sampler.sample_batch(indices)
 
     return [
         SerialEngine(graph, seed=seed, include_endpoints=include_endpoints),
@@ -138,10 +139,10 @@ class TestOracle:
     def test_walk_slices_and_chunks_do_not_move_samples(self, ba, monkeypatch):
         """Tiny search chunks and walk-step arc budgets split the draw
         differently; the samples stay those of the scalar oracle."""
-        expected = PathSampler(ba, seed=9).sample_batch(400)
+        expected = PathSampler(ba, seed=9).sample_batch(np.arange(400))
         monkeypatch.setattr(sampler_module, "_CHUNK", 37)
         monkeypatch.setattr(sampler_module, "_WALK_ARCS", 3)
-        got = PathSampler(ba, seed=9).sample_cohort(400)
+        got = PathSampler(ba, seed=9).sample_cohort(np.arange(400))
         _assert_identical(got, expected)
 
 

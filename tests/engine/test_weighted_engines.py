@@ -8,8 +8,8 @@ Contract under test:
   per query) are bit-identical on weighted graphs;
 * ``delta`` and ``cohort_size`` never change results, only bucket
   granularity and batching;
-* the epoch engine is bit-identical across worker counts ``{0, 1, 4}``
-  on weighted graphs;
+* draws are bit-identical across worker counts ``{0, 1, 4}`` on
+  weighted graphs;
 * checkpoint/resume reproduces the uninterrupted weighted run exactly.
 """
 
@@ -53,7 +53,7 @@ def _assert_samples_equal(first, second):
 
 
 def _oracle(graph, seed, count):
-    return PathSampler(graph, seed=seed).sample_batch(count)
+    return PathSampler(graph, seed=seed).sample_batch(np.arange(count))
 
 
 class TestBatchKernelParity:
@@ -84,7 +84,9 @@ class TestBatchKernelParity:
     @pytest.mark.parametrize("delta", [1, 3, 10**6])
     def test_delta_is_result_invariant(self, weighted_graph, delta):
         def run(**kwargs):
-            return PathSampler(weighted_graph, seed=13).sample_cohort(120, **kwargs)
+            return PathSampler(weighted_graph, seed=13).sample_cohort(
+                np.arange(120), **kwargs
+            )
 
         _assert_samples_equal(run(), run(delta=delta))
 
@@ -98,13 +100,13 @@ class TestBatchKernelParity:
 
 class TestSamplerCohortParity:
     def test_wavefront_cohort_equals_scalar_cohort(self, weighted_graph):
-        cohort = PathSampler(weighted_graph, seed=17).sample_cohort(200)
+        cohort = PathSampler(weighted_graph, seed=17).sample_cohort(np.arange(200))
         _assert_samples_equal(cohort, _oracle(weighted_graph, 17, 200))
 
     def test_cohort_size_is_result_invariant(self, weighted_graph):
         def run(cohort_size):
             sampler = PathSampler(weighted_graph, seed=23)
-            return sampler.sample_cohort(150, cohort_size=cohort_size)
+            return sampler.sample_cohort(np.arange(150), cohort_size=cohort_size)
 
         reference = run(None)
         for cohort_size in (1, 7, 1000):
@@ -114,9 +116,7 @@ class TestSamplerCohortParity:
 class TestWorkerCountInvariance:
     def test_epoch_identical_across_worker_counts(self, weighted_graph):
         def run(workers):
-            engine = EpochEngine(
-                weighted_graph, seed=404, workers=workers, epoch_size=32
-            )
+            engine = EpochEngine(weighted_graph, seed=404, workers=workers)
             with engine:
                 return engine.draw(128)
 
@@ -128,9 +128,7 @@ class TestWorkerCountInvariance:
         graph = _random_weighted(40, 0.15, seed=9)
 
         def run(workers):
-            algorithm = AdaAlg(
-                eps=0.5, gamma=0.1, seed=5, engine="epoch", workers=workers
-            )
+            algorithm = AdaAlg(eps=0.5, gamma=0.1, seed=5, workers=workers)
             return algorithm.run(graph, 2)
 
         reference = run(1)
@@ -144,16 +142,14 @@ class TestWorkerCountInvariance:
 class TestWeightedResume:
     @pytest.mark.parametrize(
         "engine,extra",
-        [("serial", {}), ("epoch", {"workers": 2, "epoch_size": 64})],
+        [("serial", {}), ("epoch", {"workers": 2})],
     )
     def test_resume_is_bit_identical(self, tmp_path, engine, extra):
         graph = _random_weighted(40, 0.15, seed=21)
         path = str(tmp_path / "ck.npz")
 
         def factory(**kw):
-            return AdaAlg(
-                eps=0.4, gamma=0.1, seed=11, engine=engine, **extra, **kw
-            )
+            return AdaAlg(eps=0.4, gamma=0.1, seed=11, **extra, **kw)
 
         straight = factory().run(graph, 3)
         with pytest.raises(SessionInterrupted):

@@ -148,13 +148,11 @@ class TestSamplingEquivalence:
 
     @pytest.mark.parametrize("name", ["serial", "epoch"])
     def test_engines_agree_with_in_memory(self, ba, ba_mmap, name):
-        extra = {"epoch": {"workers": 2}}
+        workers = {"serial": 0, "epoch": 2}[name]
 
         def run(graph):
             instance = CoverageInstance(graph.n)
-            engine = create_engine(
-                name, graph, seed=42, epoch_size=64, **extra.get(name, {})
-            )
+            engine = create_engine(graph, seed=42, workers=workers)
             with engine:
                 engine.extend(instance, 300)
             return instance
@@ -165,9 +163,7 @@ class TestSamplingEquivalence:
         assert np.array_equal(observed.degrees(), reference.degrees())
 
     def test_workers_use_the_mmap_transport(self, ba_mmap):
-        with create_engine(
-            "epoch", ba_mmap, seed=1, workers=1, epoch_size=64
-        ) as engine:
+        with create_engine(ba_mmap, seed=1, workers=1) as engine:
             transport, payload = engine._worker_payload()
             assert transport == "mmap"
             assert payload["path"] == ba_mmap.mmap_source
@@ -180,14 +176,12 @@ class TestSamplingEquivalence:
         graph = barabasi_albert(80, 2, seed=5)
         mapped = load_mmap(save_mmap(graph, str(tmp_path / "g")))
 
-        def run(g, engine):
-            return AdaAlg(
-                eps=0.4, gamma=0.1, seed=11, engine=engine, epoch_size=100
-            ).run(g, 4)
+        def run(g, workers):
+            return AdaAlg(eps=0.4, gamma=0.1, seed=11, workers=workers).run(g, 4)
 
-        for engine in ("serial", "epoch"):
-            in_memory = run(graph, engine)
-            out_of_core = run(mapped, engine)
+        for workers in (0, 2):
+            in_memory = run(graph, workers)
+            out_of_core = run(mapped, workers)
             assert out_of_core.group == in_memory.group
             assert out_of_core.estimate == in_memory.estimate
             assert out_of_core.num_samples == in_memory.num_samples
@@ -205,7 +199,7 @@ class TestCLI:
         base = [
             "run", "--algorithm", "adaalg", "--edge-list", str(edges),
             "-k", "3", "--eps", "0.4", "--gamma", "0.1", "--seed", "7",
-            "--engine", "epoch", "--epoch-size", "50",
+            "--workers", "2",
         ]
         plain, mapped = tmp_path / "plain.json", tmp_path / "mapped.json"
         assert main(base + ["--json", str(plain)]) == 0
@@ -227,7 +221,7 @@ class TestCLI:
         code = main([
             "run", "--algorithm", "hedge", "--edge-list", path,
             "-k", "2", "--eps", "0.5", "--gamma", "0.1", "--seed", "3",
-            "--engine", "epoch", "--json", str(out),
+            "--workers", "1", "--json", str(out),
         ])
         capsys.readouterr()
         assert code == 0

@@ -9,22 +9,16 @@ serial and epoch engines must report identical totals.
 import pytest
 
 from repro.coverage import CoverageInstance
-from repro.engine import ENGINES, create_engine
+from repro.engine import create_engine
 from repro.obs import Telemetry
+
+#: Engine name -> the ``workers`` value that selects it.
+WORKERS = {"serial": 0, "epoch": 2}
 
 
 def _run_engine(name, graph, requests):
     tel = Telemetry()
-    # every request below lands on a 16-boundary, so the epoch engine's
-    # round-up-to-epoch extend semantics yield the same totals
-    extra = {"epoch": {"workers": 2, "epoch_size": 16}}
-    engine = create_engine(
-        name,
-        graph,
-        seed=41,
-        telemetry=tel,
-        **extra.get(name, {}),
-    )
+    engine = create_engine(graph, seed=41, telemetry=tel, workers=WORKERS[name])
     with engine:
         instance = CoverageInstance(graph.n)
         for target in requests:
@@ -32,7 +26,7 @@ def _run_engine(name, graph, requests):
     return tel, instance
 
 
-@pytest.mark.parametrize("name", sorted(ENGINES))
+@pytest.mark.parametrize("name", sorted(WORKERS))
 def test_counter_totals_match_engine_stats(grid3x3, name):
     tel, instance = _run_engine(name, grid3x3, [32, 64])
     assert tel.counters["engine.samples"] == 64
@@ -42,9 +36,9 @@ def test_counter_totals_match_engine_stats(grid3x3, name):
 
 
 def test_counter_totals_identical_across_engines(grid3x3):
-    requests = [32, 80]
+    requests = [32, 77]
     baseline, _ = _run_engine("serial", grid3x3, requests)
-    for name in sorted(set(ENGINES) - {"serial"}):
+    for name in sorted(set(WORKERS) - {"serial"}):
         tel, _ = _run_engine(name, grid3x3, requests)
         for counter in ("engine.samples", "engine.draw_calls"):
             assert tel.counters[counter] == baseline.counters[counter], (

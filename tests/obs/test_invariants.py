@@ -36,7 +36,7 @@ class TestCheckSample:
     def test_genuine_samples_pass(self):
         g = erdos_renyi(40, 0.15, seed=3)
         sampler = PathSampler(g, seed=4)
-        for sample in sampler.sample_batch(50):
+        for sample in sampler.sample_batch(np.arange(50)):
             check_sample(g, sample)  # must not raise
 
     def test_wrong_distance_rejected(self):
@@ -153,7 +153,7 @@ class TestAlgorithmDebugMode:
         from repro.engine import create_engine
 
         g = erdos_renyi(40, 0.15, seed=13)
-        engine = create_engine("serial", g, seed=14, debug=True)
+        engine = create_engine(g, seed=14, debug=True)
         original = PathSampler.sample_cohort
 
         def corrupt(self, count, **kwargs):

@@ -103,7 +103,7 @@ class TestSampleValidity:
 class TestSampleBatch:
     def test_count_and_validity(self, grid3x3):
         sampler = PathSampler(grid3x3, seed=20)
-        samples = sampler.sample_batch(60)
+        samples = sampler.sample_batch(np.arange(60))
         assert len(samples) == 60
         assert sampler.total_samples == 60
         for s in samples:
@@ -117,7 +117,7 @@ class TestSampleBatch:
         sampler = PathSampler(k4, seed=21)
         counts = {}
         draws = 3000
-        for s in sampler.sample_batch(draws):
+        for s in sampler.sample_batch(np.arange(draws)):
             counts[(s.source, s.target)] = counts.get((s.source, s.target), 0) + 1
         assert len(counts) == 12
         expected = draws / 12
@@ -126,7 +126,7 @@ class TestSampleBatch:
 
     def test_null_samples_preserved(self, two_triangles):
         sampler = PathSampler(two_triangles, seed=22)
-        samples = sampler.sample_batch(200)
+        samples = sampler.sample_batch(np.arange(200))
         nulls = sum(1 for s in samples if s.is_null)
         assert 60 < nulls < 160  # ~60% of ordered pairs cross components
 
@@ -136,7 +136,7 @@ class TestSampleBatch:
         sampler = PathSampler(grid3x3, seed=23)
         counts: dict[tuple, int] = {}
         draws = 0
-        for s in sampler.sample_batch(8000):
+        for s in sampler.sample_batch(np.arange(8000)):
             if s.source == 0 and s.target == 8:
                 key = tuple(s.nodes.tolist())
                 counts[key] = counts.get(key, 0) + 1
@@ -147,17 +147,19 @@ class TestSampleBatch:
 
     def test_negative_count_rejected(self, path5):
         with pytest.raises(ParameterError):
-            PathSampler(path5, seed=0).sample_batch(-1)
+            PathSampler(path5, seed=0).sample_batch([3, -1])
+        with pytest.raises(ParameterError):
+            PathSampler(path5, seed=0).sample_cohort(5)  # not an index array
 
     def test_zero_count(self, path5):
-        assert len(PathSampler(path5, seed=0).sample_batch(0)) == 0
+        assert len(PathSampler(path5, seed=0).sample_batch([])) == 0
 
     def test_weighted_graph_falls_back(self):
         from repro.graph import from_weighted_edges
 
         g = from_weighted_edges([(0, 1, 2), (1, 2, 3)])
         sampler = PathSampler(g, seed=24)
-        samples = sampler.sample_batch(20)
+        samples = sampler.sample_batch(np.arange(20))
         assert len(samples) == 20
         assert all(s.distance >= 0 for s in samples)
 

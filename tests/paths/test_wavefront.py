@@ -174,16 +174,16 @@ class TestScalarRangeValidation:
 
 class TestSamplerCrossKernel:
     def test_sample_cohort_kernels_identical(self):
-        """The cohort draw consumes the RNG exactly like the scalar
-        oracle ``sample_batch``, so the sampled paths (not just the
-        searches) are bit-identical at every cohort width."""
+        """The cohort draw reads the same per-index uniforms as the
+        scalar oracle ``sample_batch``, so the sampled paths (not just
+        the searches) are bit-identical at every cohort width."""
         from repro.paths import PathSampler
 
         graph = barabasi_albert(100, 2, seed=41)
-        reference = PathSampler(graph, seed=77).sample_batch(150)
+        reference = PathSampler(graph, seed=77).sample_batch(np.arange(150))
         for cohort_size in (None, 13):
             sampler = PathSampler(graph, seed=77)
-            samples = sampler.sample_cohort(150, cohort_size=cohort_size)
+            samples = sampler.sample_cohort(np.arange(150), cohort_size=cohort_size)
             for a, b in zip(reference, samples):
                 assert a.source == b.source
                 assert a.target == b.target
@@ -192,9 +192,10 @@ class TestSamplerCrossKernel:
                 assert a.edges_explored == b.edges_explored
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_sample_pairs_is_the_cohort_draw_after_its_pairs(self, weighted):
-        """``sample_cohort(count)`` is ``draw_pairs(count)`` followed by
-        ``sample_pairs`` on them — across chunk boundaries too."""
+    def test_cohort_draw_is_split_invariant(self, weighted):
+        """Sample ``i`` is a pure function of ``i``: any split or order
+        of the indices gives the same samples — across chunk boundaries
+        too."""
         from repro.graph import from_weighted_edges
         from repro.paths import PathSampler
 
@@ -206,15 +207,23 @@ class TestSamplerCrossKernel:
                 n=graph.n,
             )
         count = 80 if weighted else 600
-        cohort = PathSampler(graph, seed=3).sample_cohort(count)
-        split = PathSampler(graph, seed=3)
-        pairs = split.sample_pairs(*split.draw_pairs(count))
-        for name in ("sources", "targets", "distances", "sigmas", "nodes", "offsets"):
-            np.testing.assert_array_equal(getattr(pairs, name), getattr(cohort, name))
+        indices = np.arange(count)
+        cohort = PathSampler(graph, seed=3).sample_cohort(indices)
+        sampler = PathSampler(graph, seed=3)
+        order = np.random.default_rng(2).permutation(count)
+        cut = count // 3
+        parts = sampler.sample_cohort(order[:cut]) + sampler.sample_cohort(order[cut:])
+        back = np.argsort(order)
+        for name in ("sources", "targets", "distances", "sigmas"):
+            np.testing.assert_array_equal(
+                getattr(parts, name)[back], getattr(cohort, name)
+            )
+        for i, j in enumerate(back.tolist()):
+            np.testing.assert_array_equal(parts[j].nodes, cohort[i].nodes)
 
     def test_cohort_requires_bidirectional(self, grid3x3):
         from repro.paths import PathSampler
 
         sampler = PathSampler(grid3x3, seed=0, method="forward")
         with pytest.raises(ParameterError):
-            sampler.sample_cohort(5)
+            sampler.sample_cohort(np.arange(5))

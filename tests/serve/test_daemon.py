@@ -98,7 +98,7 @@ class TestAnswerPaths:
         equals the single-shot run with the same seed, byte for byte."""
         key = QueryKey("ba", "adaalg", 2, 0.6, 0.1, 7)
         direct = result_payload(
-            build_algorithm(key, engine="serial").run(ba60, key.k), key.k
+            build_algorithm(key).run(ba60, key.k), key.k
         )
         with _Harness(_config(ba60)) as daemon:
             with daemon.client() as client:
@@ -322,17 +322,11 @@ class TestDrain:
         not os.path.isdir("/dev/shm"), reason="no POSIX shared memory"
     )
     def test_drain_unlinks_shared_memory_and_workers(self, ba60, tmp_path):
-        """With the epoch engine, drain must stop the persistent
+        """With worker processes, drain must stop the persistent
         workers and unlink every /dev/shm graph segment."""
         before = set(multiprocessing.active_children())
         daemon = _Harness(
-            _config(
-                ba60,
-                engine="epoch",
-                workers=2,
-                epoch_size=64,
-                warm_dir=str(tmp_path / "warm"),
-            )
+            _config(ba60, workers=2, warm_dir=str(tmp_path / "warm"))
         )
         shm_paths: list[str] = []
         with daemon:
@@ -520,7 +514,7 @@ class TestThawRobustness:
         warm = tmp_path / "warm"
         warm.mkdir()
         algorithm = build_algorithm(
-            QueryKey("ba", "adaalg", 1, 0.6, 0.1, 5), engine="serial"
+            QueryKey("ba", "adaalg", 1, 0.6, 0.1, 5)
         )
         session = algorithm.build_session(ba60)
         try:
@@ -547,32 +541,49 @@ class TestThawRobustness:
     def test_thaw_skips_removed_engine_lane(
         self, ba60, tmp_path, capfd, monkeypatch
     ):
-        """A warm lane checkpointed with the removed ``process`` engine
-        is skipped with a warning naming its replacement — before any
-        session, worker process or shared-memory block is created."""
+        """Warm lanes drawn from an older sample stream — a PCG64 state
+        of the removed ``process`` engine, or the retired epoch stream —
+        are skipped with a warning saying why, before any session,
+        worker process or shared-memory block is created."""
         from repro.session import SamplingSession
 
         warm = tmp_path / "warm"
         warm.mkdir()
-        path = warm / "ba__adaalg__5.warm.npz"
-        algorithm = build_algorithm(
-            QueryKey("ba", "adaalg", 1, 0.6, 0.1, 5), engine="serial"
-        )
-        session = algorithm.build_session(ba60)
-        try:
-            session.extend(64)
-            session.checkpoint(
-                str(path),
-                state={"serve": {"dataset": "ba", "algorithm": "adaalg", "seed": 5}},
+        old_states = {
+            "ba__adaalg__5.warm.npz": (
+                {"engine": "process", "workers": 2, "kernel": "wavefront"},
+                {"bit_generator": "PCG64", "state": {"state": 1, "inc": 3}},
+            ),
+            "ba__adaalg__6.warm.npz": (
+                {"engine": "epoch", "epoch_size": 512},
+                {"bit_generator": "repro-epoch-stream", "entropy": 1,
+                 "next_epoch": 1, "epoch_size": 512},
+            ),
+        }
+        for name, (provenance, state) in old_states.items():
+            path = warm / name
+            seed = int(name.split("__")[2].split(".")[0])
+            algorithm = build_algorithm(
+                QueryKey("ba", "adaalg", 1, 0.6, 0.1, seed)
             )
-        finally:
-            session.close()
-        with np.load(path, allow_pickle=False) as payload:
-            arrays = {key: payload[key] for key in payload.files}
-        meta = json.loads(str(arrays["meta"]))
-        meta["provenance"].update(engine="process", workers=2, kernel="wavefront")
-        arrays["meta"] = np.asarray(json.dumps(meta))
-        np.savez(path, **arrays)
+            session = algorithm.build_session(ba60)
+            try:
+                session.extend(64)
+                session.checkpoint(
+                    str(path),
+                    state={"serve": {
+                        "dataset": "ba", "algorithm": "adaalg", "seed": seed,
+                    }},
+                )
+            finally:
+                session.close()
+            with np.load(path, allow_pickle=False) as payload:
+                arrays = {key: payload[key] for key in payload.files}
+            meta = json.loads(str(arrays["meta"]))
+            meta["provenance"].update(provenance)
+            meta["rng_states"] = [state] * meta["lanes"]
+            arrays["meta"] = np.asarray(json.dumps(meta))
+            np.savez(path, **arrays)
 
         built = []
         original_init = SamplingSession.__init__
@@ -586,10 +597,12 @@ class TestThawRobustness:
         segments = {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
         with _Harness(_config(ba60, warm_dir=str(warm))) as daemon:
             assert not daemon.server._lanes  # nothing thawed
-            assert built == []  # no session was built for the lane
+            assert built == []  # no session was built for the lanes
             assert set(multiprocessing.active_children()) == children
             now = {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
             assert now <= segments
         err = capfd.readouterr().err
-        assert "skipping warm lane ba__adaalg__5.warm.npz" in err
-        assert "engine 'epoch'" in err
+        for name in old_states:
+            assert f"skipping warm lane {name}" in err
+        assert err.count("older sample stream") == 2
+        assert "'PCG64'" in err and "'repro-epoch-stream'" in err

@@ -145,7 +145,7 @@ class TestMutateEndToEnd:
         compacted = overlay.compact()
         key = QueryKey("ba", "adaalg", 2, 0.6, 0.1, 7)
         cold = result_payload(
-            build_algorithm(key, engine="serial").run(compacted, key.k), key.k
+            build_algorithm(key).run(compacted, key.k), key.k
         )
 
         with _Harness(_config(ba60)) as daemon:

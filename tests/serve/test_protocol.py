@@ -75,7 +75,7 @@ class TestBuildAlgorithm:
 
         for name in ALGORITHMS:
             key = QueryKey("ba", name, 2, 0.4, 0.05, 7)
-            algorithm = build_algorithm(key, engine="serial")
+            algorithm = build_algorithm(key)
             assert isinstance(algorithm, _CLASSES[name])
             if name != "exhaust":  # EXHAUST pins its own (eps, gamma)
                 assert algorithm.eps == 0.4

@@ -1,12 +1,14 @@
 """Checkpoints written by older versions of the package.
 
-Older checkpoints record ``kernel``, ``delta``, ``cache_sources`` and
-``method`` in their provenance.  A serial or epoch stream drawn with
-the ``wavefront``/``scalar`` kernel is exactly today's stream, so it
-must resume bit-identically with those keys ignored; a stream drawn by
-the removed ``batch``/``process`` engines or the removed source-grouped
-sampler cannot be continued and must be refused with
-:class:`~repro.exceptions.CheckpointError` naming the replacement.
+Whether a checkpoint can be continued is decided by its lanes' stream
+states alone.  Every lane of a resumable checkpoint is on the
+index-addressed stream (``{"stream": STREAM_TAG, "key", "cursor"}``);
+leftover provenance keys (``kernel``, ``delta``, ``cache_sources``,
+``method``, ``engine``, ``epoch_size``) are ignored.  A checkpoint
+drawn from an older stream — a PCG64 generator state of the removed
+``serial``/``batch``/``process`` streams, or the epoch engine's
+``repro-epoch-stream`` cursor — cannot be continued and is refused with
+:class:`~repro.exceptions.CheckpointError` saying why.
 
 Checkpoints written before the graph digest existed carry per-lane
 ``versions``/``fingerprints`` columns and no ``digest``; they resume
@@ -22,6 +24,7 @@ import pytest
 
 from repro.algorithms import AdaAlg
 from repro.cli import main
+from repro.engine import STREAM_TAG
 from repro.exceptions import CheckpointError, SessionInterrupted
 from repro.graph import barabasi_albert, write_edge_list
 from repro.session import SamplingSession
@@ -32,6 +35,23 @@ LEGACY_KEYS = {
     "kernel": "wavefront",
     "cache_sources": 0,
     "delta": None,
+    "engine": "serial",
+    "epoch_size": None,
+}
+
+#: Lane states of the two retired streams.
+PCG64_STATE = {
+    "bit_generator": "PCG64",
+    "state": {"state": 1, "inc": 3},
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+EPOCH_STATE = {
+    "bit_generator": "repro-epoch-stream",
+    "entropy": 5,
+    "next_epoch": 2,
+    "epoch_size": 512,
+    "master": PCG64_STATE,
 }
 
 
@@ -40,13 +60,16 @@ def graph():
     return barabasi_albert(80, 2, seed=5)
 
 
-def rewrite_checkpoint(path, provenance=(), params=()):
-    """Patch a checkpoint's provenance and algorithm parameters in
-    place, as an older version would have written them."""
+def rewrite_checkpoint(path, provenance=(), params=(), rng_state=None):
+    """Patch a checkpoint's provenance, algorithm parameters and (when
+    given) every lane's stream state in place, as an older version
+    would have written them."""
     with np.load(path, allow_pickle=False) as payload:
         arrays = {key: payload[key] for key in payload.files}
     meta = json.loads(str(arrays["meta"]))
     meta["provenance"].update(provenance)
+    if rng_state is not None:
+        meta["rng_states"] = [rng_state] * meta["lanes"]
     if meta.get("state") and "params" in meta["state"]:
         meta["state"]["params"].update(params)
     arrays["meta"] = np.asarray(json.dumps(meta))
@@ -87,9 +110,7 @@ def _interrupted(graph, path, **engine):
 
 
 class TestLegacyResume:
-    @pytest.mark.parametrize(
-        "engine", [{"engine": "serial"}, {"engine": "epoch", "workers": 2}]
-    )
+    @pytest.mark.parametrize("engine", [{}, {"workers": 2}])
     def test_pre_change_checkpoint_resumes_bit_identically(
         self, graph, tmp_path, engine
     ):
@@ -111,9 +132,7 @@ class TestLegacyResume:
         assert resumed.num_samples == straight.num_samples
         assert resumed.iterations == straight.iterations
 
-    @pytest.mark.parametrize(
-        "engine", [{"engine": "serial"}, {"engine": "epoch", "workers": 2}]
-    )
+    @pytest.mark.parametrize("engine", [{}, {"workers": 2}])
     def test_versions_and_fingerprints_checkpoint_resumes_bit_identically(
         self, graph, tmp_path, engine
     ):
@@ -134,7 +153,8 @@ class TestLegacyResume:
         assert resumed.iterations == straight.iterations
 
     def test_scalar_kernel_checkpoint_resumes(self, graph, tmp_path):
-        """The scalar kernel drew the same samples as the wavefront."""
+        """The kernel never changed a sample; its provenance key is
+        ignored."""
         path = str(tmp_path / "ck.npz")
         _interrupted(graph, path)
         rewrite_checkpoint(path, provenance={**LEGACY_KEYS, "kernel": "scalar"})
@@ -144,25 +164,38 @@ class TestLegacyResume:
 
 class TestRemovedEngines:
     @pytest.mark.parametrize(
-        "provenance, replacement",
+        "provenance, rng_state, found",
         [
-            ({"engine": "batch"}, "engine 'serial'"),
-            ({"engine": "process", "workers": 2}, "engine 'epoch'"),
-            ({"kernel": "grouped"}, "engine 'serial' or 'epoch'"),
-            ({"method": "forward"}, "engine 'serial' or 'epoch'"),
+            ({"engine": "batch"}, PCG64_STATE, "PCG64"),
+            ({"engine": "process", "workers": 2}, PCG64_STATE, "PCG64"),
+            ({"kernel": "grouped"}, PCG64_STATE, "PCG64"),
+            ({"method": "forward"}, PCG64_STATE, "PCG64"),
+            ({"engine": "epoch", "epoch_size": 512}, EPOCH_STATE,
+             "repro-epoch-stream"),
         ],
-        ids=["batch", "process", "grouped", "forward"],
+        ids=["batch", "process", "grouped", "forward", "epoch-stream"],
     )
     def test_refused_with_replacement_named(
-        self, graph, tmp_path, provenance, replacement
+        self, graph, tmp_path, provenance, rng_state, found
     ):
+        """The refusal names the old stream and the one replacing it."""
         path = str(tmp_path / "ck.npz")
         _interrupted(graph, path)
-        rewrite_checkpoint(path, provenance={**LEGACY_KEYS, **provenance})
-        with pytest.raises(CheckpointError, match=replacement):
-            SamplingSession.peek(path)
-        with pytest.raises(CheckpointError, match=replacement):
-            AdaAlg(eps=0.4, gamma=0.1, seed=11, resume_from=path).run(graph, 3)
+        rewrite_checkpoint(
+            path, provenance={**LEGACY_KEYS, **provenance}, rng_state=rng_state
+        )
+        for call in (
+            lambda: SamplingSession.peek(path),
+            lambda: SamplingSession.resume(path, graph),
+            lambda: AdaAlg(eps=0.4, gamma=0.1, seed=11, resume_from=path).run(
+                graph, 3
+            ),
+        ):
+            with pytest.raises(CheckpointError) as excinfo:
+                call()
+            message = str(excinfo.value)
+            assert "older sample stream" in message
+            assert repr(found) in message and repr(STREAM_TAG) in message
 
     def test_cli_resume_refuses_process_checkpoint(self, graph, tmp_path):
         edges = tmp_path / "ba.txt"
@@ -172,6 +205,9 @@ class TestRemovedEngines:
                 "--eps", "0.4", "--gamma", "0.1", "--seed", "11"]
         assert main(["run", *args, "--checkpoint", path,
                      "--stop-after-checkpoints", "1"]) == 3
-        rewrite_checkpoint(path, provenance={**LEGACY_KEYS, "engine": "process"})
-        with pytest.raises(CheckpointError, match="engine 'epoch'"):
+        rewrite_checkpoint(
+            path, provenance={**LEGACY_KEYS, "engine": "process"},
+            rng_state=PCG64_STATE,
+        )
+        with pytest.raises(CheckpointError, match="older sample stream"):
             main(["resume", path])

@@ -205,8 +205,8 @@ class TestSessionMigration:
     @pytest.mark.parametrize(
         "engine_kwargs",
         [
-            {"engine": "serial"},
-            {"engine": "epoch", "workers": 2, "epoch_size": 64},
+            {"workers": 0},
+            {"workers": 2},
         ],
         ids=["serial", "epoch"],
     )
@@ -250,10 +250,9 @@ def _equivalence_case(
 
     The group (and convergence verdict) must match; a
     ``samples_tolerance`` additionally pins the sample count to within
-    that slack — structural for EXHAUST's fixed budget (0 for the
-    serial engine; the epoch engine rounds extends up to an epoch
-    boundary).  The adaptive stopping rules may legitimately halt at a
-    different schedule entry on a different stream.
+    that slack — structural for EXHAUST's fixed budget.  The adaptive
+    stopping rules may legitimately halt at a different schedule entry
+    on a different pool.
     """
     graph = barabasi_albert(60, 2, seed=3)
     rng = np.random.default_rng(11)
@@ -287,8 +286,8 @@ class TestEquivalenceContract:
     @pytest.mark.parametrize(
         "engine_kwargs",
         [
-            {"engine": "serial"},
-            {"engine": "epoch", "workers": 2, "epoch_size": 128},
+            {"workers": 0},
+            {"workers": 2},
         ],
         ids=["serial", "epoch"],
     )
@@ -296,16 +295,16 @@ class TestEquivalenceContract:
         _equivalence_case(AdaAlg, engine_kwargs, eps=0.6, gamma=0.1)
 
     def test_hedge_requery_matches_cold_run(self):
-        _equivalence_case(Hedge, {"engine": "serial"}, eps=0.6, gamma=0.1)
+        _equivalence_case(Hedge, {}, eps=0.6, gamma=0.1)
 
     def test_centra_requery_matches_cold_run(self):
-        _equivalence_case(CentRa, {"engine": "serial"}, eps=0.6, gamma=0.1)
+        _equivalence_case(CentRa, {}, eps=0.6, gamma=0.1)
 
     @pytest.mark.parametrize(
         "engine_kwargs, tolerance",
         [
-            ({"engine": "serial"}, 0),
-            ({"engine": "epoch", "workers": 2, "epoch_size": 128}, 128),
+            ({"workers": 0}, 0),
+            ({"workers": 2}, 0),
         ],
         ids=["serial", "epoch"],
     )
@@ -313,8 +312,7 @@ class TestEquivalenceContract:
         self, engine_kwargs, tolerance
     ):
         """EXHAUST's fixed budget makes the sample counts structurally
-        equal, pinning the strictest form of the contract (the epoch
-        engine gets one epoch of round-up slack)."""
+        equal, pinning the strictest form of the contract."""
         _equivalence_case(
             Exhaust, engine_kwargs, samples_tolerance=tolerance
         )

@@ -1,10 +1,10 @@
-"""End-to-end epoch-engine determinism through sessions and algorithms.
+"""End-to-end worker-count determinism through sessions and algorithms.
 
-The headline guarantee of the epoch engine: for a fixed
-``(seed, epoch_size)`` every sampling algorithm returns the *same*
-group, estimates, and sample counts whether the epochs were computed
-in-process (``workers=0``) or by 1 or 4 persistent workers — and a
-checkpointed run killed at an epoch boundary resumes bit-identically.
+The headline guarantee of the index-addressed stream: for a fixed seed
+every sampling algorithm returns the *same* group, estimates, and
+sample counts whether the samples were computed in-process
+(``workers=0``) or by 1 or 4 persistent workers — and a checkpointed
+run killed at an iteration boundary resumes bit-identically.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import AdaAlg, CentRa, Exhaust, Hedge
+from repro.engine import STREAM_TAG
 from repro.exceptions import SessionInterrupted
 from repro.graph import barabasi_albert
 from repro.session import SamplingSession
@@ -46,9 +47,7 @@ def _assert_identical(a, b):
 @pytest.mark.parametrize("name", sorted(_FACTORIES))
 def test_groups_identical_across_worker_counts(graph, name):
     def run(workers):
-        algorithm = _FACTORIES[name](
-            engine="epoch", workers=workers, epoch_size=100
-        )
+        algorithm = _FACTORIES[name](workers=workers)
         return algorithm.run(graph, 3)
 
     reference = run(0)
@@ -58,12 +57,12 @@ def test_groups_identical_across_worker_counts(graph, name):
 
 @pytest.mark.parametrize("name", sorted(_FACTORIES))
 def test_resume_is_bit_identical(graph, tmp_path, name):
-    """Kill after the first checkpoint (an epoch boundary), resume, and
-    land on the uninterrupted run's exact result."""
+    """Kill after the first checkpoint, resume, and land on the
+    uninterrupted run's exact result."""
     path = str(tmp_path / "ck.npz")
 
     def factory(**kw):
-        return _FACTORIES[name](engine="epoch", epoch_size=100, **kw)
+        return _FACTORIES[name](workers=2, **kw)
 
     straight = factory().run(graph, 3)
     with pytest.raises(SessionInterrupted):
@@ -78,55 +77,47 @@ def test_resume_across_worker_counts(graph, tmp_path):
     vice versa) without moving a single sample."""
     path = str(tmp_path / "ck.npz")
     straight = _FACTORIES["adaalg"](
-        engine="epoch", epoch_size=100, workers=2
+        workers=2
     ).run(graph, 3)
     with pytest.raises(SessionInterrupted):
         _FACTORIES["adaalg"](
-            engine="epoch", epoch_size=100, workers=2,
+            workers=2,
             checkpoint_path=path, stop_after_checkpoints=1,
         ).run(graph, 3)
     resumed = _FACTORIES["adaalg"](
-        engine="epoch", epoch_size=100, workers=0, resume_from=path
+        workers=0, resume_from=path
     ).run(graph, 3)
     _assert_identical(resumed, straight)
 
 
-def test_checkpoint_records_epoch_size(graph, tmp_path):
+def test_checkpoint_records_stream_cursor(graph, tmp_path):
     path = str(tmp_path / "ck.npz")
     with pytest.raises(SessionInterrupted):
         _FACTORIES["adaalg"](
-            engine="epoch", epoch_size=100,
-            checkpoint_path=path, stop_after_checkpoints=1,
+            workers=2, checkpoint_path=path, stop_after_checkpoints=1,
         ).run(graph, 3)
     meta = SamplingSession.peek(path)
-    assert meta["provenance"]["engine"] == "epoch"
-    assert meta["provenance"]["epoch_size"] == 100
-    # every lane's RNG state sits on an epoch boundary
-    for state in meta["rng_states"]:
-        assert state["bit_generator"] == "repro-epoch-stream"
-        assert state["epoch_size"] == 100
+    assert meta["provenance"] == {"include_endpoints": True, "workers": 2}
+    # every lane's state is its key and the cursor at its store's end
+    for state, paths in zip(meta["rng_states"], meta["num_paths"]):
+        assert state["stream"] == STREAM_TAG
+        assert state["cursor"] == paths
 
 
-def test_session_extends_land_on_epoch_boundaries(graph):
-    session = SamplingSession(
-        graph, lanes=1, seed=0, engine="epoch", epoch_size=64
-    )
+def test_session_extends_land_exactly_on_target(graph):
+    session = SamplingSession(graph, lanes=1, seed=0, workers=2)
     with session:
         session.extend(100)
-        assert session.store(0).num_paths == 128
-        # the schedule records what is actually there, so warm-started
-        # reuse sees the real pool size
-        assert session.store(0).draw_schedule == [128]
-        session.extend(120)  # already satisfied by the overshoot
-        assert session.store(0).num_paths == 128
-        assert session.store(0).draw_schedule == [128]
+        assert session.store(0).num_paths == 100
+        assert session.store(0).draw_schedule == [100]
+        session.extend(80)  # already satisfied
+        assert session.store(0).num_paths == 100
+        assert session.store(0).draw_schedule == [100]
 
 
 def test_session_round_trips_epoch_engine(graph, tmp_path):
     path = str(tmp_path / "ck.npz")
-    session = SamplingSession(
-        graph, lanes=2, seed=9, engine="epoch", epoch_size=64, workers=2
-    )
+    session = SamplingSession(graph, lanes=2, seed=9, workers=2)
     with session:
         session.extend(128, lane=0)
         session.extend(64, lane=1)
@@ -135,7 +126,7 @@ def test_session_round_trips_epoch_engine(graph, tmp_path):
         expected = session.store(0).export_arrays()
     thawed, _state = SamplingSession.resume(path, graph)
     with thawed:
-        assert thawed.provenance["epoch_size"] == 64
+        assert thawed.provenance["workers"] == 2
         thawed.extend(256, lane=0)
         observed = thawed.store(0).export_arrays()
     for key in ("flat", "offsets", "degrees"):

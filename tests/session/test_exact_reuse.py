@@ -10,6 +10,8 @@ before and after a random mixed delta and check
   graph for the same pair, and exactly the changed pairs are redrawn;
 * the law: the post-mutate pool's (pair, path) frequencies pass a
   chi-square test against the new graph's law and against a cold pool;
+* cold equality: a redrawn sample ``i`` is exactly the cold sample
+  ``i`` of the mutated graph, and every kept sample has its pair;
 * null pairs: a pair that becomes connected never keeps its stale
   "unreachable" sample;
 * checkpoints: checkpoint → mutate → resume is bit-identical, and a
@@ -23,6 +25,7 @@ import pytest
 from scipy import stats
 
 from repro.graph import GraphUpdate, from_edges
+from repro.paths import PathSampler
 from repro.session import ExactInvalidation, SamplingSession
 
 from brute_force import path_length, random_graph, random_update, shortest_path_sets
@@ -84,6 +87,40 @@ class TestSoundness:
         assert result["invalidated"] == result["redrawn"] == changed
         assert result["tested"] == 450
         assert result["surviving"] == 450 - changed
+
+
+class TestColdEquality:
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_redrawn_samples_are_the_cold_samples(self, kind):
+        """Every redrawn sample ``i`` equals ``sample_cohort([i])`` of
+        its lane's stream on the mutated graph; a kept sample keeps the
+        pair of the cold sample ``i`` (its path may differ only where
+        the search's cut level moved)."""
+        directed, weighted = _KINDS[kind]
+        rng = np.random.default_rng([3, 7])
+        old = random_graph(rng, 12, 22, directed, weighted)
+        update = random_update(rng, old, 4)
+        with SamplingSession(old, lanes=2, seed=8) as session:
+            session.extend(200, lane=0)
+            session.extend(120, lane=1)
+            before = [_pool(store) for store in session.stores]
+            result = session.apply_update(update)
+            redrawn = 0
+            for lane, (engine, store) in enumerate(
+                zip(session.engines, session.stores)
+            ):
+                cold = PathSampler(session.graph, seed=engine.key)
+                for i, (sample, kept) in enumerate(
+                    zip(_pool(store), before[lane])
+                ):
+                    (want,) = cold.sample_cohort([i])
+                    assert sample[:2] == (want.source, want.target)
+                    if sample != kept:
+                        redrawn += 1
+                        assert sample[2] == want.distance
+                        assert sample[3] == tuple(np.unique(want.nodes).tolist())
+        assert redrawn > 0
+        assert redrawn <= result["redrawn"]
 
 
 class TestLaw:
@@ -151,10 +188,7 @@ class TestNullPairs:
         assert stale.tolist() == [True, False, False]
 
 
-_ENGINES = [
-    {"engine": "serial"},
-    {"engine": "epoch", "workers": 0, "epoch_size": 64},
-]
+_ENGINES = [{"workers": 0}, {"workers": 1}]
 
 
 def _update_for(graph):
@@ -195,7 +229,8 @@ class TestCheckpoints:
     def test_checkpoint_without_pair_columns(self, engine, tmp_path):
         """A checkpoint from before the pair columns resumes, continues
         its stream unchanged, and a mutation on it redraws the whole
-        pool (each sample for a fresh pair) into a valid new pool."""
+        pool (each sample ``i`` as the cold sample ``i``) into a valid
+        new pool."""
         graph = random_graph(np.random.default_rng(9), 40, 90, False, False)
         path = str(tmp_path / "full.npz")
         legacy = str(tmp_path / "legacy.npz")
@@ -233,47 +268,40 @@ class TestCheckpoints:
 
 
 class TestRedrawStream:
-    def _pairs(self, graph, count=200):
-        rng = np.random.default_rng(2)
-        sources = rng.integers(0, graph.n, size=count)
-        targets = (sources + rng.integers(1, graph.n, size=count)) % graph.n
-        return sources, targets
+    _IDS = np.array([0, 5, 17, 3, 199, 64])
 
     @pytest.mark.parametrize("engine", _ENGINES, ids=["serial", "epoch"])
     def test_deterministic_and_checkpointable(self, engine):
-        """Equal engine states redraw equal samples, and the state after
-        a redraw carries the redraw stream's position."""
+        """A redraw is the cold draw of its indices: the same for equal
+        keys, not counted, and leaving the stream state untouched."""
         from repro.engine import create_engine
 
         graph = random_graph(np.random.default_rng(9), 40, 90, False, False)
-        sources, targets = self._pairs(graph)
-        kwargs = {k: v for k, v in engine.items() if k != "engine"}
-        first = create_engine(engine["engine"], graph, seed=1, **kwargs)
-        second = create_engine(engine["engine"], graph, seed=1, **kwargs)
-        a = first.redraw(sources, targets)
-        second.set_rng_state(first.rng_state())
-        b, c = first.redraw(sources, targets), second.redraw(sources, targets)
-        np.testing.assert_array_equal(b.nodes, c.nodes)
-        np.testing.assert_array_equal(a.sources, sources)
-        np.testing.assert_array_equal(a.targets, targets)
-        assert not np.array_equal(a.nodes, b.nodes)  # the stream moved on
-        assert first.stats.samples == 0  # redraws are not draws
+        with create_engine(graph, seed=1, **engine) as first:
+            state = first.rng_state()
+            a = first.redraw(self._IDS)
+            assert first.rng_state() == state  # checkpoints see no change
+            assert first.stats.samples == 0  # redraws are not draws
+            b = first.redraw(self._IDS)
+        cold = PathSampler(graph, seed=1).sample_cohort(self._IDS)
+        for got in (a, b):
+            np.testing.assert_array_equal(got.sources, cold.sources)
+            np.testing.assert_array_equal(got.nodes, cold.nodes)
 
     def test_epoch_cursor_untouched(self):
-        """The epoch engine redraws from its master generator: the epoch
-        stream after a redraw is the one a fresh engine draws."""
+        """Redraws never move the cursor: the stream after a redraw is
+        the one a fresh engine draws."""
         from repro.engine import EpochEngine
 
         graph = random_graph(np.random.default_rng(9), 40, 90, False, False)
-        redrawn = EpochEngine(graph, seed=4, workers=0, epoch_size=32)
-        fresh = EpochEngine(graph, seed=4, workers=0, epoch_size=32)
-        redrawn.redraw(*self._pairs(graph))
-        assert redrawn.rng_state()["next_epoch"] == 0
+        redrawn = EpochEngine(graph, seed=4, workers=0)
+        fresh = EpochEngine(graph, seed=4, workers=0)
+        redrawn.redraw(self._IDS)
+        assert redrawn.rng_state()["cursor"] == 0
         np.testing.assert_array_equal(redrawn.draw(96).nodes, fresh.draw(96).nodes)
 
     def test_lanes_redraw_independently(self):
         graph = random_graph(np.random.default_rng(9), 40, 90, False, False)
-        sources, targets = self._pairs(graph)
         with SamplingSession(graph, lanes=2, seed=6) as session:
-            a, b = (engine.redraw(sources, targets) for engine in session.engines)
-        assert not np.array_equal(a.nodes, b.nodes)
+            a, b = (engine.redraw(np.arange(200)) for engine in session.engines)
+        assert not np.array_equal(a.sources, b.sources)

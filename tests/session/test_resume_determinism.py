@@ -1,5 +1,5 @@
 """Checkpoint → kill → resume must be bit-identical to running straight
-through — for every sampling algorithm and every engine.
+through — for every sampling algorithm and every worker count.
 
 Also freezes the pre-session-refactor reference results: with a fixed
 seed, running through a session must reproduce the exact groups,
@@ -23,16 +23,18 @@ def graph():
 #: (group, estimate, estimate_unbiased, num_samples, iterations) of
 #: AdaAlg(eps=0.4, gamma=0.1, seed=11).run(g, 4) recorded *before* the
 #: session refactor (commit b59620f) — the refactor must not move them.
-#: The serial engine's entry was re-recorded once when it moved to
-#: packed cohort draws: it now samples exactly like the batch engine.
+#: The serial engine's entry was re-recorded when it moved to packed
+#: cohort draws, and again when sampling moved to the index-addressed
+#: stream (sample i = f(seed, i, graph)); sample counts and iterations
+#: never moved (same schedule, same law).
 _FROZEN_ADAALG = {
-    "serial": ([3, 0, 13, 1], 5071.8, 5198.2, 800, 2),
+    "serial": ([3, 0, 1, 13], 5277.2, 5008.599999999999, 800, 2),
 }
 
 
 @pytest.mark.parametrize("engine", ["serial"])
 def test_adaalg_matches_pre_refactor_reference(graph, engine):
-    result = AdaAlg(eps=0.4, gamma=0.1, seed=11, engine=engine).run(graph, 4)
+    result = AdaAlg(eps=0.4, gamma=0.1, seed=11).run(graph, 4)
     group, estimate, unbiased, samples, iterations = _FROZEN_ADAALG[engine]
     assert result.group == group
     assert result.estimate == estimate
@@ -42,19 +44,20 @@ def test_adaalg_matches_pre_refactor_reference(graph, engine):
 
 
 def test_baselines_match_pre_refactor_reference(graph):
-    # re-recorded once with the serial engine's move to packed cohort
-    # draws; sample counts are unchanged (same schedule, same law)
+    # re-recorded with the serial engine's move to packed cohort draws
+    # and with the index-addressed stream; sample counts are unchanged
+    # (same schedule, same law)
     result = Hedge(eps=0.5, gamma=0.1, seed=7, max_samples=20_000).run(graph, 3)
     assert (result.group, result.estimate, result.num_samples) == (
-        [3, 0, 1], 4873.898305084746, 1298,
+        [3, 0, 1], 4849.553158705701, 1298,
     )
     result = CentRa(eps=0.5, gamma=0.1, seed=7, max_samples=20_000).run(graph, 3)
     assert (result.group, result.estimate, result.num_samples) == (
-        [3, 0, 1], 5115.359116022099, 362,
+        [3, 0, 1], 4713.812154696133, 362,
     )
     result = Exhaust(seed=7, num_samples=3000).run(graph, 3)
     assert (result.group, result.estimate, result.num_samples) == (
-        [3, 0, 1], 4860.08, 3000,
+        [3, 0, 1], 4872.72, 3000,
     )
 
 
@@ -108,7 +111,7 @@ def test_resume_is_bit_identical_across_engines(graph, tmp_path, name, engine):
     workers = {"workers": 2} if engine == "epoch" else {}
 
     def factory(**kw):
-        return _FACTORIES[name](engine=engine, **workers, **kw)
+        return _FACTORIES[name](**workers, **kw)
 
     _kill_and_resume(graph, factory, 3, str(tmp_path / "ck.npz"))
 

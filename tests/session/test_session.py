@@ -95,12 +95,12 @@ class TestCheckpointResume:
 
     def test_peek_reads_meta_without_arrays(self, graph, tmp_path):
         path = str(tmp_path / "ck.npz")
-        with SamplingSession(graph, lanes=2, seed=7, engine="serial") as session:
+        with SamplingSession(graph, lanes=2, seed=7) as session:
             session.extend(10)
             session.checkpoint(path)
         meta = SamplingSession.peek(path)
         assert meta["lanes"] == 2
-        assert meta["provenance"]["engine"] == "serial"
+        assert meta["provenance"]["workers"] == 0
         assert meta["num_paths"] == [10, 0]
 
     def test_resume_rejects_other_graph(self, graph, tmp_path):

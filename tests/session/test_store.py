@@ -56,15 +56,15 @@ class TestRoundTrip:
         store = _filled_store()
         store.record_extend(4)
         path = str(tmp_path / "pool.npz")
-        store.save(path, rng_state={"bit_generator": "PCG64"},
-                   provenance={"engine": "serial"})
+        store.save(path, rng_state={"stream": "repro-index-stream"},
+                   provenance={"workers": 0})
         loaded, meta = SampleStore.load(path)
         assert loaded.num_paths == store.num_paths
         assert loaded.draw_schedule == [4]
         assert meta["format"] == STORE_FORMAT
         assert meta["version"] == STORE_VERSION
-        assert meta["rng_state"] == {"bit_generator": "PCG64"}
-        assert meta["provenance"] == {"engine": "serial"}
+        assert meta["rng_state"] == {"stream": "repro-index-stream"}
+        assert meta["provenance"] == {"workers": 0}
 
     def test_atomic_save_replaces_existing(self, tmp_path):
         path = str(tmp_path / "pool.npz")

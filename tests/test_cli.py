@@ -1,6 +1,10 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,44 @@ class TestParser:
         ):
             args = build_parser().parse_args(["experiment", name])
             assert args.name == name
+
+
+class TestCheckCommand:
+    """``repro-gbc check`` takes exactly the arguments of
+    ``python -m repro.checks``."""
+
+    def test_rules_subset_exits_zero(self):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "check", "--rules", "RPR1",
+             "src/repro/_rng.py"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "0 findings in 1 file(s)" in proc.stdout
+
+    def test_changed_only_parses(self):
+        args = build_parser().parse_args(["check", "--changed-only"])
+        assert args.changed_only == "origin/main"
+        assert args.rules is None and args.paths == ["src/repro"]
+        args = build_parser().parse_args(
+            ["check", "--rules", "RPR5", "--changed-only", "HEAD"]
+        )
+        assert (args.rules, args.changed_only) == ("RPR5", "HEAD")
+
+    def test_arguments_match_the_checker(self):
+        from repro.checks.cli import build_parser as checks_parser
+
+        def options(parser):
+            return sorted(
+                (action.dest, tuple(action.option_strings))
+                for action in parser._actions
+                if action.dest != "help"
+            )
+
+        sub = build_parser()._subparsers._group_actions[0].choices["check"]
+        assert options(sub) == options(checks_parser())
 
 
 class TestCommands:
