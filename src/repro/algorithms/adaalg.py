@@ -35,7 +35,7 @@ from ..coverage import greedy_max_cover
 from ..exceptions import ParameterError
 from ..graph.csr import CSRGraph
 from ..obs import check_coverage
-from .base import GBCResult, SamplingAlgorithm
+from .base import SamplingAlgorithm, scaled_share
 
 __all__ = ["AdaAlg", "AdaAlgIteration"]
 
@@ -69,15 +69,6 @@ class AdaAlg(SamplingAlgorithm):
         Error probability (success probability is ``1 - gamma``).
     b_min:
         Floor for the geometric base ``b`` (Eq. 13; paper uses 1.1).
-    include_endpoints, seed:
-        See :class:`~repro.algorithms.base.SamplingAlgorithm`.
-    max_samples:
-        Optional safety cap on the size of *each* sample set; when hit,
-        the run returns its current tentative group with
-        ``converged=False`` instead of sampling further.  If the cap
-        preempts even the first scheduled iteration, the run still
-        spends the full ``max_samples`` budget once and returns the
-        exactly-``K`` greedy group it supports (never an empty group).
     validation_set:
         The paper's design keeps an independent sample set ``T`` for
         the unbiased estimate (default).  ``False`` is the ablation:
@@ -85,6 +76,11 @@ class AdaAlg(SamplingAlgorithm):
         ``beta = 0`` identically and the stop test degenerates to
         ``(2 - 1/e) eps_1 <= eps``), halving the samples but
         forfeiting the bias correction the guarantee rests on.
+    **options:
+        The shared keywords of
+        :class:`~repro.algorithms.base.SamplingAlgorithm` (``seed``,
+        ``workers``, ``max_samples`` — a cap on *each* sample set —,
+        checkpointing, ...).
     """
 
     name = "AdaAlg"
@@ -95,247 +91,125 @@ class AdaAlg(SamplingAlgorithm):
         eps: float = 0.3,
         gamma: float = 0.01,
         b_min: float = 1.1,
-        include_endpoints: bool = True,
-        seed=None,
-        workers: int = 0,
-        max_samples: int | None = None,
+        *,
         validation_set: bool = True,
-        telemetry=None,
-        debug: bool = False,
-        session=None,
-        checkpoint_path: str | None = None,
-        checkpoint_every: int = 1,
-        resume_from: str | None = None,
-        stop_after_checkpoints: int | None = None,
+        **options,
     ):
-        super().__init__(
-            eps=eps,
-            gamma=gamma,
-            include_endpoints=include_endpoints,
-            seed=seed,
-            workers=workers,
-            telemetry=telemetry,
-            debug=debug,
-            session=session,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            resume_from=resume_from,
-            stop_after_checkpoints=stop_after_checkpoints,
-        )
+        super().__init__(eps=eps, gamma=gamma, **options)
         if not 0.0 < eps < _EULER:
             # stricter than the base class: the approximation target
             # (1 - 1/e - eps) must stay positive
             raise ParameterError(f"AdaAlg needs eps in (0, 1 - 1/e); got {eps}")
         self.b_min = b_min
-        self.max_samples = max_samples
         self.validation_set = validation_set
+        if not validation_set:
+            # the ablation draws S only; lane 0's stream does not depend
+            # on the lane count, so S is the same pool either way
+            self.session_lanes = 1
 
     def _checkpoint_params(self) -> dict:
         return {
             **super()._checkpoint_params(),
             "b_min": self.b_min,
-            "max_samples": self.max_samples,
             "validation_set": self.validation_set,
         }
 
     # ------------------------------------------------------------------
-    def run(self, graph: CSRGraph, k: int) -> GBCResult:
-        """Execute Algorithm 1 on ``graph`` for group size ``k``."""
-        self._validate(graph, k)
-        start = self._timer()
-        self._begin_run()
-
-        n = graph.n
+    def _start(self, graph: CSRGraph, k: int, loop: dict | None):
+        """Iteration ``q`` guesses ``g_q = n(n-1)/b^q`` and grows S and T
+        to ``L_q = theta b^q`` samples (Eq. 6-7)."""
+        b, q_max, theta = adaalg_schedule(
+            graph.n, self.eps, self.gamma, b_min=self.b_min
+        )
+        self._b, self._q_max, self._theta = b, q_max, theta
+        self._cnt = 0
+        self._unbiased = 0.0
+        self._trace: list[AdaAlgIteration] = []
+        if loop is not None:
+            self._iterations = int(loop["q"])
+            self._cnt = int(loop["cnt"])
+            self._group = [int(v) for v in loop["group"]]
+            self._estimate = float(loop["biased"])
+            self._unbiased = float(loop["unbiased"])
+            self._trace = [AdaAlgIteration(**entry) for entry in loop["trace"]]
         pairs = graph.num_ordered_pairs
-        b, q_max, theta = adaalg_schedule(n, self.eps, self.gamma, b_min=self.b_min)
-        session, state, owns = self._open_session(graph, k, self.session_lanes)
-
-        cnt = 0
-        trace: list[AdaAlgIteration] = []
-        group: list[int] = []
-        biased = 0.0
-        unbiased = 0.0
-        converged = False
-        capped = False
-        start_q = 1
-        telemetry = self.telemetry
-
-        try:
-            # everything after _open_session sits inside the try: a
-            # malformed checkpoint state must not leak the session (and
-            # its engines' worker processes)
-            selection = session.store(0)  # S — selection set
-            validation = session.store(1)  # T — independent validation set
-            # continue the outer loop exactly where the checkpoint froze
-            # it; a checkpoint without loop state (written by `mutate`
-            # after a graph update invalidated part of the pool) instead
-            # re-enters the stopping rule from iteration 1 over the
-            # warm pool — extends are monotone, so only the shortfall
-            # is resampled
-            loop = state.get("loop") if state is not None else None
-            if loop is not None:
-                start_q = int(loop["q"]) + 1
-                cnt = int(loop["cnt"])
-                group = [int(v) for v in loop["group"]]
-                biased = float(loop["biased"])
-                unbiased = float(loop["unbiased"])
-                trace = [AdaAlgIteration(**entry) for entry in loop["trace"]]
-            with telemetry.span("adaalg", k=k, n=n):
-                for q in range(start_q, q_max + 1):
-                    guess = pairs / b**q
-                    target = math.ceil(theta * b**q)
-                    if self.max_samples is not None and target > self.max_samples:
-                        capped = True
-                        if not group:
-                            # the cap preempted even the first iteration:
-                            # spend the whole budget once so the result
-                            # still satisfies |C| = K (converged stays
-                            # False — no guarantee was certified)
-                            group, biased, unbiased = self._capped_run(
-                                session, k, pairs
-                            )
-                            telemetry.event(
-                                "capped",
-                                algorithm=self.name,
-                                q=q,
-                                target=target,
-                                max_samples=self.max_samples,
-                                samples=selection.num_paths
-                                + validation.num_paths,
-                            )
-                        break
-
-                    # line 10: grow S, re-run greedy, biased estimate (Eq. 4)
-                    with telemetry.span("sample", set="S", target=target):
-                        session.extend(target, lane=0)
-                    with telemetry.span("greedy"):
-                        cover = greedy_max_cover(selection, k, telemetry=telemetry)
-                    group = cover.group
-                    biased = cover.covered / selection.num_paths * pairs
-
-                    # line 11: grow T independently, unbiased estimate (Eq. 8)
-                    if self.validation_set:
-                        with telemetry.span("sample", set="T", target=target):
-                            session.extend(target, lane=1)
-                        covered_t = (
-                            check_coverage(validation, group)
-                            if self.debug
-                            else validation.covered_count(group)
-                        )
-                        unbiased = covered_t / validation.num_paths * pairs
-                    else:
-                        unbiased = biased  # ablation: no independent T set
-
-                    beta = eps1 = eps_sum = None
-                    if unbiased >= guess:
-                        cnt += 1  # line 13
-                    if cnt >= 2:
-                        # lines 17-27: error accounting and the stop test
-                        c1 = math.log(4.0 / self.gamma) / (theta * b ** (cnt - 2))
-                        eps1 = epsilon_one(c1)
-                        if biased > 0.0 and eps1 < 1.0:
-                            beta = 1.0 - unbiased / biased
-                            eps_sum = (
-                                beta * _EULER * (1.0 - eps1)
-                                + (2.0 - 1.0 / math.e) * eps1
-                            )
-                    trace.append(
-                        AdaAlgIteration(
-                            q=q,
-                            guess=guess,
-                            samples=selection.num_paths + validation.num_paths,
-                            biased=biased,
-                            unbiased=unbiased,
-                            cnt=cnt,
-                            beta=beta,
-                            eps1=eps1,
-                            eps_sum=eps_sum,
-                        )
-                    )
-                    telemetry.event(
-                        "iteration",
-                        algorithm=self.name,
-                        q=q,
-                        guess=guess,
-                        samples=selection.num_paths + validation.num_paths,
-                        biased=biased,
-                        unbiased=unbiased,
-                        cnt=cnt,
-                        eps1=eps1,
-                        eps_sum=eps_sum,
-                    )
-                    if eps_sum is not None and eps_sum <= self.eps:
-                        converged = True  # line 24
-                        break
-                    # iteration boundary: the sample stream is untouched
-                    # here, so checkpoints never perturb the run
-                    self._checkpoint(
-                        session,
-                        k,
-                        {
-                            "q": q,
-                            "cnt": cnt,
-                            "group": [int(v) for v in group],
-                            "biased": float(biased),
-                            "unbiased": float(unbiased),
-                            "trace": [asdict(entry) for entry in trace],
-                        },
-                    )
-        finally:
-            if owns:
-                session.close()
-
-        return GBCResult(
-            algorithm=self.name,
-            group=group,
-            estimate=biased,
-            estimate_unbiased=unbiased,
-            num_samples=selection.num_paths + validation.num_paths,
-            iterations=len(trace),
-            converged=converged,
-            elapsed_seconds=self._timer() - start,
-            diagnostics={
-                "base": b,
-                "q_max": q_max,
-                "theta": theta,
-                "cnt": cnt,
-                "capped": capped,
-                "trace": trace,
-                **self._session_diagnostics(session, owns),
-            },
+        return (
+            (math.ceil(theta * b**q), pairs / b**q) for q in range(1, q_max + 1)
         )
 
-    def _capped_run(
-        self, session, k: int, pairs: int
-    ) -> tuple[list[int], float, float]:
-        """One greedy pass on ``max_samples`` paths when the schedule's
-        very first target already exceeds the cap.
-
-        Historically this path returned an *empty* group (violating the
-        ``|C| = K`` contract); instead, spend the allowed budget once
-        and return the exactly-``K`` greedy group it supports.
-        """
+    def _measure(self, session, k: int) -> None:
+        pairs = session.graph.num_ordered_pairs
+        # line 10: greedy on S, biased estimate (Eq. 4)
         selection = session.store(0)
-        validation = session.store(1)
-        with self.telemetry.span("sample", set="S", target=self.max_samples):
-            session.extend(self.max_samples, lane=0)
         with self.telemetry.span("greedy"):
             cover = greedy_max_cover(selection, k, telemetry=self.telemetry)
-        biased = (
-            cover.covered / selection.num_paths * pairs
-            if selection.num_paths
-            else 0.0
+        self._group = cover.group
+        self._estimate = scaled_share(cover.covered, selection, pairs)
+        if not self.validation_set:
+            self._unbiased = self._estimate  # ablation: no independent T set
+            return
+        # line 11: the same group on the independent T, unbiased (Eq. 8)
+        validation = session.store(1)
+        covered = (
+            check_coverage(validation, self._group)
+            if self.debug
+            else validation.covered_count(self._group)
         )
-        if self.validation_set:
-            with self.telemetry.span("sample", set="T", target=self.max_samples):
-                session.extend(self.max_samples, lane=1)
-            unbiased = (
-                validation.covered_count(cover.group)
-                / validation.num_paths
-                * pairs
-                if validation.num_paths
-                else 0.0
+        self._unbiased = scaled_share(covered, validation, pairs)
+
+    def _stop(self, session, k: int, guess: float) -> tuple[bool, dict]:
+        biased, unbiased = self._estimate, self._unbiased
+        beta = eps1 = eps_sum = None
+        if unbiased >= guess:
+            self._cnt += 1  # line 13
+        if self._cnt >= 2:
+            # lines 17-27: error accounting and the stop test
+            c1 = math.log(4.0 / self.gamma) / (
+                self._theta * self._b ** (self._cnt - 2)
             )
-        else:
-            unbiased = biased
-        return cover.group, biased, unbiased
+            eps1 = epsilon_one(c1)
+            if biased > 0.0 and eps1 < 1.0:
+                beta = 1.0 - unbiased / biased
+                eps_sum = (
+                    beta * _EULER * (1.0 - eps1) + (2.0 - 1.0 / math.e) * eps1
+                )
+        self._trace.append(
+            AdaAlgIteration(
+                q=self._iterations,
+                guess=guess,
+                samples=self._samples(session),
+                biased=biased,
+                unbiased=unbiased,
+                cnt=self._cnt,
+                beta=beta,
+                eps1=eps1,
+                eps_sum=eps_sum,
+            )
+        )
+        fields = {
+            "biased": biased,
+            "unbiased": unbiased,
+            "cnt": self._cnt,
+            "eps1": eps1,
+            "eps_sum": eps_sum,
+        }
+        return eps_sum is not None and eps_sum <= self.eps, fields  # line 24
+
+    def _loop_state(self) -> dict:
+        return {
+            "q": self._iterations,
+            "cnt": self._cnt,
+            "group": [int(v) for v in self._group],
+            "biased": float(self._estimate),
+            "unbiased": float(self._unbiased),
+            "trace": [asdict(entry) for entry in self._trace],
+        }
+
+    def _diagnostics(self) -> dict:
+        return {
+            "base": self._b,
+            "q_max": self._q_max,
+            "theta": self._theta,
+            "cnt": self._cnt,
+            "trace": self._trace,
+        }

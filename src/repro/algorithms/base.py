@@ -9,16 +9,17 @@ the paper's headline comparison metric (Figs. 4–5).
 from __future__ import annotations
 
 import abc
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .._rng import as_generator
-from ..engine import SampleEngine
 from ..exceptions import CheckpointError, ParameterError, SessionInterrupted
 from ..graph.csr import CSRGraph
 from ..obs import as_telemetry, monotonic
 from ..session import SamplingSession
 
-__all__ = ["GBCResult", "GBCAlgorithm", "SamplingAlgorithm"]
+__all__ = ["GBCResult", "GBCAlgorithm", "SamplingAlgorithm", "scaled_share"]
 
 
 @dataclass
@@ -93,27 +94,56 @@ class GBCAlgorithm(abc.ABC):
             raise ParameterError(f"need 1 <= K <= n={graph.n}, got K={k}")
 
 
-class SamplingAlgorithm(GBCAlgorithm):
-    """Shared plumbing for the path-sampling algorithms.
+def scaled_share(count: int, store, pairs: int) -> float:
+    """``count`` of the store's paths as a share, scaled to ``pairs``
+    (0 for an empty store)."""
+    return count / store.num_paths * pairs if store.num_paths else 0.0
 
-    All sample acquisition goes through a
-    :class:`~repro.session.SamplingSession`: the algorithm is a
-    *stopping-rule policy* that decides how far to extend the session's
-    sample stores and when the accumulated evidence suffices, while the
-    session owns the engines, the growing stores, and their
-    persistence.  This class handles session construction (one entropy
-    word of the algorithm's RNG keys the lanes' sample streams),
-    checkpoint cadence, resume, endpoint-convention slicing, and
-    timing.
+
+class SamplingAlgorithm(GBCAlgorithm):
+    """The adaptive-sampling loop every path-sampling algorithm runs.
+
+    :meth:`run` walks a schedule of ``(target, guess)`` entries: grow
+    the sample pool to ``target``, re-run greedy max cover, and ask the
+    stopping rule whether the evidence certifies the group.  It owns
+    everything around that decision: opening (or resuming) the
+    :class:`~repro.session.SamplingSession` (one entropy word of the
+    algorithm's RNG keys the lanes' sample streams), restoring the loop
+    state of a checkpoint, the ``max_samples`` cap, extending the
+    lanes, the ``iteration``/``capped`` events, checkpoint cadence,
+    closing the session, and building the :class:`GBCResult`.
+
+    A subclass supplies only the policy, as four hooks over its own
+    loop-state fields: :meth:`_start` (restore the fields, return the
+    schedule), :meth:`_measure` (greedy group and estimates on the
+    grown pool), :meth:`_stop` (the stopping rule) and
+    :meth:`_loop_state` (the fields as a checkpoint payload), plus
+    optional :meth:`_diagnostics`.  The loop fields every algorithm
+    shares are ``_group``, ``_estimate``, ``_unbiased`` and
+    ``_iterations`` (completed schedule entries, the resume cursor).
 
     Parameters
     ----------
+    eps, gamma:
+        Error ratio and error probability, both in ``(0, 1)``.
+    include_endpoints:
+        Whether a path's endpoints count as covered by it (the paper's
+        convention, default).
+    seed:
+        Seed or :class:`numpy.random.Generator` of the run.
     workers:
         Worker processes every sample set is drawn through
         (:func:`~repro.engine.create_engine`): ``0`` (default) draws
         in process, more fan the same draws out to persistent worker
         processes.  Results are a pure function of the seed, never of
         the worker count.
+    max_samples:
+        Optional safety cap on the size of *each* sample set; when the
+        schedule demands more, the run returns its current group with
+        ``converged=False`` instead of sampling further.  If the cap
+        preempts even the first entry, the run still spends the full
+        ``max_samples`` budget once and returns the exactly-``K``
+        greedy group it supports (never an empty group).
     telemetry:
         An optional :class:`~repro.obs.Telemetry` hub the run reports
         to: timed spans around sampling/greedy phases, per-iteration
@@ -128,17 +158,17 @@ class SamplingAlgorithm(GBCAlgorithm):
     session:
         An externally owned :class:`~repro.session.SamplingSession` to
         draw through instead of creating one — the warm-start seam the
-        experiments harness uses to reuse one growing sample pool
-        across sweep cells.  The session must target the same graph
-        ``run`` receives and provide at least as many lanes as the
-        algorithm needs; it is *not* closed by the run.  Mutually
-        exclusive with ``resume_from``.
+        experiments harness and the serve daemon use to reuse one
+        growing sample pool across runs.  The session must target the
+        same graph ``run`` receives and provide at least as many lanes
+        as the algorithm needs; it is *not* closed by the run.
+        Mutually exclusive with ``resume_from``.
     checkpoint_path:
-        When set, the run freezes its session (stores + RNG states)
-        and loop state to this path at iteration boundaries, ready for
-        :meth:`~repro.session.SamplingSession.resume` /
-        ``resume_from``.  Checkpoints never alter the sample stream —
-        a run with checkpointing on is bit-identical to one without.
+        When set, the run freezes its session (stores + stream
+        cursors) and loop state to this path at iteration boundaries,
+        ready for ``resume_from``.  Checkpoints never alter the sample
+        stream — a run with checkpointing on is bit-identical to one
+        without.
     checkpoint_every:
         Outer-loop iterations between checkpoints (default 1).
     resume_from:
@@ -153,6 +183,12 @@ class SamplingAlgorithm(GBCAlgorithm):
         and the CI resume exercise).  Requires ``checkpoint_path``.
     """
 
+    #: Independent ``(engine, store)`` lanes the algorithm draws
+    #: through — 1 for the single-pool algorithms, 2 for AdaAlg
+    #: (selection set S + validation set T).  :meth:`run` extends
+    #: every one of them to each scheduled target.
+    session_lanes: int = 1
+
     def __init__(
         self,
         eps: float = 0.3,
@@ -160,6 +196,7 @@ class SamplingAlgorithm(GBCAlgorithm):
         include_endpoints: bool = True,
         seed=None,
         workers: int = 0,
+        max_samples: int | None = None,
         telemetry=None,
         debug: bool = False,
         session: SamplingSession | None = None,
@@ -197,6 +234,7 @@ class SamplingAlgorithm(GBCAlgorithm):
         self.gamma = gamma
         self.include_endpoints = include_endpoints
         self.workers = workers
+        self.max_samples = max_samples
         self.telemetry = as_telemetry(telemetry)
         self.debug = debug
         self.session = session
@@ -212,13 +250,124 @@ class SamplingAlgorithm(GBCAlgorithm):
         self._iters_since_ckpt = 0
         self._checkpoints_this_run = 0
 
-    #: Independent ``(engine, store)`` lanes the algorithm's ``run``
-    #: draws through — 1 for the single-pool algorithms, 2 for AdaAlg
-    #: (selection set S + validation set T).
-    session_lanes: int = 1
+    # ------------------------------------------------------------------
+    # The loop.
+    def run(self, graph: CSRGraph, k: int) -> GBCResult:
+        """Walk the schedule on ``graph`` until the stopping rule
+        certifies a group of size ``k``, the cap preempts it, or the
+        schedule runs out."""
+        self._validate(graph, k)
+        start = self._timer()
+        self._iters_since_ckpt = 0
+        self._checkpoints_this_run = 0
+        self._group: list[int] = []
+        self._estimate = 0.0
+        self._unbiased: float | None = None
+        self._iterations = 0
+        telemetry = self.telemetry
+        converged = capped = False
+
+        session, state, owns = self._open_session(graph, k)
+        try:
+            # everything after _open_session sits inside the try: a
+            # malformed checkpoint state must not leak the session (and
+            # its engines' worker processes).  A checkpoint without
+            # loop state (written by `mutate` after a graph update)
+            # re-enters the schedule from its start over the warm pool:
+            # extends are monotone, so only the shortfall is drawn.
+            loop = state.get("loop") if state is not None else None
+            schedule = self._start(graph, k, loop)
+            with telemetry.span(self.name.lower(), k=k, n=graph.n):
+                for target, guess in islice(schedule, self._iterations, None):
+                    if self.max_samples is not None and target > self.max_samples:
+                        capped = True
+                        if not self._group:
+                            # the cap preempted even the first entry:
+                            # spend the whole budget once so the result
+                            # still holds K nodes (converged stays False
+                            # — no guarantee was certified)
+                            self._extend(session, self.max_samples)
+                            self._measure(session, k)
+                        telemetry.event(
+                            "capped",
+                            algorithm=self.name,
+                            q=self._iterations + 1,
+                            target=target,
+                            max_samples=self.max_samples,
+                            samples=self._samples(session),
+                        )
+                        break
+                    self._extend(session, target)
+                    self._measure(session, k)
+                    self._iterations += 1
+                    converged, fields = self._stop(session, k, guess)
+                    telemetry.event(
+                        "iteration",
+                        algorithm=self.name,
+                        q=self._iterations,
+                        guess=guess,
+                        target=target,
+                        samples=self._samples(session),
+                        converged=converged,
+                        **fields,
+                    )
+                    if converged:
+                        break
+                    # iteration boundary: the sample stream is untouched
+                    # here, so checkpoints never perturb the run
+                    self._checkpoint(session, k)
+        finally:
+            if owns:
+                session.close()
+
+        return GBCResult(
+            algorithm=self.name,
+            group=self._group,
+            estimate=self._estimate,
+            estimate_unbiased=self._unbiased,
+            num_samples=self._samples(session),
+            iterations=self._iterations,
+            converged=converged,
+            elapsed_seconds=self._timer() - start,
+            diagnostics={
+                "capped": capped,
+                **self._diagnostics(),
+                **self._session_diagnostics(session, owns),
+            },
+        )
 
     # ------------------------------------------------------------------
-    # Session plumbing — shared by every concrete run() implementation.
+    # The policy hooks.
+    def _start(self, graph: CSRGraph, k: int, loop: dict | None) -> Iterable:
+        """Restore the loop-state fields from a checkpoint's ``loop``
+        payload (``None``: a fresh start, keep the defaults) and return
+        the schedule, an iterable of ``(target, guess)``.  The loop
+        skips the first ``_iterations`` entries."""
+        raise NotImplementedError
+
+    def _measure(self, session: SamplingSession, k: int) -> None:
+        """Set ``_group`` and the estimates from the grown pool."""
+        raise NotImplementedError
+
+    def _stop(
+        self, session: SamplingSession, k: int, guess: float
+    ) -> tuple[bool, dict]:
+        """The stopping rule after iteration ``_iterations``: whether the
+        group is certified, and the rule's fields for the
+        ``iteration`` event."""
+        raise NotImplementedError
+
+    def _loop_state(self) -> dict:
+        """The loop-state fields as a JSON-serializable checkpoint
+        payload, read back by :meth:`_start`."""
+        raise NotImplementedError
+
+    def _diagnostics(self) -> dict:
+        """Algorithm-specific ``GBCResult.diagnostics`` entries."""
+        return {}
+
+    # ------------------------------------------------------------------
+    # Session plumbing.
     def build_session(self, graph: CSRGraph) -> SamplingSession:
         """A fresh session this algorithm instance would run through.
 
@@ -231,12 +380,9 @@ class SamplingAlgorithm(GBCAlgorithm):
         later queries reuse the grown stores.  The caller owns the
         session and must close it.
         """
-        return self._fresh_session(graph, self.session_lanes)
-
-    def _fresh_session(self, graph: CSRGraph, lanes: int) -> SamplingSession:
         return SamplingSession(
             graph,
-            lanes=lanes,
+            lanes=self.session_lanes,
             seed=self._rng,
             include_endpoints=self.include_endpoints,
             workers=self.workers,
@@ -245,13 +391,13 @@ class SamplingAlgorithm(GBCAlgorithm):
         )
 
     def _open_session(
-        self, graph: CSRGraph, k: int, lanes: int
+        self, graph: CSRGraph, k: int
     ) -> tuple[SamplingSession, dict | None, bool]:
         """The session this run draws through.
 
-        Returns ``(session, state, owns)``: ``state`` is the loop
-        payload of a resumed checkpoint (``None`` for fresh runs) and
-        ``owns`` says whether the run must close the session when done
+        Returns ``(session, state, owns)``: ``state`` is the payload of
+        a resumed checkpoint (``None`` for fresh runs) and ``owns``
+        says whether the run must close the session when done
         (externally attached sessions stay open for their owner).
         """
         if self.session is not None:
@@ -261,10 +407,10 @@ class SamplingAlgorithm(GBCAlgorithm):
                     "the attached session was built for a different graph "
                     "object; sessions and runs must target the same graph"
                 )
-            if sess.lanes < lanes:
+            if sess.lanes < self.session_lanes:
                 raise ParameterError(
-                    f"{self.name} needs {lanes} session lane(s), the "
-                    f"attached session has {sess.lanes}"
+                    f"{self.name} needs {self.session_lanes} session "
+                    f"lane(s), the attached session has {sess.lanes}"
                 )
             self._samples_reused = sess.total_samples
             return sess, None, False
@@ -299,14 +445,20 @@ class SamplingAlgorithm(GBCAlgorithm):
                 raise
             self._samples_reused = sess.total_samples
             return sess, state, True
-        sess = self._fresh_session(graph, lanes)
         self._samples_reused = 0
-        return sess, None, True
+        return self.build_session(graph), None, True
 
-    def _begin_run(self) -> None:
-        """Reset per-run checkpoint cadence state."""
-        self._iters_since_ckpt = 0
-        self._checkpoints_this_run = 0
+    def _extend(self, session: SamplingSession, target: int) -> None:
+        """Grow every lane the algorithm draws through to ``target``."""
+        for lane in range(self.session_lanes):
+            with self.telemetry.span("sample", lane=lane, target=target):
+                session.extend(target, lane=lane)
+
+    def _samples(self, session: SamplingSession) -> int:
+        """Paths held across the algorithm's lanes."""
+        return sum(
+            session.store(lane).num_paths for lane in range(self.session_lanes)
+        )
 
     def _checkpoint_params(self) -> dict:
         """The parameter block frozen into checkpoints (subclasses add
@@ -315,37 +467,28 @@ class SamplingAlgorithm(GBCAlgorithm):
             "eps": self.eps,
             "gamma": self.gamma,
             "include_endpoints": self.include_endpoints,
+            "max_samples": self.max_samples,
         }
 
-    def _checkpoint(
-        self,
-        session: SamplingSession,
-        k: int,
-        loop: dict,
-        force: bool = False,
-    ) -> None:
+    def _checkpoint(self, session: SamplingSession, k: int) -> None:
         """Maybe write a checkpoint after one outer-loop iteration.
 
-        ``loop`` is the algorithm's loop state (JSON-serializable); a
-        snapshot lands on ``checkpoint_path`` every ``checkpoint_every``
-        iterations (or immediately when ``force``).  Raises
-        :class:`~repro.exceptions.SessionInterrupted` once
+        A snapshot of the session and :meth:`_loop_state` lands on
+        ``checkpoint_path`` every ``checkpoint_every`` iterations.
+        Raises :class:`~repro.exceptions.SessionInterrupted` once
         ``stop_after_checkpoints`` snapshots were written this run.
         """
         if self.checkpoint_path is None:
             return
-        if not force:
-            self._iters_since_ckpt += 1
-            if self._iters_since_ckpt < self.checkpoint_every:
-                return
-        elif self._iters_since_ckpt == 0:
-            return  # final boundary already snapshotted by cadence
+        self._iters_since_ckpt += 1
+        if self._iters_since_ckpt < self.checkpoint_every:
+            return
         state = {
             "algorithm": self.name,
             "k": int(k),
             "params": self._checkpoint_params(),
             "algorithm_rng": self._rng.bit_generator.state,
-            "loop": loop,
+            "loop": self._loop_state(),
             "meta": self.checkpoint_meta,
         }
         session.checkpoint(self.checkpoint_path, state=state)
@@ -360,9 +503,18 @@ class SamplingAlgorithm(GBCAlgorithm):
             )
 
     def _session_diagnostics(self, session: SamplingSession, owns: bool) -> dict:
-        """The session/engine entries of ``GBCResult.diagnostics``."""
+        """The session, engine and telemetry entries of
+        ``GBCResult.diagnostics``.
+
+        The engines stream their :class:`~repro.engine.EngineStats`
+        deltas into the shared hub as ``engine.*`` counters on every
+        draw, so the telemetry snapshot taken here already carries the
+        full work breakdown alongside the spans and per-iteration
+        events.
+        """
         session.flush_coverage()
-        return {
+        stats = [eng.stats.as_dict() for eng in session.engines]
+        diagnostics = {
             "resumed": session.resumed,
             "checkpoints": self._checkpoints_this_run,
             "session": {
@@ -371,30 +523,12 @@ class SamplingAlgorithm(GBCAlgorithm):
                 "samples_reused": self._samples_reused,
                 "external": not owns,
             },
-            **self._engine_diagnostics(session.engines),
-        }
-
-    # ------------------------------------------------------------------
-    def _engine_diagnostics(self, engines: list[SampleEngine]) -> dict:
-        """The engine-related entries of ``GBCResult.diagnostics``."""
-        stats = [eng.stats.as_dict() for eng in engines]
-        return {
             "edges_explored": sum(s["edges_explored"] for s in stats),
-            "engine": {"name": engines[0].name, "stats": stats},
-            **self._telemetry_diagnostics(),
+            "engine": {"name": session.engines[0].name, "stats": stats},
         }
-
-    def _telemetry_diagnostics(self) -> dict:
-        """The ``telemetry`` diagnostics entry (empty when disabled).
-
-        The engines stream their :class:`~repro.engine.EngineStats`
-        deltas into the shared hub as ``engine.*`` counters on every
-        draw, so the snapshot taken here already carries the full work
-        breakdown alongside the spans and per-iteration events.
-        """
-        if not self.telemetry.enabled:
-            return {}
-        return {"telemetry": self.telemetry.snapshot()}
+        if self.telemetry.enabled:
+            diagnostics["telemetry"] = self.telemetry.snapshot()
+        return diagnostics
 
     @staticmethod
     def _timer() -> float:

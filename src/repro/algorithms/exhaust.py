@@ -20,9 +20,6 @@ property is preserved.  Pass ``num_samples=None`` to run the faithful
 
 from __future__ import annotations
 
-from ..coverage import greedy_max_cover
-from ..graph.csr import CSRGraph
-from .base import GBCResult
 from .hedge import Hedge
 
 __all__ = ["Exhaust"]
@@ -31,7 +28,18 @@ _DEFAULT_SAMPLES = 200_000
 
 
 class Exhaust(Hedge):
-    """HEDGE with tiny (eps, gamma); a near-``(1 - 1/e) opt`` reference."""
+    """HEDGE with tiny (eps, gamma); a near-``(1 - 1/e) opt`` reference.
+
+    Parameters
+    ----------
+    num_samples:
+        The fixed budget: a one-entry schedule whose guess of 0 every
+        estimate meets, so the run draws exactly this many paths and
+        runs greedy once.  ``None`` runs HEDGE's faithful schedule.
+    **options:
+        The shared keywords of
+        :class:`~repro.algorithms.base.SamplingAlgorithm`.
+    """
 
     name = "EXHAUST"
 
@@ -40,33 +48,10 @@ class Exhaust(Hedge):
         eps: float = 0.03,
         gamma: float = 1e-4,
         num_samples: int | None = _DEFAULT_SAMPLES,
-        include_endpoints: bool = True,
-        seed=None,
-        workers: int = 0,
-        max_samples: int | None = None,
-        telemetry=None,
-        debug: bool = False,
-        session=None,
-        checkpoint_path: str | None = None,
-        checkpoint_every: int = 1,
-        resume_from: str | None = None,
-        stop_after_checkpoints: int | None = None,
+        **options,
     ):
-        super().__init__(
-            eps=eps,
-            gamma=gamma,
-            include_endpoints=include_endpoints,
-            seed=seed,
-            workers=workers,
-            max_samples=max_samples,
-            telemetry=telemetry,
-            debug=debug,
-            session=session,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            resume_from=resume_from,
-            stop_after_checkpoints=stop_after_checkpoints,
-        )
+        # HEDGE's conventional halving; not an EXHAUST option
+        super().__init__(eps=eps, gamma=gamma, guess_base=2.0, **options)
         self.num_samples = num_samples
 
     def _checkpoint_params(self) -> dict:
@@ -75,48 +60,26 @@ class Exhaust(Hedge):
             "num_samples": self.num_samples,
         }
 
-    def run(self, graph: CSRGraph, k: int) -> GBCResult:
+    def _start(self, graph, k: int, loop: dict | None):
         if self.num_samples is None:
-            return super().run(graph, k)
-        self._validate(graph, k)
-        start = self._timer()
-        self._begin_run()
-        telemetry = self.telemetry
+            return super()._start(graph, k, loop)
+        # the fixed budget's checkpoint holds no loop position: resuming
+        # re-enters the one entry, whose extend finds the budget drawn
+        return [(self.num_samples, 0.0)]
 
-        session, state, owns = self._open_session(graph, k, self.session_lanes)
-        try:
-            instance = session.store(0)
-            with telemetry.span("exhaust", k=k, n=graph.n):
-                with telemetry.span("sample", target=self.num_samples):
-                    # idempotent on resume: a store already holding the
-                    # budget draws nothing more
-                    session.extend(self.num_samples, lane=0)
-                self._checkpoint(session, k, {"drawn": True})
-                with telemetry.span("greedy"):
-                    cover = greedy_max_cover(instance, k, telemetry=telemetry)
-        finally:
-            if owns:
-                session.close()
-        estimate = cover.covered / instance.num_paths * graph.num_ordered_pairs
-        telemetry.event(
-            "iteration",
-            algorithm=self.name,
-            q=1,
-            samples=instance.num_paths,
-            estimate=estimate,
-            converged=True,
-        )
+    def _measure(self, session, k: int) -> None:
+        if self.num_samples is not None:
+            # the draw is the whole cost of a fixed budget: snapshot it
+            # before the greedy pass
+            self._checkpoint(session, k)
+        super()._measure(session, k)
 
-        return GBCResult(
-            algorithm=self.name,
-            group=cover.group,
-            estimate=estimate,
-            num_samples=instance.num_paths,
-            iterations=1,
-            converged=True,
-            elapsed_seconds=self._timer() - start,
-            diagnostics={
-                "fixed_budget": True,
-                **self._session_diagnostics(session, owns),
-            },
-        )
+    def _loop_state(self) -> dict:
+        if self.num_samples is None:
+            return super()._loop_state()
+        return {"drawn": True}
+
+    def _diagnostics(self) -> dict:
+        if self.num_samples is None:
+            return super()._diagnostics()
+        return {"fixed_budget": True}

@@ -23,7 +23,7 @@ from ..bounds.sample_size import guess_schedule, hedge_sample_size
 from ..coverage import greedy_max_cover
 from ..exceptions import ParameterError
 from ..graph.csr import CSRGraph
-from .base import GBCResult, SamplingAlgorithm
+from .base import SamplingAlgorithm, scaled_share
 
 __all__ = ["Hedge"]
 
@@ -36,10 +36,10 @@ class Hedge(SamplingAlgorithm):
     guess_base:
         Geometric factor between successive guesses of ``opt``
         (2.0 — halving — is the conventional choice).
-    max_samples:
-        Safety cap on the sample-set size; when the bound demands more,
-        the run stops and returns its best group with
-        ``converged=False``.
+    **options:
+        The shared keywords of
+        :class:`~repro.algorithms.base.SamplingAlgorithm` (``seed``,
+        ``workers``, ``max_samples``, checkpointing, ...).
     """
 
     name = "HEDGE"
@@ -49,147 +49,63 @@ class Hedge(SamplingAlgorithm):
         eps: float = 0.3,
         gamma: float = 0.01,
         guess_base: float = 2.0,
-        include_endpoints: bool = True,
-        seed=None,
-        workers: int = 0,
-        max_samples: int | None = None,
-        telemetry=None,
-        debug: bool = False,
-        session=None,
-        checkpoint_path: str | None = None,
-        checkpoint_every: int = 1,
-        resume_from: str | None = None,
-        stop_after_checkpoints: int | None = None,
+        **options,
     ):
-        super().__init__(
-            eps=eps,
-            gamma=gamma,
-            include_endpoints=include_endpoints,
-            seed=seed,
-            workers=workers,
-            telemetry=telemetry,
-            debug=debug,
-            session=session,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            resume_from=resume_from,
-            stop_after_checkpoints=stop_after_checkpoints,
-        )
+        super().__init__(eps=eps, gamma=gamma, **options)
         if guess_base <= 1.0:
             raise ParameterError(f"guess_base must exceed 1, got {guess_base}")
         self.guess_base = guess_base
-        self.max_samples = max_samples
 
     def _sample_bound(self, n: int, k: int, gamma_each: float, mu: float) -> int:
         """The per-guess sample requirement (overridden by CentRa)."""
         return hedge_sample_size(n, k, self.eps, gamma_each, mu)
 
+    def _bounds_per_guess(self) -> int:
+        """Tail bounds sharing each guess's slice of ``gamma`` (CentRa's
+        empirical certificate adds a second)."""
+        return 1
+
     def _checkpoint_params(self) -> dict:
-        return {
-            **super()._checkpoint_params(),
-            "guess_base": self.guess_base,
-            "max_samples": self.max_samples,
-        }
+        return {**super()._checkpoint_params(), "guess_base": self.guess_base}
 
     # ------------------------------------------------------------------
-    def run(self, graph: CSRGraph, k: int) -> GBCResult:
-        """Guess-and-halve outer loop around the union-bound sampler."""
-        self._validate(graph, k)
-        start = self._timer()
-        self._begin_run()
-
+    def _start(self, graph: CSRGraph, k: int, loop: dict | None):
+        """The guess-and-halve schedule: one union-bound sample target
+        per guess; every completed iteration consumed exactly one
+        entry, so the iteration count doubles as the resume cursor."""
         n = graph.n
-        pairs = graph.num_ordered_pairs
-        num_guesses = max(1, math.ceil(math.log(pairs) / math.log(self.guess_base)))
-        gamma_each = self.gamma / num_guesses
-
-        session, state, owns = self._open_session(graph, k, self.session_lanes)
-
-        group: list[int] = []
-        estimate = 0.0
-        iterations = 0
-        converged = False
-        capped = False
-        skip = 0
-        telemetry = self.telemetry
-
-        try:
-            # state parsing happens inside the try so a malformed
-            # checkpoint cannot leak the session's worker processes
-            instance = session.store(0)
-            # every completed iteration consumed exactly one schedule
-            # entry, so the iteration count doubles as the resume
-            # cursor; a checkpoint without loop state (written by
-            # `mutate` after a graph update) restarts the schedule over
-            # the warm pool — extends are monotone, so only the
-            # shortfall is resampled
-            loop = state.get("loop") if state is not None else None
-            if loop is not None:
-                iterations = skip = int(loop["iterations"])
-                group = [int(v) for v in loop["group"]]
-                estimate = float(loop["estimate"])
-            with telemetry.span(self.name.lower(), k=k, n=n):
-                for index, (_, guess, mu) in enumerate(
-                    guess_schedule(n, base=self.guess_base)
-                ):
-                    if index < skip:
-                        continue
-                    target = self._sample_bound(n, k, gamma_each, mu)
-                    if self.max_samples is not None and target > self.max_samples:
-                        capped = True
-                        telemetry.event(
-                            "capped",
-                            algorithm=self.name,
-                            target=target,
-                            max_samples=self.max_samples,
-                            samples=instance.num_paths,
-                        )
-                        break
-                    iterations += 1
-                    with telemetry.span("sample", target=target):
-                        session.extend(target, lane=0)
-                    with telemetry.span("greedy"):
-                        cover = greedy_max_cover(instance, k, telemetry=telemetry)
-                    group = cover.group
-                    estimate = cover.covered / instance.num_paths * pairs
-                    if estimate >= guess:
-                        converged = True
-                    telemetry.event(
-                        "iteration",
-                        algorithm=self.name,
-                        q=iterations,
-                        guess=guess,
-                        target=target,
-                        samples=instance.num_paths,
-                        estimate=estimate,
-                        converged=converged,
-                    )
-                    if converged:
-                        break
-                    self._checkpoint(
-                        session,
-                        k,
-                        {
-                            "iterations": iterations,
-                            "group": [int(v) for v in group],
-                            "estimate": float(estimate),
-                        },
-                    )
-        finally:
-            if owns:
-                session.close()
-
-        return GBCResult(
-            algorithm=self.name,
-            group=group,
-            estimate=estimate,
-            num_samples=instance.num_paths,
-            iterations=iterations,
-            converged=converged,
-            elapsed_seconds=self._timer() - start,
-            diagnostics={
-                "num_guesses": num_guesses,
-                "capped": capped,
-                **self._session_diagnostics(session, owns),
-            },
+        self._num_guesses = max(
+            1, math.ceil(math.log(graph.num_ordered_pairs) / math.log(self.guess_base))
         )
+        self._gamma_each = self.gamma / (self._bounds_per_guess() * self._num_guesses)
+        if loop is not None:
+            self._iterations = int(loop["iterations"])
+            self._group = [int(v) for v in loop["group"]]
+            self._estimate = float(loop["estimate"])
+        return (
+            (self._sample_bound(n, k, self._gamma_each, mu), guess)
+            for _, guess, mu in guess_schedule(n, base=self.guess_base)
+        )
+
+    def _measure(self, session, k: int) -> None:
+        pool = session.store(0)
+        with self.telemetry.span("greedy"):
+            cover = greedy_max_cover(pool, k, telemetry=self.telemetry)
+        self._group = cover.group
+        self._estimate = scaled_share(
+            cover.covered, pool, session.graph.num_ordered_pairs
+        )
+
+    def _stop(self, session, k: int, guess: float) -> tuple[bool, dict]:
+        # the deviation guarantee certifies a guess the estimate reaches
+        return self._estimate >= guess, {"estimate": self._estimate}
+
+    def _loop_state(self) -> dict:
+        return {
+            "iterations": self._iterations,
+            "group": [int(v) for v in self._group],
+            "estimate": float(self._estimate),
+        }
+
+    def _diagnostics(self) -> dict:
+        return {"num_guesses": self._num_guesses}

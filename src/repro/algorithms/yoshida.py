@@ -71,11 +71,11 @@ class YoshidaSketch(SamplingAlgorithm):
             gamma=gamma,
             include_endpoints=include_endpoints,
             seed=seed,
+            max_samples=max_samples,
         )
         if guess_base <= 1.0:
             raise ParameterError(f"guess_base must exceed 1, got {guess_base}")
         self.guess_base = guess_base
-        self.max_samples = max_samples
 
     def run(self, graph: CSRGraph, k: int) -> GBCResult:
         self._validate(graph, k)

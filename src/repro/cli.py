@@ -24,8 +24,8 @@ Subcommands
 ``mutate``
     Apply an edge-delta file (``+ u v [w]`` / ``- u v`` / ``= u v w``)
     to a run checkpoint, an mmap graph directory, or a dataset held by
-    a running ``serve`` daemon — invalidating exactly the stored
-    samples that traversed the mutated region and keeping the rest
+    a running ``serve`` daemon — testing every stored sample by its
+    pair, redrawing the stale ones in place and keeping the rest
     (see ``docs/dynamic-graphs.md``).
 ``datasets``
     List the Table I registry.
@@ -62,13 +62,11 @@ import sys
 import tempfile
 
 from .algorithms import (
-    AdaAlg,
+    ALGORITHMS,
     BruteForce,
-    CentRa,
-    Exhaust,
-    Hedge,
     PuzisGreedy,
     YoshidaSketch,
+    create_algorithm,
 )
 from .datasets import DATASETS, load
 from .exceptions import CheckpointError, SessionInterrupted
@@ -132,16 +130,16 @@ _EXPERIMENTS = {
     "ablation-scaling": lambda cfg: run_work_scaling(cfg),
 }
 
-#: Checkpoint ``state["algorithm"]`` name → CLI algorithm key.
-_ALGORITHM_KEYS = {
-    "AdaAlg": "adaalg",
-    "HEDGE": "hedge",
-    "CentRa": "centra",
-    "EXHAUST": "exhaust",
+#: The sketch and exact references ``run``/``compare`` also accept
+#: next to the sampling algorithms of :data:`repro.algorithms.ALGORITHMS`;
+#: they draw no session, so they take no sampling or checkpoint options.
+_REFERENCES = {
+    "yoshida": lambda args: YoshidaSketch(
+        eps=args.eps, gamma=args.gamma, seed=args.seed
+    ),
+    "puzis": lambda _args: PuzisGreedy(),
+    "brute": lambda _args: BruteForce(),
 }
-
-#: CLI algorithm keys that support --checkpoint / resume.
-_CHECKPOINTABLE = frozenset(_ALGORITHM_KEYS.values())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_source(run)
     run.add_argument(
         "--algorithm",
-        choices=["adaalg", "hedge", "centra", "exhaust", "yoshida", "puzis", "brute"],
+        choices=[*ALGORITHMS, *_REFERENCES],
         default="adaalg",
     )
     run.add_argument("-k", type=int, default=20, help="group size (default 20)")
@@ -295,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithms",
         nargs="+",
         default=["exhaust", "hedge", "centra", "adaalg"],
-        choices=["adaalg", "hedge", "centra", "exhaust", "yoshida"],
+        choices=[*ALGORITHMS, "yoshida"],
         help="which algorithms to compare",
     )
     compare.add_argument(
@@ -425,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         metavar="PATH",
         help="apply to a `run --checkpoint` snapshot: thaw the session, "
-        "migrate it onto the mutated graph (dropping exactly the stale "
-        "samples), save the compacted graph to --out, and rewrite the "
+        "migrate it onto the mutated graph (redrawing the stale samples "
+        "in place), save the compacted graph to --out, and rewrite the "
         "checkpoint so `resume` continues on the new graph",
     )
     target.add_argument(
@@ -480,43 +478,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_algorithm(
-    name: str,
-    eps: float,
-    gamma: float,
-    seed: int,
-    workers: int = 0,
-    telemetry=None,
-    debug: bool = False,
-    checkpoint_path: str | None = None,
-    checkpoint_every: int = 1,
-    resume_from: str | None = None,
-    stop_after_checkpoints: int | None = None,
-):
-    sampling = {
-        "workers": workers,
-        "telemetry": telemetry,
-        "debug": debug,
-        "checkpoint_path": checkpoint_path,
-        "checkpoint_every": checkpoint_every,
-        "resume_from": resume_from,
-        "stop_after_checkpoints": stop_after_checkpoints,
-    }
-    factories = {
-        "adaalg": lambda: AdaAlg(eps=eps, gamma=gamma, seed=seed, **sampling),
-        "hedge": lambda: Hedge(eps=eps, gamma=gamma, seed=seed, **sampling),
-        "centra": lambda: CentRa(eps=eps, gamma=gamma, seed=seed, **sampling),
-        "exhaust": lambda: Exhaust(seed=seed, **sampling),
-        "yoshida": lambda: YoshidaSketch(eps=eps, gamma=gamma, seed=seed),
-        "puzis": lambda: PuzisGreedy(),
-        "brute": lambda: BruteForce(),
-    }
-    if name not in _CHECKPOINTABLE and (checkpoint_path or resume_from):
-        raise SystemExit(
-            f"error: --checkpoint / resume is only supported for "
-            f"the sampling algorithms ({', '.join(sorted(_CHECKPOINTABLE))})"
-        )
-    return factories[name]()
+def _algorithm(name: str, args, telemetry, **checkpointing):
+    """The algorithm ``name`` configured from the flags: a sampling
+    algorithm through :func:`~repro.algorithms.create_algorithm` — the
+    factory the serve daemon uses too — or a reference, which takes no
+    checkpoint options."""
+    if name not in ALGORITHMS:
+        if checkpointing.get("checkpoint_path"):
+            raise SystemExit(
+                "error: --checkpoint / resume is only supported for "
+                f"the sampling algorithms ({', '.join(sorted(ALGORITHMS))})"
+            )
+        return _REFERENCES[name](args)
+    return create_algorithm(
+        name,
+        eps=args.eps,
+        gamma=args.gamma,
+        seed=args.seed,
+        workers=args.workers,
+        telemetry=telemetry,
+        debug=args.debug_invariants,
+        **checkpointing,
+    )
 
 
 def _progress_line(record: dict) -> str | None:
@@ -605,15 +588,6 @@ def _cli_checkpoint(path: str, hint: str) -> tuple[dict, dict, dict, object]:
     ))
 
 
-def _result_payload(result, k: int) -> dict:
-    """The deterministic result contract written by ``--json``.
-
-    Shared with the serve daemon (:mod:`repro.serve.protocol`), whose
-    cold-lane responses must be byte-comparable to these files.
-    """
-    return result_payload(result, k)
-
-
 def _print_result(result, graph, args, k: int) -> None:
     pairs = graph.num_ordered_pairs
     print(f"algorithm   : {result.algorithm}")
@@ -648,7 +622,7 @@ def _finish_run(algorithm, graph, args, k: int) -> int:
     _print_result(result, graph, args, k)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(_result_payload(result, k), handle, indent=2,
+            json.dump(result_payload(result, k), handle, indent=2,
                       sort_keys=True)
             handle.write("\n")
         print(f"json        : {args.json}")
@@ -658,19 +632,15 @@ def _finish_run(algorithm, graph, args, k: int) -> int:
 def _cmd_run(args) -> int:
     graph = _load_graph(args)
     telemetry = _build_telemetry(args)
-    algorithm = _make_algorithm(
+    algorithm = _algorithm(
         args.algorithm,
-        args.eps,
-        args.gamma,
-        args.seed,
-        args.workers,
-        telemetry=telemetry,
-        debug=args.debug_invariants,
+        args,
+        telemetry,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         stop_after_checkpoints=args.stop_after_checkpoints,
     )
-    if args.checkpoint and hasattr(algorithm, "checkpoint_meta"):
+    if args.checkpoint:
         # graph + run provenance the `resume` command needs to rebuild
         # this exact invocation from the snapshot alone
         algorithm.checkpoint_meta = {
@@ -700,12 +670,12 @@ def _cmd_resume(args) -> int:
     )
     params = state.get("params") or {}
     telemetry = _build_telemetry(args)
-    algorithm = _make_algorithm(
+    algorithm = create_algorithm(
         saved["algorithm"],
-        params.get("eps", 0.3),
-        params.get("gamma", 0.01),
-        saved.get("seed", 0),
-        saved.get("workers") or 0,
+        eps=params.get("eps", 0.3),
+        gamma=params.get("gamma", 0.01),
+        seed=saved.get("seed", 0),
+        workers=saved.get("workers") or 0,
         telemetry=telemetry,
         debug=args.debug_invariants,
         checkpoint_path=args.checkpoint or path,
@@ -730,15 +700,7 @@ def _cmd_compare(args) -> int:
     rows = []
     try:
         for name in args.algorithms:
-            algorithm = _make_algorithm(
-                name,
-                args.eps,
-                args.gamma,
-                args.seed,
-                args.workers,
-                telemetry=telemetry,
-                debug=args.debug_invariants,
-            )
+            algorithm = _algorithm(name, args, telemetry)
             result = algorithm.run(graph, args.k)
             quality = (
                 exact_gbc(graph, result.group) if args.exact else result.estimate

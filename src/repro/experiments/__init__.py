@@ -21,7 +21,6 @@ from .figures import (
     run_fig5,
 )
 from .harness import (
-    ALGORITHM_LANES,
     BENCH,
     FULL,
     REDUCED,
@@ -45,7 +44,6 @@ __all__ = [
     "REDUCED",
     "FULL",
     "SAMPLING_ALGORITHMS",
-    "ALGORITHM_LANES",
     "DatasetContext",
     "SessionBank",
     "build_sampling_algorithm",

@@ -27,7 +27,7 @@ import statistics
 from dataclasses import dataclass, replace
 
 from .._rng import as_generator, spawn_seeds
-from ..algorithms import AdaAlg, CentRa, Hedge
+from ..algorithms import ALGORITHMS, create_algorithm
 from ..coverage import CoverageInstance, greedy_max_cover
 from ..datasets import load
 from ..engine import create_engine
@@ -49,14 +49,9 @@ __all__ = [
     "load_dataset",
     "aggregate",
     "SAMPLING_ALGORITHMS",
-    "ALGORITHM_LANES",
 ]
 
 SAMPLING_ALGORITHMS = ("HEDGE", "CentRa", "AdaAlg")
-
-#: Session lanes each sampling algorithm draws through (AdaAlg keeps an
-#: independent validation set T next to its selection set S).
-ALGORITHM_LANES = {"HEDGE": 1, "CentRa": 1, "AdaAlg": 2, "EXHAUST": 1}
 
 
 @dataclass(frozen=True)
@@ -222,7 +217,7 @@ class SessionBank:
         if name not in self._sessions:
             self._sessions[name] = SamplingSession(
                 self.graph,
-                lanes=ALGORITHM_LANES.get(name, 1),
+                lanes=ALGORITHMS[name.lower()].session_lanes,
                 seed=self._rng,
                 workers=self.config.workers,
             )
@@ -256,31 +251,23 @@ def build_sampling_algorithm(
     in-memory :class:`repro.obs.Telemetry` hub, so its run records
     land in ``GBCResult.diagnostics["telemetry"]``.  ``session``
     attaches an external (bank-owned) session for warm-started sweeps.
+    EXHAUST is not among them: the harness runs its greedy on the shared
+    reference pool (:meth:`DatasetContext.exhaust_group`).
     """
-    sampling = {
-        "workers": config.workers,
-        "telemetry": Telemetry() if config.telemetry else None,
-        "session": session,
-    }
-    if name == "HEDGE":
-        return Hedge(
-            eps=eps,
-            gamma=config.gamma,
-            seed=seed,
-            max_samples=config.max_samples,
-            **sampling,
-        )
-    if name == "CentRa":
-        return CentRa(
-            eps=eps,
-            gamma=config.gamma,
-            seed=seed,
-            max_samples=config.max_samples,
-            **sampling,
-        )
-    if name == "AdaAlg":
-        return AdaAlg(eps=eps, gamma=config.gamma, seed=seed, **sampling)
-    raise ParameterError(f"unknown sampling algorithm {name!r}")
+    if name not in SAMPLING_ALGORITHMS:
+        raise ParameterError(f"unknown sampling algorithm {name!r}")
+    return create_algorithm(
+        name.lower(),
+        eps=eps,
+        gamma=config.gamma,
+        seed=seed,
+        # the cap bounds the baselines' worst-case demands; AdaAlg runs
+        # uncapped
+        max_samples=None if name == "AdaAlg" else config.max_samples,
+        workers=config.workers,
+        telemetry=Telemetry() if config.telemetry else None,
+        session=session,
+    )
 
 
 def load_dataset(name: str, config: ExperimentConfig) -> CSRGraph:

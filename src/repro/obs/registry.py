@@ -89,9 +89,6 @@ SPANS: frozenset[str] = frozenset(
         "sample",  # one algorithm's extend of a lane
         "greedy",  # one CELF pass
         "era",  # CentRa's empirical Rademacher average
-        "adaalg",  # AdaAlg's whole run
-        "centra",  # CentRa's whole run
-        "exhaust",  # EXHAUST's whole run
         "checkpoint",  # one session checkpoint write
         "restore",  # one session checkpoint thaw
         "session.invalidate",  # the exact per-pair test of a graph update

@@ -29,8 +29,7 @@ Answer paths, cheapest first:
 4. **Cold** — first query on the lane: the session is built from the
    algorithm's own RNG (:meth:`~repro.algorithms.base
    .SamplingAlgorithm.build_session`), so the answer is bit-identical
-   to the single-shot ``repro-gbc run`` with the same seed and engine
-   configuration.
+   to the single-shot ``repro-gbc run`` with the same seed.
 
 A ``mutate`` op applies an edge delta to a held dataset *in place*:
 the update is rebuilt into a fresh CSR on the compute thread, every warm

@@ -22,30 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..algorithms import AdaAlg, CentRa, Exhaust, Hedge
+from ..algorithms import ALGORITHMS, create_algorithm
 from ..exceptions import GraphError, ServeError
 from ..graph.delta import GraphUpdate
 
 __all__ = [
-    "ALGORITHMS",
     "QueryKey",
     "build_algorithm",
     "parse_mutation",
     "parse_request",
     "result_payload",
 ]
-
-#: Query ``algorithm`` values the daemon accepts (the checkpointable
-#: sampling algorithms; the exact baselines have no sampling session
-#: to keep warm and are out of scope for the serving tier).
-ALGORITHMS = ("adaalg", "hedge", "centra", "exhaust")
-
-_CLASSES = {
-    "adaalg": AdaAlg,
-    "hedge": Hedge,
-    "centra": CentRa,
-    "exhaust": Exhaust,
-}
 
 
 @dataclass(frozen=True)
@@ -91,6 +78,8 @@ def parse_request(frame: dict, datasets, versions=None) -> QueryKey:
     echo back to the client.
     """
     dataset = _named_dataset(frame, datasets)
+    # the session-backed sampling algorithms; the exact baselines have
+    # no sampling session to keep warm and are out of scope here
     algorithm = frame.get("algorithm", "adaalg")
     if algorithm not in ALGORITHMS:
         known = ", ".join(ALGORITHMS)
@@ -175,22 +164,16 @@ def parse_mutation(frame: dict, datasets) -> tuple[str, GraphUpdate]:
     return dataset, update
 
 
-def build_algorithm(key: QueryKey, *, telemetry=None, debug=False, workers=0):
-    """The algorithm instance answering ``key`` — constructed exactly
-    like the CLI ``run`` command's, so a cold-lane answer is
-    bit-identical to the single-shot ``repro-gbc run`` with the same
-    seed (``workers``, the daemon-wide fan-out, never changes it).
+def build_algorithm(key: QueryKey, **options):
+    """The algorithm instance answering ``key``, built through the same
+    :func:`~repro.algorithms.create_algorithm` as the CLI ``run``
+    command's, so a cold-lane answer is bit-identical to the
+    single-shot ``repro-gbc run`` with the same seed (``options`` —
+    telemetry, debug, the daemon-wide ``workers`` — never change it).
     """
-    cls = _CLASSES[key.algorithm]
-    kwargs = {
-        "seed": key.seed, "telemetry": telemetry, "debug": debug,
-        "workers": workers,
-    }
-    if key.algorithm != "exhaust":
-        # EXHAUST pins its own tiny (eps, gamma); mirroring the CLI
-        # factory, the query's values are ignored for it
-        kwargs.update(eps=key.eps, gamma=key.gamma)
-    return cls(**kwargs)
+    return create_algorithm(
+        key.algorithm, eps=key.eps, gamma=key.gamma, seed=key.seed, **options
+    )
 
 
 def result_payload(result, k: int) -> dict:

@@ -397,10 +397,9 @@ class SamplingSession:
             meta = cls.peek(path)
             fingerprint = _graph_fingerprint(graph)
             recorded = meta["graph"]
-            # checkpoints predating "weighted" or "digest" recorded fewer
-            # keys; compare on what the checkpoint knows so old files
-            # stay resumable
-            if {k: v for k, v in fingerprint.items() if k in recorded} != recorded:
+            # the whole fingerprint: a checkpoint missing a key (say, a
+            # stripped digest) cannot prove it was taken on this graph
+            if fingerprint != recorded:
                 raise CheckpointError(
                     f"graph fingerprint mismatch: checkpoint {path!r} was "
                     f"taken on {json.dumps(recorded, sort_keys=True)} but "

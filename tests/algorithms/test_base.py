@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import AdaAlg, GBCResult
+from repro.algorithms import AdaAlg, CentRa, Exhaust, GBCResult, Hedge
 from repro.algorithms.base import SamplingAlgorithm
 from repro.exceptions import ParameterError
-from repro.graph import path_graph
+from repro.graph import barabasi_albert, path_graph
 from repro.paths.sampler import PackedSamples, PathSample
 
 
@@ -48,6 +48,33 @@ class TestValidation:
     def test_gamma_validation(self):
         with pytest.raises(ParameterError):
             AdaAlg(gamma=0.0)
+
+
+class TestSharedLoop:
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda **kw: AdaAlg(**kw),
+            lambda **kw: Hedge(**kw),
+            lambda **kw: CentRa(**kw),
+            lambda **kw: CentRa(empirical_stop=True, **kw),
+            lambda **kw: Exhaust(num_samples=None, **kw),
+        ],
+        ids=["adaalg", "hedge", "centra", "centra-era", "exhaust"],
+    )
+    def test_cap_preempting_the_first_guess_still_returns_k_nodes(
+        self, factory
+    ):
+        """Every algorithm spends a cap that preempts its first schedule
+        entry once and returns the greedy group it supports."""
+        graph = barabasi_albert(200, 3, seed=1)
+        result = factory(eps=0.3, gamma=0.1, seed=1, max_samples=50).run(
+            graph, 3
+        )
+        assert len(result.group) == 3
+        assert result.converged is False
+        assert result.diagnostics["capped"] is True
+        assert 0 < result.num_samples <= 50 * AdaAlg.session_lanes
 
 
 class TestEndpointSlicing:

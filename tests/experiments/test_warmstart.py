@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algorithms import AdaAlg
 from repro.experiments import (
-    ALGORITHM_LANES,
     SMOKE,
     SessionBank,
     build_sampling_algorithm,
@@ -32,7 +32,7 @@ class TestSessionBank:
             ada = bank.session_for("AdaAlg")
             hedge = bank.session_for("HEDGE")
             assert ada is not hedge
-            assert ada.lanes == ALGORITHM_LANES["AdaAlg"] == 2
+            assert ada.lanes == AdaAlg.session_lanes == 2
             assert hedge.lanes == 1
             assert bank.session_for("AdaAlg") is ada
 

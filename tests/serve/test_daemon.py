@@ -21,7 +21,16 @@ import time
 import numpy as np
 import pytest
 
-from repro.graph import DeltaGraph, GraphUpdate, barabasi_albert, erdos_renyi
+from repro.algorithms import ALGORITHMS
+from repro.cli import main
+from repro.graph import (
+    DeltaGraph,
+    GraphUpdate,
+    barabasi_albert,
+    erdos_renyi,
+    read_edge_list,
+    write_edge_list,
+)
 from repro.serve import ServeClient
 from repro.serve.daemon import GBCServer, ServerConfig
 from repro.serve.protocol import QueryKey, build_algorithm, result_payload
@@ -108,6 +117,30 @@ class TestAnswerPaths:
         assert json.dumps(served["result"], sort_keys=True) == json.dumps(
             direct, sort_keys=True
         )
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_cold_answer_equals_cli_run_json(self, tmp_path, algorithm):
+        """Every served sampling algorithm is built by the same factory
+        as ``repro-gbc run``: a cold-lane answer equals the payload the
+        CLI writes with ``--json`` for the same graph, K, eps, gamma
+        and seed."""
+        edges = tmp_path / "ba.txt"
+        write_edge_list(barabasi_albert(40, 2, seed=3), edges)
+        graph, _ = read_edge_list(edges)
+        out = tmp_path / "run.json"
+        assert main([
+            "run", "--edge-list", str(edges), "--whole-graph",
+            "--algorithm", algorithm, "-k", "2", "--eps", "0.5",
+            "--gamma", "0.1", "--seed", "7", "--json", str(out),
+        ]) == 0
+        with _Harness(_config(graph)) as daemon:
+            with daemon.client() as client:
+                served = client.query(
+                    "ba", algorithm, k=2, eps=0.5, gamma=0.1, seed=7
+                )
+        assert served["served"]["source"] == "computed"
+        assert served["served"]["samples_reused"] == 0
+        assert served["result"] == json.loads(out.read_text())
 
     def test_warm_lane_batches_follow_up_queries(self, ba60):
         """A second query on the same (dataset, algorithm, seed) lane

@@ -10,9 +10,10 @@ drawn from an older stream — a PCG64 generator state of the removed
 ``repro-epoch-stream`` cursor — cannot be continued and is refused with
 :class:`~repro.exceptions.CheckpointError` saying why.
 
-Checkpoints written before the graph digest existed carry per-lane
-``versions``/``fingerprints`` columns and no ``digest``; they resume
-bit-identically with the columns ignored.
+Leftover per-lane ``versions``/``fingerprints`` columns of older
+layouts are ignored too: such a checkpoint resumes bit-identically.
+(A graph fingerprint without the CSR ``digest`` is refused: resume
+compares the whole fingerprint.)
 """
 
 from __future__ import annotations
@@ -76,14 +77,14 @@ def rewrite_checkpoint(path, provenance=(), params=(), rng_state=None):
     np.savez(path, **arrays)
 
 
-def rewrite_without_digest(path):
-    """Give a checkpoint the older layout: no graph digest, and per-path
-    ``versions`` plus 64-bit Bloom ``fingerprints`` for every lane."""
+def rewrite_with_legacy_columns(path):
+    """Give a checkpoint the older per-lane columns: per-path
+    ``versions`` plus 64-bit Bloom ``fingerprints`` (the graph
+    fingerprint, digest included, is kept — resume compares all of
+    it)."""
     with np.load(path, allow_pickle=False) as payload:
         arrays = {key: payload[key] for key in payload.files}
     meta = json.loads(str(arrays["meta"]))
-    del meta["graph"]["digest"]
-    arrays["meta"] = np.asarray(json.dumps(meta))
     for lane in range(meta["lanes"]):
         flat = arrays[f"lane{lane}_flat"]
         lengths = np.diff(arrays[f"lane{lane}_offsets"])
@@ -139,7 +140,7 @@ class TestLegacyResume:
         path = str(tmp_path / "ck.npz")
         straight = AdaAlg(eps=0.4, gamma=0.1, seed=11, **engine).run(graph, 3)
         _interrupted(graph, path, **engine)
-        rewrite_without_digest(path)
+        rewrite_with_legacy_columns(path)
         with np.load(path, allow_pickle=False) as payload:
             assert {"lane0_versions", "lane1_fingerprints"} <= set(payload.files)
         resumed = AdaAlg(

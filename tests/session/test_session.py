@@ -188,11 +188,10 @@ class TestCheckpointResume:
         thawed, _ = SamplingSession.resume(path, graph)
         thawed.close()
 
-    def test_digest_free_checkpoint_keeps_tolerant_compare(
-        self, graph, tmp_path
-    ):
-        """Checkpoints written before the digest existed compare on the
-        keys they recorded."""
+    def test_digest_free_checkpoint_is_refused(self, graph, tmp_path):
+        """A checkpoint whose fingerprint lacks a key cannot prove which
+        graph it was taken on, so resume refuses it — even on the very
+        graph it came from."""
         path = str(tmp_path / "ck.npz")
         with SamplingSession(graph, seed=1) as session:
             session.extend(5)
@@ -203,9 +202,8 @@ class TestCheckpointResume:
         assert len(meta["graph"].pop("digest")) == 32
         arrays["meta"] = np.asarray(json.dumps(meta))
         np.savez(path, **arrays)
-        thawed, _ = SamplingSession.resume(path, graph)
-        with thawed:
-            assert thawed.total_samples == 5
+        with pytest.raises(CheckpointError, match="fingerprint mismatch"):
+            SamplingSession.resume(path, graph)
 
     def test_peek_rejects_foreign_npz(self, tmp_path):
         path = str(tmp_path / "other.npz")
