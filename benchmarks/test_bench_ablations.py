@@ -57,7 +57,7 @@ def test_bidirectional_vs_forward_work(benchmark, config, graph):
         work = {}
         for method in ("bidirectional", "forward"):
             sampler = PathSampler(graph, seed=72, method=method)
-            sampler.sample_many(draws)
+            sampler.sample(draws)
             work[method] = sampler.total_edges_explored / draws
         return work
 

@@ -29,6 +29,7 @@ Run with::
 import numpy as np
 
 from repro import AdaAlg
+from repro.coverage import CoverageInstance
 from repro.graph import community_chain
 from repro.paths import PathSampler, betweenness_centrality, exact_gbc
 
@@ -36,14 +37,9 @@ from repro.paths import PathSampler, betweenness_centrality, exact_gbc
 def intercepted_fraction(graph, group, n_flows=20000, seed=0):
     """Simulate random information flows; return the fraction a monitor
     group intercepts (Monte-Carlo counterpart of normalized GBC)."""
-    sampler = PathSampler(graph, seed=seed)
-    members = set(int(v) for v in group)
-    hits = 0
-    for _ in range(n_flows):
-        flow = sampler.sample()
-        if members.intersection(flow.nodes.tolist()):
-            hits += 1
-    return hits / n_flows
+    flows = CoverageInstance(graph.n)
+    flows.add_samples(PathSampler(graph, seed=seed).sample(n_flows))
+    return flows.coverage_fraction(group)
 
 
 def main() -> None:

@@ -87,6 +87,12 @@ class GBCAlgorithm(abc.ABC):
         """Compute a top-``k`` group for ``graph``."""
 
     @staticmethod
+    def _timer() -> float:
+        # elapsed-time reporting goes through the repro.obs clock seam
+        # (determinism rule RPR101) — never algorithm control flow
+        return monotonic()
+
+    @staticmethod
     def _validate(graph: CSRGraph, k: int) -> None:
         if graph.n < 2:
             raise ParameterError("top-K GBC needs a graph with at least 2 nodes")
@@ -529,9 +535,3 @@ class SamplingAlgorithm(GBCAlgorithm):
         if self.telemetry.enabled:
             diagnostics["telemetry"] = self.telemetry.snapshot()
         return diagnostics
-
-    @staticmethod
-    def _timer() -> float:
-        # elapsed-time reporting goes through the repro.obs clock seam
-        # (determinism rule RPR101) — never algorithm control flow
-        return monotonic()

@@ -100,12 +100,6 @@ class PuzisGreedy(GBCAlgorithm):
         )
 
     @staticmethod
-    def _timer() -> float:
-        from ..obs import monotonic
-
-        return monotonic()
-
-    @staticmethod
     def _on_path_mask(v: int, dist: np.ndarray) -> np.ndarray:
         """Pairs (s, t) for which ``v`` lies on some shortest s→t path."""
         to_v = dist[:, v]

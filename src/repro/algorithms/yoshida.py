@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 
+from .._rng import as_generator
 from ..bounds.sample_size import guess_schedule
 from ..coverage import CoverageInstance, greedy_max_cover
 from ..exceptions import ParameterError
 from ..graph.csr import CSRGraph
 from ..paths.pair_sampler import PairSampler
-from .base import GBCResult, SamplingAlgorithm
+from .base import GBCAlgorithm, GBCResult
 
 __all__ = ["YoshidaSketch", "yoshida_sample_size"]
 
@@ -47,12 +48,15 @@ def yoshida_sample_size(n: int, eps: float, gamma: float, mu: float) -> int:
     return math.ceil(2.0 * (2.0 + eps / 3.0) * complexity / (eps * eps * mu * mu))
 
 
-class YoshidaSketch(SamplingAlgorithm):
+class YoshidaSketch(GBCAlgorithm):
     """Pair-sampling (hypergraph sketch) centrality maximization.
 
-    Note the endpoint convention: DAG node sets include the pair's
-    endpoints, matching the package default;
-    ``include_endpoints=False`` strips them.
+    It draws through its own :class:`~repro.paths.pair_sampler.PairSampler`
+    in process, with no session, workers or checkpoints.  Note the
+    endpoint convention: DAG node sets include the pair's endpoints,
+    matching the package default; ``include_endpoints=False`` strips
+    them.  ``max_samples`` caps the sample count: a guess that needs
+    more ends the run with ``converged=False``.
     """
 
     name = "YoshidaSketch"
@@ -66,16 +70,20 @@ class YoshidaSketch(SamplingAlgorithm):
         seed=None,
         max_samples: int | None = None,
     ):
-        super().__init__(
-            eps=eps,
-            gamma=gamma,
-            include_endpoints=include_endpoints,
-            seed=seed,
-            max_samples=max_samples,
-        )
+        if not 0.0 < eps < 1.0:
+            raise ParameterError(f"eps must lie in (0, 1), got {eps}")
+        if not 0.0 < gamma < 1.0:
+            raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
         if guess_base <= 1.0:
             raise ParameterError(f"guess_base must exceed 1, got {guess_base}")
+        if max_samples is not None and max_samples < 1:
+            raise ParameterError(f"max_samples must be >= 1, got {max_samples}")
+        self.eps = eps
+        self.gamma = gamma
         self.guess_base = guess_base
+        self.include_endpoints = include_endpoints
+        self.max_samples = max_samples
+        self._rng = as_generator(seed)
 
     def run(self, graph: CSRGraph, k: int) -> GBCResult:
         self._validate(graph, k)
@@ -98,13 +106,10 @@ class YoshidaSketch(SamplingAlgorithm):
                 capped = True
                 break
             iterations += 1
-            while instance.num_paths < target:
-                sample = sampler.sample()
-                nodes = sample.nodes
-                if not self.include_endpoints and nodes.size:
-                    keep = (nodes != sample.source) & (nodes != sample.target)
-                    nodes = nodes[keep]
-                instance.add_path(nodes)
+            instance.add_paths(
+                self._hyperedge(sampler.sample())
+                for _ in range(target - instance.num_paths)
+            )
             cover = greedy_max_cover(instance, k)
             group = cover.group
             estimate = cover.covered / instance.num_paths * pairs
@@ -126,3 +131,11 @@ class YoshidaSketch(SamplingAlgorithm):
                 "objective": "touched-pairs (upper bound on B(C))",
             },
         )
+
+    def _hyperedge(self, sample):
+        """The DAG node set a pair sample covers, under the endpoint
+        convention."""
+        nodes = sample.nodes
+        if not self.include_endpoints and nodes.size:
+            nodes = nodes[(nodes != sample.source) & (nodes != sample.target)]
+        return nodes

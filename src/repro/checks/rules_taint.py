@@ -10,9 +10,11 @@ entropy — legacy ``np.random``, seedless ``default_rng()``, stdlib
 assignments, arithmetic, containers, and (one interprocedural level)
 through calls to module-local helpers whose summaries say they return
 taint, and a finding fires when a tainted value reaches a
-sample-producing sink: ``PathSampler``/``sample_batch``/
-``sample_cohort``, engine ``draw``/``extend``, store ``add_path*``,
-engine/session constructors, or any ``seed=``/``rng=`` keyword.
+sample-producing sink: ``PathSampler``, sampler ``sample``/
+``sample_pair``/``sample_batch``/``sample_cohort``, engine
+``draw``/``extend``, coverage ``add_paths``/``add_paths_packed``/
+``add_samples``, engine/session constructors, or any
+``seed=``/``rng=`` keyword.
 
 Anything returned by :mod:`repro._rng` itself is clean by definition —
 it *is* the sanctioned seam — so ``as_generator(seed)`` sanitizes, and
@@ -63,14 +65,14 @@ _SINK_RECEIVERS = {
     "lane",
 }
 #: sink methods gated on a sampling-ish receiver
-_SINK_GATED_ATTRS = {"draw", "extend"}
+_SINK_GATED_ATTRS = {"draw", "extend", "sample", "sample_pair"}
 #: sink methods distinctive enough to match on any receiver
 _SINK_ATTRS = {
     "sample_batch",
     "sample_cohort",
-    "add_path",
     "add_paths",
     "add_paths_packed",
+    "add_samples",
 }
 #: constructors whose arguments seed sampling
 _SINK_CONSTRUCTORS = {

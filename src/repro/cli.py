@@ -478,17 +478,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_reference_flags(args) -> None:
+    """Exit with an error naming the first sampling, telemetry or
+    checkpoint flag given to ``run`` with a reference algorithm, which
+    draws no session — before any output file is created."""
+    if args.algorithm in ALGORITHMS:
+        return
+    for flag, given in (
+        ("--workers", args.workers != 0),
+        ("--log-json", args.log_json),
+        ("--checkpoint / resume", args.checkpoint),
+    ):
+        if given:
+            raise SystemExit(
+                f"error: {flag} is only supported for the sampling "
+                f"algorithms ({', '.join(sorted(ALGORITHMS))}), not "
+                f"{args.algorithm!r}"
+            )
+
+
 def _algorithm(name: str, args, telemetry, **checkpointing):
     """The algorithm ``name`` configured from the flags: a sampling
     algorithm through :func:`~repro.algorithms.create_algorithm` — the
     factory the serve daemon uses too — or a reference, which takes no
-    checkpoint options."""
+    sampling or checkpoint options."""
     if name not in ALGORITHMS:
-        if checkpointing.get("checkpoint_path"):
-            raise SystemExit(
-                "error: --checkpoint / resume is only supported for "
-                f"the sampling algorithms ({', '.join(sorted(ALGORITHMS))})"
-            )
         return _REFERENCES[name](args)
     return create_algorithm(
         name,
@@ -591,7 +605,8 @@ def _cli_checkpoint(path: str, hint: str) -> tuple[dict, dict, dict, object]:
 def _print_result(result, graph, args, k: int) -> None:
     pairs = graph.num_ordered_pairs
     print(f"algorithm   : {result.algorithm}")
-    print(f"workers     : {args.workers}")
+    if getattr(args, "algorithm", None) not in _REFERENCES:
+        print(f"workers     : {args.workers}")
     print(f"graph       : n={graph.n} m={graph.num_edges} "
           f"({'directed' if graph.directed else 'undirected'})")
     print(f"group (K={k}): {sorted(result.group)}")
@@ -630,6 +645,7 @@ def _finish_run(algorithm, graph, args, k: int) -> int:
 
 
 def _cmd_run(args) -> int:
+    _refuse_reference_flags(args)
     graph = _load_graph(args)
     telemetry = _build_telemetry(args)
     algorithm = _algorithm(

@@ -100,28 +100,14 @@ class CoverageInstance:
         """Number of stored paths (null samples included)."""
         return self._num_paths
 
-    def add_path(self, nodes) -> int:
-        """Append one path; returns its id.  ``nodes`` may be empty."""
-        arr = np.unique(np.asarray(nodes, dtype=np.int64))
-        if arr.size and (arr[0] < 0 or arr[-1] >= self.num_nodes):
-            raise ParameterError("path mentions node ids outside the universe")
-        pid = self._num_paths
-        end = self._flat_len + arr.size
-        self._flat = _grow(self._flat, end)
-        self._flat[self._flat_len : end] = arr
-        self._flat_len = end
-        self._offsets = _grow(self._offsets, pid + 2)
-        self._offsets[pid + 1] = end
-        self._num_paths = pid + 1
-        self._degrees[arr] += 1
-        self._inc_indptr = None
-        self._inc_paths = None
-        return pid
-
     def add_paths(self, paths) -> None:
-        """Append many paths (any iterable of node iterables)."""
-        for nodes in paths:
-            self.add_path(nodes)
+        """Append many paths (any iterable of node iterables; a path
+        may be empty) in one :meth:`add_paths_packed` call."""
+        sets = [np.unique(np.asarray(nodes, dtype=np.int64)) for nodes in paths]
+        offsets = np.zeros(len(sets) + 1, dtype=np.int64)
+        np.cumsum([nodes.size for nodes in sets], out=offsets[1:])
+        flat = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
+        self.add_paths_packed(flat, offsets)
 
     def add_paths_packed(self, flat: np.ndarray, offsets: np.ndarray) -> None:
         """Append many paths at once from a packed (flat, offsets) pair.

@@ -39,7 +39,7 @@ from .._rng import stream_key
 from ..coverage.hypergraph import CoverageInstance
 from ..exceptions import CheckpointError, ParameterError
 from ..graph.csr import CSRGraph
-from ..obs import NULL_TELEMETRY, check_instance, check_sample
+from ..obs import NULL_TELEMETRY, check_instance, check_samples
 from ..paths.sampler import PackedSamples, PathSampler
 
 __all__ = [
@@ -241,8 +241,7 @@ class SampleEngine(abc.ABC):
         """Draw ``count`` independent uniform shortest-path samples.
 
         The result is one :class:`~repro.paths.packed.PackedSamples`
-        record, which also reads as a sequence of
-        :class:`~repro.paths.sampler.PathSample` objects.
+        record.
         """
 
     def extend(self, instance: CoverageInstance, upto: int) -> None:
@@ -286,8 +285,7 @@ class SampleEngine(abc.ABC):
                 "paths.bucket_relaxations", stats.bucket_relaxations - before[4]
             )
         if self.debug:
-            for sample in samples:
-                check_sample(self.graph, sample)
+            check_samples(self.graph, samples)
         instance.add_samples(samples, self.include_endpoints)
         if self.debug:
             check_instance(instance)

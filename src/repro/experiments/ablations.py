@@ -79,7 +79,7 @@ def run_sampler_work(
         work = {}
         for method in ("bidirectional", "forward"):
             sampler = PathSampler(graph, seed=config.seed + 12, method=method)
-            sampler.sample_many(draws)
+            sampler.sample(draws)
             work[method] = sampler.total_edges_explored / draws
         rows.append(
             [
@@ -212,7 +212,7 @@ def run_work_scaling(
         work = {}
         for method in ("bidirectional", "forward"):
             sampler = PathSampler(graph, seed=config.seed + 18, method=method)
-            sampler.sample_many(draws)
+            sampler.sample(draws)
             work[method] = sampler.total_edges_explored / draws
         arcs = 2 * graph.num_edges
         logs.append((math.log(arcs), math.log(max(work["bidirectional"], 1.0))))

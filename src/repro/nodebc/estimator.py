@@ -132,10 +132,8 @@ def _count_interior(
     graph: CSRGraph, sampler: PathSampler, counts: np.ndarray, draws: int
 ) -> None:
     """Draw ``draws`` paths, incrementing per-node interior-hit counts."""
-    for _ in range(draws):
-        sample = sampler.sample()
-        if sample.nodes.size > 2:
-            counts[sample.nodes[1:-1]] += 1
+    interior, _ = sampler.sample(draws).coverage(include_endpoints=False)
+    counts += np.bincount(interior, minlength=graph.n)
 
 
 def approx_betweenness(

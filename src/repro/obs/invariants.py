@@ -4,8 +4,9 @@ The ``debug=True`` knob of the engines (and of the sampling
 algorithms, which forward it) turns on two classes of checks that
 would have caught the historical bookkeeping bugs immediately:
 
-* :func:`check_sample` — every drawn :class:`~repro.paths.sampler.PathSample`
-  is a *genuine* shortest path: it starts at the source, ends at the
+* :func:`check_samples` — every row of a drawn
+  :class:`~repro.paths.packed.PackedSamples` record is a *genuine*
+  shortest path: it starts at the source, ends at the
   target, every consecutive hop is an existing arc, its hop count is
   ``dist(s, t) + 1`` nodes (weight sum equals the reported distance on
   weighted graphs), and the reported distance matches an independent
@@ -32,9 +33,9 @@ from ..graph.csr import CSRGraph
 from ..paths._dispatch import is_weighted
 from ..paths.bidirectional import bidirectional_search
 from ..paths.dijkstra import dijkstra_sigma
-from ..paths.sampler import PathSample
+from ..paths.packed import PackedSamples
 
-__all__ = ["check_sample", "check_instance", "check_coverage"]
+__all__ = ["check_samples", "check_instance", "check_coverage"]
 
 
 def _fail(message: str) -> None:
@@ -51,50 +52,57 @@ def _independent_distance(graph: CSRGraph, source: int, target: int) -> int:
     return -1 if result is None else int(result.distance)
 
 
-def check_sample(graph: CSRGraph, sample: PathSample) -> None:
-    """Validate that ``sample`` is a genuine shortest path of ``graph``."""
-    s, t = int(sample.source), int(sample.target)
-    if sample.is_null:
-        if sample.distance != -1:
-            _fail(
-                f"null sample ({s}->{t}) carries distance "
-                f"{sample.distance}, expected -1"
-            )
-        if _independent_distance(graph, s, t) != -1:
-            _fail(f"null sample for reachable pair ({s}->{t})")
-        return
+def check_samples(graph: CSRGraph, samples: PackedSamples) -> None:
+    """Validate that every row of ``samples`` is a genuine shortest
+    path of ``graph``."""
+    weighted = is_weighted(graph)
+    for row in range(len(samples)):
+        s, t = int(samples.sources[row]), int(samples.targets[row])
+        distance = int(samples.distances[row])
+        nodes = samples.nodes[samples.offsets[row] : samples.offsets[row + 1]]
+        if nodes.size == 0:
+            if distance != -1:
+                _fail(
+                    f"null sample {row} ({s}->{t}) carries distance "
+                    f"{distance}, expected -1"
+                )
+            if _independent_distance(graph, s, t) != -1:
+                _fail(f"null sample {row} for reachable pair ({s}->{t})")
+            continue
 
-    nodes = np.asarray(sample.nodes)
-    if int(nodes[0]) != s or int(nodes[-1]) != t:
-        _fail(
-            f"path endpoints ({int(nodes[0])}, {int(nodes[-1])}) do not "
-            f"match the sampled pair ({s}, {t})"
-        )
-    weight = 0
-    for u, v in zip(nodes[:-1], nodes[1:]):
-        u, v = int(u), int(v)
-        if not graph.has_edge(u, v):
-            _fail(f"path ({s}->{t}) uses a non-existent arc ({u}, {v})")
-        if is_weighted(graph):
-            hop = graph.neighbor_weights(u)[graph.neighbors(u) == v]
-            weight += int(hop.min())
-    if is_weighted(graph):
-        if weight != sample.distance:
+        if int(nodes[0]) != s or int(nodes[-1]) != t:
             _fail(
-                f"path ({s}->{t}) weight {weight} does not match the "
-                f"reported distance {sample.distance}"
+                f"sample {row}: path endpoints ({int(nodes[0])}, "
+                f"{int(nodes[-1])}) do not match the sampled pair ({s}, {t})"
             )
-    elif nodes.size != sample.distance + 1:
-        _fail(
-            f"path ({s}->{t}) has {nodes.size} nodes but reports "
-            f"distance {sample.distance} (expected dist+1 nodes)"
-        )
-    true_distance = _independent_distance(graph, s, t)
-    if true_distance != sample.distance:
-        _fail(
-            f"path ({s}->{t}) reports distance {sample.distance} but an "
-            f"independent search finds {true_distance} — not a shortest path"
-        )
+        weight = 0
+        for u, v in zip(nodes[:-1].tolist(), nodes[1:].tolist()):
+            if not graph.has_edge(u, v):
+                _fail(
+                    f"sample {row}: path ({s}->{t}) uses a non-existent "
+                    f"arc ({u}, {v})"
+                )
+            if weighted:
+                hop = graph.neighbor_weights(u)[graph.neighbors(u) == v]
+                weight += int(hop.min())
+        if weighted:
+            if weight != distance:
+                _fail(
+                    f"sample {row}: path ({s}->{t}) weight {weight} does "
+                    f"not match the reported distance {distance}"
+                )
+        elif nodes.size != distance + 1:
+            _fail(
+                f"sample {row}: path ({s}->{t}) has {nodes.size} nodes but "
+                f"reports distance {distance} (expected dist+1 nodes)"
+            )
+        true_distance = _independent_distance(graph, s, t)
+        if true_distance != distance:
+            _fail(
+                f"sample {row}: path ({s}->{t}) reports distance {distance} "
+                f"but an independent search finds {true_distance} — not a "
+                "shortest path"
+            )
 
 
 def check_instance(instance: CoverageInstance) -> None:

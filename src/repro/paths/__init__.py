@@ -8,7 +8,7 @@ from .dijkstra import dijkstra_sigma, weighted_distances
 from .exact_gbc import exact_gbc, normalized_gbc
 from .pair_sampler import PairSample, PairSampler, shortest_path_dag
 from .packed import PackedSamples
-from .sampler import PathSample, PathSampler
+from .sampler import PathSampler
 from .wavefront import DEFAULT_COHORT, WavefrontResults, wavefront_search
 from .wavefront_weighted import WeightedSearchResult, wavefront_weighted_search
 
@@ -23,7 +23,6 @@ __all__ = [
     "all_pairs_sigma",
     "exact_gbc",
     "normalized_gbc",
-    "PathSample",
     "PackedSamples",
     "PairSample",
     "PairSampler",

@@ -1,70 +1,36 @@
-"""Samples in flat-array form — the record every draw returns.
+"""Samples in flat-array form — the one record a draw returns.
 
-A draw of ``count`` samples used to be ``count`` Python
-:class:`~repro.paths.sampler.PathSample` objects, each with its own
-node array, appended to the coverage instance one call at a time.
-:class:`PackedSamples` keeps the same data as seven numpy arrays: the
-per-sample scalar columns plus every path concatenated into one node
-array addressed by an offsets array.  The sampler's cohort walk writes
-this layout directly, the engines ship it between processes as one
-pickle, and :meth:`PackedSamples.coverage` turns it into the sorted,
-deduplicated node sets that
-:meth:`~repro.coverage.CoverageInstance.add_paths_packed` ingests in
-one vectorized append.
-
-It is also a read-only sequence of :class:`PathSample` objects, made
-on access, so callers that index or iterate a draw need not know the
-layout.
+A sample (Sec. III-D of the paper) is an ordered pair, its distance
+and one uniform shortest path.  :class:`PackedSamples` holds a run of
+them as seven numpy arrays: the per-sample scalar columns plus every
+path concatenated into one node array addressed by an offsets array.
+Every :class:`~repro.paths.sampler.PathSampler` entry point returns
+this record, the engines ship it between processes as one pickle, and
+:meth:`PackedSamples.coverage` turns it into the sorted, deduplicated
+node sets that :meth:`~repro.coverage.CoverageInstance.add_paths_packed`
+ingests in one vectorized append.
 """
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ..exceptions import ParameterError
-
-__all__ = ["PathSample", "PackedSamples"]
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One sampled shortest path (or a null sample).
-
-    ``nodes`` lists the path from source to target inclusive; it is
-    empty for a null sample (unreachable pair).  ``edges_explored``
-    records the traversal work, which the bidirectional-vs-forward
-    ablation aggregates.
-    """
-
-    source: int
-    target: int
-    nodes: np.ndarray = field(repr=False)
-    distance: int
-    sigma_st: float
-    edges_explored: int
-
-    @property
-    def is_null(self) -> bool:
-        """Whether the pair was disconnected (sample covers nothing)."""
-        return self.nodes.size == 0
+__all__ = ["PackedSamples"]
 
 
 def _empty_int() -> np.ndarray:
     return np.empty(0, dtype=np.int64)
 
 
-class PackedSamples(Sequence):
+class PackedSamples:
     """A run of samples as flat arrays.
 
     Attributes
     ----------
     sources, targets, distances, sigmas, edges:
         Per-sample columns (``distances[i] == -1``, ``sigmas[i] == 0``
-        and an empty node segment mark a null sample).
+        and an empty node segment mark a null sample, whose pair is
+        disconnected).  ``edges`` is the traversal work of each sample.
     nodes, offsets:
         Concatenated paths in source→target order; sample ``i``'s path
         is ``nodes[offsets[i]:offsets[i + 1]]``.
@@ -105,19 +71,6 @@ class PackedSamples(Sequence):
         return cls(sources, targets, distances, sigmas, edges, nodes, offsets)
 
     @classmethod
-    def from_samples(cls, samples) -> "PackedSamples":
-        """Pack :class:`PathSample` objects (the inverse of iterating)."""
-        samples = list(samples)
-        return cls.from_paths(
-            [s.source for s in samples],
-            [s.target for s in samples],
-            [s.distance for s in samples],
-            [s.sigma_st for s in samples],
-            [s.edges_explored for s in samples],
-            [np.asarray(s.nodes, dtype=np.int64) for s in samples],
-        )
-
-    @classmethod
     def concat(cls, parts) -> "PackedSamples":
         """One record holding ``parts`` back to back, in order."""
         parts = [p for p in parts if len(p)]
@@ -136,51 +89,8 @@ class PackedSamples(Sequence):
             offsets,
         )
 
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self.sources.size
-
-    def _sample(self, i: int) -> PathSample:
-        return PathSample(
-            source=int(self.sources[i]),
-            target=int(self.targets[i]),
-            nodes=self.nodes[self.offsets[i] : self.offsets[i + 1]],
-            distance=int(self.distances[i]),
-            sigma_st=float(self.sigmas[i]),
-            edges_explored=int(self.edges[i]),
-        )
-
-    def __getitem__(self, index):
-        count = len(self)
-        if isinstance(index, slice):
-            start, stop, step = index.indices(count)
-            if step != 1:
-                raise ParameterError("PackedSamples slices must be contiguous")
-            stop = max(start, stop)
-            lo, hi = self.offsets[start], self.offsets[stop]
-            return PackedSamples(
-                self.sources[start:stop],
-                self.targets[start:stop],
-                self.distances[start:stop],
-                self.sigmas[start:stop],
-                self.edges[start:stop],
-                self.nodes[lo:hi],
-                self.offsets[start : stop + 1] - lo,
-            )
-        i = operator.index(index)
-        if i < 0:
-            i += count
-        if not 0 <= i < count:
-            raise IndexError(f"sample index {index} out of range")
-        return self._sample(i)
-
-    def __iter__(self):
-        return (self._sample(i) for i in range(len(self)))
-
-    def __add__(self, other):
-        if not isinstance(other, PackedSamples):
-            return NotImplemented
-        return PackedSamples.concat([self, other])
 
     # ------------------------------------------------------------------
     def coverage(self, include_endpoints: bool = True) -> tuple[np.ndarray, np.ndarray]:

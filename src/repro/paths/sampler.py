@@ -39,11 +39,11 @@ from ._dispatch import is_weighted
 from .bfs import bfs_sigma, cohort_neighbors
 from .bidirectional import BidirectionalResult, bidirectional_search
 from .dijkstra import dijkstra_sigma
-from .packed import PackedSamples, PathSample
+from .packed import PackedSamples
 from .wavefront import DEFAULT_COHORT, WavefrontResults, wavefront_search
 from .wavefront_weighted import wavefront_weighted_search
 
-__all__ = ["PathSample", "PackedSamples", "PathSampler"]
+__all__ = ["PackedSamples", "PathSampler"]
 
 #: Samples resolved per search call of a cohort draw.  The unweighted
 #: kernel hands back sparse state (the nodes each query discovered),
@@ -51,6 +51,9 @@ __all__ = ["PathSample", "PackedSamples", "PathSampler"]
 #: draw holds besides its output is bounded by these, not by ``count``.
 _CHUNK = 512
 _WEIGHTED_CHUNK = 64
+
+#: The node array of a null sample.
+_NO_PATH = np.empty(0, dtype=np.int64)
 
 #: Arcs a walk step gathers at once.  Hubs sit on many shortest paths,
 #: so the walks of one chunk can meet at a few high-degree nodes; the
@@ -128,11 +131,12 @@ class PathSampler:
 
     Notes
     -----
+    Every entry point returns one
+    :class:`~repro.paths.packed.PackedSamples` record.
     :meth:`sample_cohort` and :meth:`sample_batch` draw the samples of
-    the given indices and keep no state.  :meth:`sample`,
-    :meth:`sample_many` and :meth:`sample_pair` take the next indices
-    from the sampler's own :attr:`cursor`, so successive calls produce
-    independent samples.
+    the given indices and keep no state.  :meth:`sample` and
+    :meth:`sample_pair` take the next indices from the sampler's own
+    :attr:`cursor`, so successive calls produce independent samples.
     """
 
     def __init__(self, graph: CSRGraph, seed=None, method: str = "bidirectional"):
@@ -150,7 +154,7 @@ class PathSampler:
         self.graph = graph
         self.method = method
         self.key = stream_key(seed)
-        #: The next index :meth:`sample` and friends draw.
+        #: The next index :meth:`sample` and :meth:`sample_pair` draw.
         self.cursor = 0
         self.total_edges_explored = 0
         self.total_samples = 0
@@ -159,20 +163,17 @@ class PathSampler:
         self.total_bucket_relaxations = 0
 
     # ------------------------------------------------------------------
-    def sample(self) -> PathSample:
-        """Draw the sample at the cursor (random pair, then uniform
-        shortest path)."""
-        return self.sample_many(1)[0]
-
-    def sample_many(self, count: int) -> list[PathSample]:
-        """Draw the next ``count`` samples."""
+    def sample(self, count: int = 1) -> PackedSamples:
+        """Draw the next ``count`` samples (random pair, then uniform
+        shortest path) — through :meth:`sample_cohort`, or the scalar
+        oracle for the ``"forward"`` method, which has no cohort."""
         if count < 0:
             raise ParameterError("sample count must be non-negative")
+        indices = np.arange(self.cursor, self.cursor + count)
         self.cursor += count
-        return [
-            self._sample_index(index)
-            for index in range(self.cursor - count, self.cursor)
-        ]
+        if self.method == "forward":
+            return self.sample_batch(indices)
+        return self.sample_cohort(indices)
 
     @staticmethod
     def _indices(indices) -> np.ndarray:
@@ -183,10 +184,6 @@ class PathSampler:
             raise ParameterError("sample indices must be non-negative")
         return indices
 
-    def _sample_index(self, index: int) -> PathSample:
-        sources, targets = counter_pairs(self.key, [index], self.graph.n)
-        return self._sample_at(int(sources[0]), int(targets[0]), index)
-
     def sample_batch(self, indices) -> PackedSamples:
         """The samples of ``indices``, one scalar search and walk at a
         time — the reference oracle of :meth:`sample_cohort`.
@@ -196,16 +193,11 @@ class PathSampler:
         ``"forward"`` method draws the same law through a plain BFS
         per pair, for the sampler ablation.
         """
-        return PackedSamples.from_samples(
-            self._sample_index(index) for index in self._indices(indices).tolist()
-        )
+        indices = self._indices(indices)
+        sources, targets = counter_pairs(self.key, indices, self.graph.n)
+        return self._scalar(sources, targets, indices)
 
-    def sample_cohort(
-        self,
-        indices,
-        cohort_size: int | None = None,
-        delta: int | None = None,
-    ) -> PackedSamples:
+    def sample_cohort(self, indices) -> PackedSamples:
         """The samples of ``indices``, drawn as one batch.
 
         The pairs of all the indices are drawn up front, then resolved
@@ -218,13 +210,8 @@ class PathSampler:
         on weighted ones — and on unweighted graphs one vectorized walk
         draws every path of the chunk.  Sample ``i`` reads the same
         per-index uniforms as the scalar oracle :meth:`sample_batch`,
-        so the two yield bit-identical samples.
-
-        ``cohort_size`` (queries in flight per search call) and
-        ``delta`` (the weighted kernel's bucket width, ``None``
-        auto-tunes from the mean edge weight; ignored on unweighted
-        graphs) are result-invariant kernel parameters.  The
-        ``"forward"`` method has no cohort schedule.
+        so the two yield bit-identical samples.  The ``"forward"``
+        method has no cohort schedule.
         """
         if self.method not in ("bidirectional", "dijkstra"):
             raise ParameterError(
@@ -235,14 +222,12 @@ class PathSampler:
         sources, targets = counter_pairs(self.key, indices, self.graph.n)
         count = indices.size
         if self.method == "dijkstra":
-            packed = self._weighted_cohort(
-                indices, sources, targets, cohort_size, delta
-            )
+            packed = self._weighted_cohort(indices, sources, targets)
         else:
             # one pair of sigma planes serves every chunk: each search
             # leaves them all-zero.  They are not kept past the call —
             # a sampler per warm lane would hold them for its lifetime
-            capacity = min(cohort_size or DEFAULT_COHORT, count, _CHUNK)
+            capacity = min(DEFAULT_COHORT, count, _CHUNK)
             planes = np.zeros((2, max(capacity, 1), self.graph.n))
             packed = PackedSamples.concat([
                 self._walk_cohort(
@@ -251,7 +236,6 @@ class PathSampler:
                         self.graph,
                         sources[lo:lo + _CHUNK],
                         targets[lo:lo + _CHUNK],
-                        cohort_size=cohort_size,
                         frontiers=False,
                         planes=planes,
                     ),
@@ -355,19 +339,13 @@ class PathSampler:
                 position, base = position[live], base[live]
 
     def _weighted_cohort(
-        self,
-        indices: np.ndarray,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        cohort_size: int | None,
-        delta: int | None,
+        self, indices: np.ndarray, sources: np.ndarray, targets: np.ndarray
     ) -> PackedSamples:
         """The weighted half of :meth:`sample_cohort`: per chunk,
         resolve every (s, t) query, then run the backward walks in
         sample order.  The search consumes no randomness, so the
         samples match :meth:`sample_batch`'s per-pair Dijkstra and walk
         bit for bit."""
-        empty = np.empty(0, dtype=np.int64)
         paths, distances, sigmas, edges = [], [], [], []
         for lo in range(0, sources.size, _WEIGHTED_CHUNK):
             counters: dict = {}
@@ -375,8 +353,6 @@ class PathSampler:
                 self.graph,
                 sources[lo:lo + _WEIGHTED_CHUNK],
                 targets[lo:lo + _WEIGHTED_CHUNK],
-                delta=delta,
-                cohort_size=cohort_size,
                 counters=counters,
             )
             self.total_bucket_relaxations += counters.get("bucket_relaxations", 0)
@@ -392,7 +368,7 @@ class PathSampler:
                         result.sigma, self._draws(index),
                     )
                     if result.reachable
-                    else empty
+                    else _NO_PATH
                 )
         self.total_weighted_cohorts += 1
         return PackedSamples.from_paths(
@@ -407,52 +383,48 @@ class PathSampler:
                 self.key, index, np.arange(step, step + 32)
             ).tolist()
 
-    def sample_pair(self, source: int, target: int) -> PathSample:
-        """Draw a uniform shortest path for a *given* ordered pair, with
-        the walk uniforms of the index at the cursor."""
+    def sample_pair(self, source: int, target: int) -> PackedSamples:
+        """A one-row record: a uniform shortest path for a *given*
+        ordered pair, with the walk uniforms of the index at the
+        cursor."""
         self.cursor += 1
-        return self._sample_at(source, target, self.cursor - 1)
+        return self._scalar([source], [target], [self.cursor - 1])
 
-    def _sample_at(self, source: int, target: int, index: int) -> PathSample:
-        """The search and walk of one pair, with ``index``'s uniforms."""
-        if self.method == "bidirectional":
-            sample = self._sample_bidirectional(source, target, index)
-        elif self.method == "dijkstra":
-            sample = self._sample_dijkstra(source, target, index)
-        else:
-            sample = self._sample_forward(source, target, index)
-        self.total_samples += 1
-        self.total_traversals += 1
-        self.total_edges_explored += sample.edges_explored
-        return sample
-
-    # ------------------------------------------------------------------
-    def _null(self, source: int, target: int, edges: int) -> PathSample:
-        return PathSample(
-            source=source,
-            target=target,
-            nodes=np.empty(0, dtype=np.int64),
-            distance=-1,
-            sigma_st=0.0,
-            edges_explored=edges,
+    def _scalar(self, sources, targets, indices) -> PackedSamples:
+        """The scalar search and walk of every ``(source, target)``
+        pair, with the walk uniforms of the matching index."""
+        draw = {
+            "bidirectional": self._sample_bidirectional,
+            "dijkstra": self._sample_dijkstra,
+            "forward": self._sample_forward,
+        }[self.method]
+        rows = [
+            draw(source, target, index)
+            for source, target, index in zip(
+                np.asarray(sources).tolist(),
+                np.asarray(targets).tolist(),
+                np.asarray(indices).tolist(),
+            )
+        ]
+        paths, distances, sigmas, edges = zip(*rows) if rows else ((),) * 4
+        self.total_samples += len(rows)
+        self.total_traversals += len(rows)
+        self.total_edges_explored += sum(edges)
+        return PackedSamples.from_paths(
+            sources, targets, distances, sigmas, edges, paths
         )
 
-    def _sample_bidirectional(
-        self, source: int, target: int, index: int
-    ) -> PathSample:
+    # ------------------------------------------------------------------
+    # One pair each: ``(nodes, distance, sigma_st, edges_explored)``,
+    # with empty nodes, distance -1 and sigma 0 for an unreachable pair.
+    def _sample_bidirectional(self, source: int, target: int, index: int):
         result, explored = bidirectional_search(self.graph, source, target)
         if result is None:
             # unreachable: both searches exhausted their closure — that
             # work is real, so the ablation must see it
-            return self._null(source, target, explored)
-        return PathSample(
-            source=result.source,
-            target=result.target,
-            nodes=self._path_nodes(result, self._draws(index)),
-            distance=result.distance,
-            sigma_st=result.sigma_st,
-            edges_explored=result.edges_explored,
-        )
+            return _NO_PATH, -1, 0.0, explored
+        nodes = self._path_nodes(result, self._draws(index))
+        return nodes, result.distance, result.sigma_st, result.edges_explored
 
     def _path_nodes(self, result: BidirectionalResult, draws) -> np.ndarray:
         """Draw one uniform path from a completed bidirectional search."""
@@ -467,7 +439,7 @@ class PathSampler:
         )
         return np.asarray(head[::-1] + tail[1:], dtype=np.int64)
 
-    def _sample_forward(self, source: int, target: int, index: int) -> PathSample:
+    def _sample_forward(self, source: int, target: int, index: int):
         dist, sigma = bfs_sigma(self.graph, source, target=target)
         # plain BFS explores every arc out of the levels it expanded —
         # for an unreachable target that is the source's whole closure
@@ -475,37 +447,24 @@ class PathSampler:
             sum(self.graph.out_degree(v) for v in np.flatnonzero(dist >= 0))
         )
         if dist[target] == -1:
-            return self._null(source, target, explored)
+            return _NO_PATH, -1, 0.0, explored
         head = self._walk(
             self.graph.predecessors, target, dist, sigma, self._draws(index)
         )
         nodes = np.asarray(head[::-1], dtype=np.int64)
-        return PathSample(
-            source=source,
-            target=target,
-            nodes=nodes,
-            distance=int(dist[target]),
-            sigma_st=float(sigma[target]),
-            edges_explored=explored,
-        )
+        return nodes, int(dist[target]), float(sigma[target]), explored
 
-    def _sample_dijkstra(self, source: int, target: int, index: int) -> PathSample:
+    def _sample_dijkstra(self, source: int, target: int, index: int):
         """Weighted sampling: forward Dijkstra, then a weighted backward
         walk along shortest-path predecessors."""
         dist, sigma, order = dijkstra_sigma(self.graph, source, target=target)
         explored = int(sum(self.graph.out_degree(int(v)) for v in order))
         if dist[target] == -1:
-            return self._null(source, target, explored)
-        return PathSample(
-            source=source,
-            target=target,
-            nodes=self._walk_weighted(
-                source, target, dist, sigma, self._draws(index)
-            ),
-            distance=int(dist[target]),
-            sigma_st=float(sigma[target]),
-            edges_explored=explored,
+            return _NO_PATH, -1, 0.0, explored
+        nodes = self._walk_weighted(
+            source, target, dist, sigma, self._draws(index)
         )
+        return nodes, int(dist[target]), float(sigma[target]), explored
 
     def _walk_weighted(
         self, source: int, target: int, dist: np.ndarray, sigma: np.ndarray,

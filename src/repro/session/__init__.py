@@ -16,14 +16,12 @@ the session redraws exactly those in place.
 
 from .invalidation import ExactInvalidation
 from .session import CHECKPOINT_FORMAT, CHECKPOINT_VERSION, SamplingSession
-from .store import STORE_FORMAT, STORE_VERSION, SampleStore
+from .store import SampleStore
 
 __all__ = [
     "ExactInvalidation",
     "SampleStore",
     "SamplingSession",
-    "STORE_FORMAT",
-    "STORE_VERSION",
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_VERSION",
 ]

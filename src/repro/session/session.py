@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 
 import numpy as np
 
@@ -38,15 +40,32 @@ from .._rng import as_generator, indexed_seed, stream_entropy
 from ..engine import SampleEngine, check_stream_state, create_engine
 from ..exceptions import CheckpointError, ParameterError
 from ..graph.csr import CSRGraph
-from ..obs import as_telemetry, check_instance, check_sample
+from ..obs import as_telemetry, check_instance, check_samples
 from ..paths._dispatch import is_weighted
 from .invalidation import ExactInvalidation
-from .store import SNAPSHOT_FIELDS, SampleStore, _atomic_savez
+from .store import SNAPSHOT_FIELDS, SampleStore
 
 __all__ = ["SamplingSession", "CHECKPOINT_FORMAT", "CHECKPOINT_VERSION"]
 
 CHECKPOINT_FORMAT = "repro-session-checkpoint"
 CHECKPOINT_VERSION = 1
+
+
+def _atomic_savez(path: str, **arrays) -> None:
+    """Write ``np.savez_compressed(path, **arrays)`` atomically."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(suffix=".npz.tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
 
 def _graph_fingerprint(graph: CSRGraph) -> dict:
     """The graph identity a checkpoint records and resume checks.
@@ -299,8 +318,7 @@ class SamplingSession:
         ):
             store.replace_samples(ids, samples, engine.include_endpoints)
             if self.debug:
-                for sample in samples:
-                    check_sample(new_graph, sample)
+                check_samples(new_graph, samples)
                 check_instance(store)
         tested = self.total_samples
         invalidated = sum(ids.size for ids in stale)
@@ -435,6 +453,9 @@ class SamplingSession:
                         )
                         for lane in range(meta["lanes"])
                     ]
+            except CheckpointError:
+                session.close()  # a malformed field: stop the workers
+                raise
             except (OSError, KeyError, ValueError) as exc:
                 session.close()
                 raise CheckpointError(

@@ -3,58 +3,31 @@
 A :class:`~repro.coverage.CoverageInstance` is the in-memory incidence
 between sampled paths and nodes; a :class:`SampleStore` is the same
 structure *promoted to first-class, persistable state*.  It remembers
-the draw schedule that grew it (the sequence of ``extend`` targets) and
-serializes to a single ``.npz`` snapshot that also carries the engine
-RNG state and provenance needed to resume the stream bit-identically:
+the draw schedule that grew it (the sequence of ``extend`` targets)
+and exports itself as compact arrays (:meth:`SampleStore.export_arrays`)
+that the session checkpoint
+(:meth:`~repro.session.SamplingSession.checkpoint`) writes beside the
+engine stream state:
 
 * the flat path arrays (``flat``, ``offsets``, ``degrees``) — the
   sample pool itself;
 * the per-sample pair columns (``sources``, ``targets``,
   ``distances``) — what a graph update's exact per-pair test reads;
-* the ``schedule`` of extend targets served so far;
-* a JSON ``meta`` blob: node-universe size, the engine's
-  :meth:`~repro.engine.SampleEngine.rng_state`, and the engine
-  provenance (workers, endpoint convention) the samples were drawn
-  under.
+* the ``schedule`` of extend targets served so far.
 
-The arrays are integers, so a save→load round trip is exact: coverage
-queries, greedy runs, and continued draws on the loaded store behave
-bit-identically to the original.  Snapshots are written atomically
-(temp file + rename), so a crash mid-save never corrupts an existing
-checkpoint.
+The arrays are integers, so an export→:meth:`SampleStore.from_arrays`
+round trip is exact: coverage queries, greedy runs, and continued
+draws on the rebuilt store behave bit-identically to the original.
 """
 
 from __future__ import annotations
-
-import json
-import os
-import tempfile
 
 import numpy as np
 
 from ..coverage.hypergraph import CoverageInstance
 from ..exceptions import CheckpointError
 
-__all__ = ["SampleStore", "STORE_FORMAT", "STORE_VERSION"]
-
-STORE_FORMAT = "repro-sample-store"
-STORE_VERSION = 1
-
-
-def _atomic_savez(path: str, **arrays) -> None:
-    """Write ``np.savez_compressed(path, **arrays)`` atomically."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(suffix=".npz.tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+__all__ = ["SampleStore"]
 
 
 def _checked_array(
@@ -107,7 +80,7 @@ class SampleStore(CoverageInstance):
     the persistence layer described in the module docstring and the
     pair columns: the source, target and distance of every sample
     ingested through :meth:`add_samples` (distance ``-1`` for a null
-    sample).  A path added without its pair (:meth:`add_path`, or a
+    sample).  A path added without its pair (:meth:`add_paths`, or a
     snapshot predating the columns) has source ``-1``: its pair is
     unknown.  The four sampling algorithms operate on stores through a
     :class:`~repro.session.SamplingSession`, which owns the pairing of
@@ -242,64 +215,3 @@ class SampleStore(CoverageInstance):
         if pairs:
             store._pair_rows(num_paths)[:, :num_paths] = pairs
         return store
-
-    # ------------------------------------------------------------------
-    def save(self, path: str, *, rng_state=None, provenance=None) -> None:
-        """Snapshot the store (and its stream context) to ``path``.
-
-        ``rng_state`` is the owning engine's
-        :meth:`~repro.engine.SampleEngine.rng_state` at the moment of
-        the snapshot; ``provenance`` records how the samples were drawn
-        (workers, endpoint convention, ...).  Both
-        are optional for bare pools but required for bit-identical
-        resumption of a live session.
-        """
-        meta = {
-            "format": STORE_FORMAT,
-            "version": STORE_VERSION,
-            "num_nodes": self.num_nodes,
-            "num_paths": self.num_paths,
-            "rng_state": rng_state,
-            "provenance": provenance,
-        }
-        _atomic_savez(
-            path,
-            meta=np.asarray(json.dumps(meta)),
-            **self.export_arrays(),
-        )
-
-    @classmethod
-    def load(cls, path: str) -> tuple["SampleStore", dict]:
-        """Load a snapshot; returns ``(store, meta)``.
-
-        ``meta`` carries the ``rng_state`` and ``provenance`` recorded
-        at save time (both ``None`` for bare pools).
-        """
-        try:
-            with np.load(path, allow_pickle=False) as payload:
-                meta = json.loads(str(payload["meta"]))
-                if meta.get("format") != STORE_FORMAT:
-                    raise CheckpointError(
-                        f"{path!r} is not a sample-store snapshot"
-                    )
-                if meta.get("version") != STORE_VERSION:
-                    raise CheckpointError(
-                        f"unsupported store snapshot version "
-                        f"{meta.get('version')!r} (expected {STORE_VERSION})"
-                    )
-                arrays = {
-                    key: payload[key]
-                    for key in SNAPSHOT_FIELDS
-                    if key in payload.files
-                }
-                store = cls.from_arrays(meta["num_nodes"], arrays)
-        except CheckpointError:
-            raise
-        except (OSError, KeyError, ValueError) as exc:
-            raise CheckpointError(f"cannot load store snapshot {path!r}: {exc}")
-        if store.num_paths != meta["num_paths"]:
-            raise CheckpointError(
-                "corrupt store snapshot: path count mismatch "
-                f"({store.num_paths} != {meta['num_paths']})"
-            )
-        return store, meta

@@ -7,7 +7,7 @@ from repro.algorithms import AdaAlg, CentRa, Exhaust, GBCResult, Hedge
 from repro.algorithms.base import SamplingAlgorithm
 from repro.exceptions import ParameterError
 from repro.graph import barabasi_albert, path_graph
-from repro.paths.sampler import PackedSamples, PathSample
+from repro.paths import PackedSamples
 
 
 class TestGBCResult:
@@ -89,17 +89,15 @@ class TestEndpointSlicing:
 
     def _covered(self, probe, nodes):
         nodes = np.asarray(nodes, dtype=np.int64)
-        sample = PathSample(
-            source=int(nodes[0]) if nodes.size else 0,
-            target=int(nodes[-1]) if nodes.size else 1,
-            nodes=nodes,
-            distance=nodes.size - 1,
-            sigma_st=1.0,
-            edges_explored=0,
+        sample = PackedSamples.from_paths(
+            [int(nodes[0]) if nodes.size else 0],
+            [int(nodes[-1]) if nodes.size else 1],
+            [nodes.size - 1],
+            [1.0],
+            [0],
+            [nodes],
         )
-        flat, offsets = PackedSamples.from_samples([sample]).coverage(
-            probe.include_endpoints
-        )
+        flat, offsets = sample.coverage(probe.include_endpoints)
         assert offsets.tolist() == [0, flat.size]
         return flat
 

@@ -71,6 +71,23 @@ class TestYoshidaSketch:
         with pytest.raises(ValueError):
             YoshidaSketch(guess_base=0.5)
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"eps": 0.0}, {"eps": 1.0}, {"gamma": 0.0}, {"gamma": 1.5},
+         {"max_samples": 0}],
+    )
+    def test_parameter_validation(self, options):
+        with pytest.raises(ParameterError):
+            YoshidaSketch(**options)
+
+    def test_draws_no_session(self):
+        """A reference baseline, not a session-backed sampling loop."""
+        from repro.algorithms import GBCAlgorithm, SamplingAlgorithm
+
+        sketch = YoshidaSketch()
+        assert isinstance(sketch, GBCAlgorithm)
+        assert not isinstance(sketch, SamplingAlgorithm)
+
     def test_work_accounting(self):
         g = erdos_renyi(40, 0.15, seed=12)
         result = YoshidaSketch(eps=0.5, seed=13).run(g, 3)

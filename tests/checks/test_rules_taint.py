@@ -30,6 +30,20 @@ class TestDirectFlow:
         assert "ambient entropy" in findings[0].message
         assert "engine.extend()" in findings[0].message
 
+    def test_triggers_on_sampler_and_ingest_entry_points(self, findings_for):
+        findings = taint_findings(
+            findings_for,
+            """
+            def run(sampler, instance, obj):
+                drawn = sampler.sample(hash(obj) % 7)
+                instance.add_paths([[id(obj)]])
+                return drawn
+            """,
+        )
+        assert len(findings) == 2
+        assert "sampler.sample()" in findings[0].message
+        assert "add_paths()" in findings[1].message
+
     def test_triggers_on_tainted_seed_keyword(self, findings_for):
         findings = taint_findings(
             findings_for,

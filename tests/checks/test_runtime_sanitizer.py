@@ -10,9 +10,7 @@ from repro.session import SampleStore, SamplingSession
 @pytest.fixture
 def store():
     s = SampleStore(6, debug=True)
-    s.add_path([0, 1, 2])
-    s.add_path([2, 3])
-    s.add_path([])
+    s.add_paths([[0, 1, 2], [2, 3], []])
     return s
 
 
@@ -34,21 +32,19 @@ class TestDebugStore:
 
     def test_read_only_export_round_trips_and_grows(self, store):
         clone = SampleStore.from_arrays(6, store.export_arrays(), debug=True)
-        clone.add_path([4, 5])  # must not explode on frozen inputs
+        clone.add_paths([[4, 5]])  # must not explode on frozen inputs
         assert clone.num_paths == store.num_paths + 1
         assert clone.path(0).tolist() == store.path(0).tolist()
 
     def test_queries_unaffected_by_debug(self, store):
         plain = SampleStore(6)
-        plain.add_path([0, 1, 2])
-        plain.add_path([2, 3])
-        plain.add_path([])
+        plain.add_paths([[0, 1, 2], [2, 3], []])
         assert store.covered_count([2]) == plain.covered_count([2]) == 2
         assert store.degrees().tolist() == plain.degrees().tolist()
 
     def test_default_store_keeps_writable_views(self):
         s = SampleStore(4)
-        s.add_path([1, 2])
+        s.add_paths([[1, 2]])
         s.path(0)[0] = 1  # legacy behavior: views stay writable
         assert not s.debug
 
@@ -56,7 +52,7 @@ class TestDebugStore:
 class TestDebugCoverage:
     def test_coverage_instance_accepts_debug(self):
         cov = CoverageInstance(4, debug=True)
-        cov.add_path([0, 3])
+        cov.add_paths([[0, 3]])
         with pytest.raises(ValueError):
             cov.path(0)[0] = 2
 

@@ -18,30 +18,35 @@ class TestConstruction:
             CoverageInstance(-1)
 
     def test_add_path_returns_sequential_ids(self):
+        """Path ids follow append order, across appends."""
         inst = CoverageInstance(5)
-        assert inst.add_path([0, 1]) == 0
-        assert inst.add_path([2]) == 1
+        inst.add_paths([[0, 1]])
+        inst.add_paths([[2], [3, 4]])
+        assert [inst.path(pid).tolist() for pid in range(3)] == [[0, 1], [2], [3, 4]]
 
     def test_out_of_universe_rejected(self):
         inst = CoverageInstance(3)
         with pytest.raises(ParameterError):
-            inst.add_path([0, 5])
+            inst.add_paths([[1], [0, 5]])
+        assert inst.num_paths == 0  # a rejected append adds nothing
 
     def test_null_path_allowed(self):
         inst = CoverageInstance(3)
-        inst.add_path([])
+        inst.add_paths([[]])
         assert inst.num_paths == 1
         assert inst.covered_count([0, 1, 2]) == 0
 
     def test_duplicate_nodes_in_path_deduped(self):
         inst = CoverageInstance(5)
-        pid = inst.add_path([2, 2, 1])
-        assert list(inst.path(pid)) == [1, 2]
+        inst.add_paths([[2, 2, 1]])
+        assert list(inst.path(0)) == [1, 2]
         assert inst.degree(2) == 1
 
     def test_add_paths_bulk(self):
         inst = CoverageInstance(4)
         inst.add_paths([[0], [1, 2], []])
+        assert inst.num_paths == 3
+        inst.add_paths([])
         assert inst.num_paths == 3
 
 
@@ -86,7 +91,7 @@ class TestQueries:
 
     def test_numpy_path_input(self):
         inst = CoverageInstance(5)
-        inst.add_path(np.array([3, 1], dtype=np.int64))
+        inst.add_paths([np.array([3, 1], dtype=np.int64)])
         assert inst.covered_count([1]) == 1
 
 

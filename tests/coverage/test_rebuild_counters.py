@@ -8,8 +8,6 @@ These tests pin the counting semantics and their flow into
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.coverage import CoverageInstance
 from repro.engine import create_engine
 from repro.graph import barabasi_albert
@@ -17,8 +15,7 @@ from repro.obs import Telemetry
 
 
 def _add(instance, *paths):
-    for path in paths:
-        instance.add_path(np.asarray(path, dtype=np.int64))
+    instance.add_paths(paths)
 
 
 class TestInstanceCounters:

@@ -73,23 +73,24 @@ class TestDrawBasics:
         with _engine(name, grid3x3, seed=7) as engine:
             samples = engine.draw(50)
         assert len(samples) == 50
-        for sample in samples:
-            assert sample.source != sample.target
-            assert sample.nodes[0] == sample.source
-            assert sample.nodes[-1] == sample.target
-            assert len(sample.nodes) == sample.distance + 1
+        assert np.all(samples.sources != samples.targets)
+        assert np.array_equal(samples.nodes[samples.offsets[:-1]], samples.sources)
+        assert np.array_equal(samples.nodes[samples.offsets[1:] - 1], samples.targets)
+        assert np.array_equal(np.diff(samples.offsets), samples.distances + 1)
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
     def test_zero_draw(self, grid3x3, name):
         with _engine(name, grid3x3) as engine:
-            assert list(engine.draw(0)) == []
+            samples = engine.draw(0)
+        assert len(samples) == 0
+        assert samples.nodes.size == 0 and samples.offsets.tolist() == [0]
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
     def test_null_samples_on_disconnected(self, two_triangles, name):
         with _engine(name, two_triangles, seed=3) as engine:
             samples = engine.draw(60)
         # 18 of 30 ordered pairs straddle the components
-        nulls = sum(sample.is_null for sample in samples)
+        nulls = np.count_nonzero(samples.distances < 0)
         assert 0 < nulls < 60
 
     @pytest.mark.parametrize("name", ENGINE_NAMES)
@@ -100,8 +101,7 @@ class TestDrawBasics:
         with _engine(name, graph, seed=11) as engine:
             samples = engine.draw(20)
         assert len(samples) == 20
-        for sample in samples:
-            assert not sample.is_null
+        assert np.all(samples.distances >= 0)
 
 
 class TestDeterminism:
@@ -112,10 +112,8 @@ class TestDeterminism:
                 return engine.draw(40)
 
         first, second = run(), run()
-        for a, b in zip(first, second):
-            assert a.source == b.source
-            assert a.target == b.target
-            assert np.array_equal(a.nodes, b.nodes)
+        for name in ("sources", "targets", "nodes", "offsets"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
 
     def test_epoch_groups_identical_across_worker_counts(self, barbell):
         """End-to-end: AdaAlg's group is invariant to the worker count."""
@@ -137,10 +135,7 @@ class TestDistribution:
 
     @staticmethod
     def _pair_counts(samples, n):
-        counts = np.zeros((n, n), dtype=np.int64)
-        for sample in samples:
-            counts[sample.source, sample.target] += 1
-        return counts.ravel()
+        return np.bincount(samples.sources * n + samples.targets, minlength=n * n)
 
     def test_pair_marginal_uniform(self, grid3x3):
         """Each engine's (s, t) marginal is uniform over ordered pairs."""
@@ -163,9 +158,10 @@ class TestDistribution:
             with _engine(name, diamond, seed=17) as engine:
                 samples = engine.draw(6000)
             via1 = via2 = 0
-            for sample in samples:
-                if {sample.source, sample.target} == {0, 3}:
-                    if 1 in sample.nodes:
+            paths = np.split(samples.nodes, samples.offsets[1:-1])
+            for source, target, nodes in zip(samples.sources, samples.targets, paths):
+                if {int(source), int(target)} == {0, 3}:
+                    if 1 in nodes:
                         via1 += 1
                     else:
                         via2 += 1
@@ -202,11 +198,10 @@ class TestExtend:
     def test_coverage_nodes_helper(self, grid3x3):
         with SerialEngine(grid3x3, seed=0) as engine:
             draw = engine.draw(1)
-        (sample,) = draw
         full, _ = draw.coverage(include_endpoints=True)
         inner, _ = draw.coverage(include_endpoints=False)
-        assert np.array_equal(full, np.unique(sample.nodes))
-        assert np.array_equal(inner, np.unique(sample.nodes[1:-1]))
+        assert np.array_equal(full, np.unique(draw.nodes))
+        assert np.array_equal(inner, np.unique(draw.nodes[1:-1]))
 
 
 class TestStats:
@@ -253,7 +248,5 @@ class TestSerialMatchesBatch:
             a = serial.draw(count)
         b = PathSampler(grid3x3, seed=13).sample_batch(np.arange(count))
         assert len(a) == len(b) == count
-        for x, y in zip(a, b):
-            assert x.source == y.source and x.target == y.target
-            assert np.array_equal(x.nodes, y.nodes)
-            assert x.edges_explored == y.edges_explored
+        for name in ("sources", "targets", "nodes", "offsets", "edges"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name

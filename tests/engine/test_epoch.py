@@ -48,12 +48,8 @@ def small_tickets(monkeypatch):
 
 def _assert_same_samples(first, second):
     assert len(first) == len(second)
-    for a, b in zip(first, second):
-        assert a.source == b.source
-        assert a.target == b.target
-        assert a.distance == b.distance
-        assert a.sigma_st == b.sigma_st
-        assert np.array_equal(a.nodes, b.nodes)
+    for name in ("sources", "targets", "distances", "sigmas", "nodes", "offsets"):
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
 
 
 class TestValidation:
@@ -98,7 +94,7 @@ class TestDeterminism:
         """Sample ``i`` is sample ``i``: the stream is independent of how
         requests slice it, of the ticket boundaries and of the engine."""
         with _epoch(ba200, workers=2) as engine:
-            sliced = engine.draw(30) + engine.draw(45)
+            sliced = PackedSamples.concat([engine.draw(30), engine.draw(45)])
         with _epoch(ba200, workers=0) as engine:
             whole = engine.draw(75)
         with SerialEngine(ba200, seed=7) as engine:
@@ -115,12 +111,14 @@ class TestDeterminism:
             engine.extend(instance, 60)
         assert instance.num_paths == 60
         with _epoch(ba200, workers=0) as engine:
-            replay = engine.draw(100)
-        _assert_same_samples(head, replay[:40])
+            replay = engine.draw(40)
+            replay_tail = engine.draw(60)
+        _assert_same_samples(head, replay)
+        # the instance stores each path's covered node set
+        flat, offsets = replay_tail.coverage()
         for pid in range(instance.num_paths):
-            # the instance stores each path's covered node set
             assert np.array_equal(
-                np.unique(instance.path(pid)), np.unique(replay[40 + pid].nodes)
+                instance.path(pid), flat[offsets[pid] : offsets[pid + 1]]
             )
 
 
@@ -168,10 +166,14 @@ class TestStats:
 class TestWire:
     def test_pack_unpack_round_trip(self, ba200):
         with SerialEngine(ba200, seed=5) as serial:
-            samples = list(serial.draw(40))
-        packed = PackedSamples.from_samples(samples)
+            samples = serial.draw(40)
+        packed = PackedSamples.from_paths(
+            samples.sources, samples.targets, samples.distances,
+            samples.sigmas, samples.edges,
+            np.split(samples.nodes, samples.offsets[1:-1]),
+        )
         assert len(packed) == 40
-        _assert_same_samples(list(packed), samples)
+        _assert_same_samples(packed, samples)
 
     def test_packed_coverage_is_deduplicated(self, two_triangles):
         # null samples (disconnected pairs) pack to empty coverage rows
@@ -179,9 +181,10 @@ class TestWire:
             packed = serial.draw(60)
         for include_endpoints in (True, False):
             flat, offsets = packed.coverage(include_endpoints)
-            for i, sample in enumerate(packed):
+            paths = np.split(packed.nodes, packed.offsets[1:-1])
+            for i, nodes in enumerate(paths):
                 row = flat[offsets[i]:offsets[i + 1]]
-                inner = sample.nodes if include_endpoints else sample.nodes[1:-1]
+                inner = nodes if include_endpoints else nodes[1:-1]
                 assert np.array_equal(row, np.unique(inner))
 
     def test_pickle_round_trip(self, grid3x3):
@@ -190,7 +193,7 @@ class TestWire:
         with SerialEngine(grid3x3, seed=5) as serial:
             packed = serial.draw(10)
         clone = pickle.loads(pickle.dumps(packed))
-        _assert_same_samples(list(clone), list(packed))
+        _assert_same_samples(clone, packed)
 
 
 class TestCheckpoint:
@@ -244,7 +247,7 @@ class TestLifecycle:
         straight = _epoch(ba200, workers=0)
         expected = straight.draw(128)
         straight.close()
-        _assert_same_samples(first + second, expected)
+        _assert_same_samples(PackedSamples.concat([first, second]), expected)
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_close_mid_epoch_keeps_the_carried_tail(
@@ -264,7 +267,7 @@ class TestLifecycle:
             expected = straight.draw(64)
         finally:
             straight.close()
-        _assert_same_samples(first + second, expected)
+        _assert_same_samples(PackedSamples.concat([first, second]), expected)
 
     def test_set_rng_state_drops_the_carried_tail(self, ba200):
         engine = _epoch(ba200, workers=0)
@@ -333,7 +336,7 @@ class TestLifecycle:
         straight = _epoch(ba200, workers=0)
         expected = straight.draw(1564)
         straight.close()
-        _assert_same_samples(first + second, expected)
+        _assert_same_samples(PackedSamples.concat([first, second]), expected)
 
 
 #: Ticket start the patched ticket body refuses to serve while armed.
@@ -385,7 +388,7 @@ class TestEpochFailures:
             second = engine.draw(64)
         with _epoch(ba200, workers=0) as healthy:
             expected = healthy.draw(80)
-        _assert_same_samples(first + second, expected)
+        _assert_same_samples(PackedSamples.concat([first, second]), expected)
 
     def test_extend_surfaces_the_error(self, ba200, poisoned):
         with _epoch(ba200, seed=32, workers=0) as engine:

@@ -2,7 +2,8 @@
 
 ``SerialEngine`` (the default everywhere) resolves its draws with the
 vectorized search and one vectorized walk per chunk, through
-:meth:`~repro.paths.PathSampler.sample_cohort` at any cohort width;
+:meth:`~repro.paths.PathSampler.sample_cohort`, with the search
+kernel at any cohort width;
 the oracle :meth:`~repro.paths.PathSampler.sample_batch` runs one
 scalar search and one scalar walk per sample.  All must yield
 bit-identical samples — and hence identical coverage instances — for
@@ -12,6 +13,7 @@ above ``n``.  A draw's memory must follow the samples drawn, not ``n``.
 
 from __future__ import annotations
 
+import functools
 import pickle
 import tracemalloc
 
@@ -22,7 +24,7 @@ import repro.paths.sampler as sampler_module
 from repro.coverage import CoverageInstance
 from repro.engine import PackedSamples, SampleEngine, SerialEngine
 from repro.graph import barabasi_albert, erdos_renyi
-from repro.paths import DEFAULT_COHORT, PathSampler
+from repro.paths import DEFAULT_COHORT, PathSampler, wavefront_search
 
 _COLUMNS = ("sources", "targets", "distances", "sigmas", "edges", "nodes", "offsets")
 
@@ -53,9 +55,9 @@ class _SamplerEngine(SampleEngine):
         return self._draw(self._sampler, indices)
 
 
-def _engines(graph, seed, cohort_size, include_endpoints=True):
+def _engines(graph, seed, include_endpoints=True):
     def cohort(sampler, indices):
-        return sampler.sample_cohort(indices, cohort_size=cohort_size)
+        return sampler.sample_cohort(indices)
 
     def oracle(sampler, indices):
         return sampler.sample_batch(indices)
@@ -85,13 +87,20 @@ class TestOracle:
     @pytest.mark.parametrize("cohort_size", [None, 1, 5])
     @pytest.mark.parametrize("graph_name", ["ba", "sparse_digraph"])
     def test_engines_draw_bit_identical_samples(
-        self, request, graph_name, seed, cohort_size
+        self, request, monkeypatch, graph_name, seed, cohort_size
     ):
         graph = request.getfixturevalue(graph_name)
+        if cohort_size is not None:
+            # the search kernel's width, as the sampler module calls it
+            monkeypatch.setattr(
+                sampler_module,
+                "wavefront_search",
+                functools.partial(wavefront_search, cohort_size=cohort_size),
+            )
         # one draw below n, one above: both go through the same path
         counts = (graph.n // 3, 2 * graph.n + 7)
         draws = []
-        for engine in _engines(graph, seed, cohort_size):
+        for engine in _engines(graph, seed):
             with engine:
                 draws.append([engine.draw(count) for count in counts])
         reference = draws[-1]  # the scalar oracle
@@ -108,7 +117,7 @@ class TestOracle:
     ):
         graph = request.getfixturevalue(graph_name)
         built = []
-        for engine in _engines(graph, 5, 7, include_endpoints):
+        for engine in _engines(graph, 5, include_endpoints):
             instance = CoverageInstance(graph.n)
             with engine:
                 for upto in (40, graph.n + 25, 3 * graph.n):
@@ -119,7 +128,7 @@ class TestOracle:
 
     def test_extend_matches_per_sample_ingest(self, sparse_digraph):
         """The one bulk append equals appending each drawn path with
-        the endpoint convention applied, one ``add_path`` at a time."""
+        the endpoint convention applied, one path at a time."""
         for include_endpoints in (True, False):
             with SerialEngine(
                 sparse_digraph, seed=2, include_endpoints=include_endpoints
@@ -129,11 +138,10 @@ class TestOracle:
             with SerialEngine(sparse_digraph, seed=2) as engine:
                 samples = engine.draw(300)
             single = CoverageInstance(sparse_digraph.n)
-            for sample in samples:
-                nodes = sample.nodes
+            for nodes in np.split(samples.nodes, samples.offsets[1:-1]):
                 if not include_endpoints and nodes.size:
                     nodes = nodes[1:-1]
-                single.add_path(nodes)
+                single.add_paths([nodes])
             _assert_same_instance(bulk, single)
 
     def test_walk_slices_and_chunks_do_not_move_samples(self, ba, monkeypatch):
@@ -147,18 +155,13 @@ class TestOracle:
 
 
 class TestPackedSamples:
-    def test_sequence_view(self, ba):
+    def test_concat_and_pickle_round_trip(self, ba):
         with SerialEngine(ba, seed=4) as engine:
             packed = engine.draw(30)
-        samples = list(packed)
-        assert len(samples) == 30
-        assert packed[-1].source == samples[-1].source
-        assert np.array_equal(packed[7].nodes, samples[7].nodes)
-        with pytest.raises(IndexError):
-            packed[30]
-        head, tail = packed[:12], packed[12:]
-        _assert_identical(head + tail, packed)
-        _assert_identical(PackedSamples.from_samples(samples), packed)
+        with SerialEngine(ba, seed=4) as engine:
+            head, tail = engine.draw(12), engine.draw(18)
+        assert len(packed) == 30
+        _assert_identical(PackedSamples.concat([head, tail]), packed)
         _assert_identical(pickle.loads(pickle.dumps(packed)), packed)
 
     def test_empty(self):

@@ -19,7 +19,7 @@ from repro._rng import PAIR_DOMAIN, counter_below, counter_pairs, counter_words
 from repro.coverage import CoverageInstance
 from repro.engine import create_engine
 from repro.graph import barabasi_albert, from_weighted_edges
-from repro.paths import PathSampler
+from repro.paths import PackedSamples, PathSampler
 
 _COLUMNS = ("sources", "targets", "distances", "sigmas", "edges", "nodes", "offsets")
 
@@ -76,11 +76,9 @@ class TestOracle:
         graph = barabasi_albert(80, 2, seed=6)
         expected = PathSampler(graph, seed=2).sample_batch(np.arange(6))
         sampler = PathSampler(graph, seed=2)
-        drawn = [sampler.sample()] + sampler.sample_many(5)
+        drawn = PackedSamples.concat([sampler.sample(), sampler.sample(5)])
         assert sampler.cursor == 6
-        for got, want in zip(drawn, expected):
-            assert (got.source, got.target) == (want.source, want.target)
-            np.testing.assert_array_equal(got.nodes, want.nodes)
+        _assert_packed_equal(drawn, expected)
 
 
 class TestPairLaw:

@@ -18,7 +18,9 @@ from repro.nodebc import (
     top_k_nodes,
     vertex_diameter_upper_bound,
 )
-from repro.paths import betweenness_centrality
+from repro._rng import as_generator
+from repro.graph import barabasi_albert
+from repro.paths import PathSampler, betweenness_centrality
 
 
 class TestVertexDiameter:
@@ -164,3 +166,36 @@ class TestTopK:
         exact_top = set(np.argsort(exact)[::-1][:5].tolist())
         approx_top = set(top_k_nodes(g, 5, eps=0.005, delta=0.1, seed=19))
         assert len(exact_top & approx_top) >= 3
+
+
+class TestOracleCounts:
+    """The estimators' one cohort draw per batch counts the interior
+    hits a scalar per-path loop over the oracle's samples counts."""
+
+    @staticmethod
+    def _oracle_values(graph, rng, num_samples):
+        samples = PathSampler(graph, seed=rng).sample_batch(np.arange(num_samples))
+        counts = np.zeros(graph.n)
+        for nodes in np.split(samples.nodes, samples.offsets[1:-1]):
+            counts[nodes[1:-1]] += 1
+        return counts / num_samples * graph.num_ordered_pairs
+
+    def test_approx_betweenness_matches_oracle(self):
+        g = barabasi_albert(300, 3, seed=21)
+        estimate = approx_betweenness(g, eps=0.05, delta=0.1, seed=22)
+        rng = as_generator(22)
+        vertex_diameter_upper_bound(g, seed=rng)  # the same draws, in order
+        np.testing.assert_array_equal(
+            estimate.values, self._oracle_values(g, rng, estimate.num_samples)
+        )
+
+    def test_adaptive_betweenness_matches_oracle(self):
+        g = barabasi_albert(300, 3, seed=23)
+        estimate = adaptive_betweenness(
+            g, eps=0.05, delta=0.1, batch=200, seed=24
+        )
+        assert estimate.iterations > 1  # the counts span several batches
+        np.testing.assert_array_equal(
+            estimate.values,
+            self._oracle_values(g, as_generator(24), estimate.num_samples),
+        )

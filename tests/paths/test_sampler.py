@@ -8,6 +8,11 @@ from repro.graph import empty_graph, erdos_renyi, from_edges
 from repro.paths import PathSampler, bfs_sigma
 
 
+def _paths(samples):
+    """The node array of every row of a record."""
+    return np.split(samples.nodes, samples.offsets[1:-1])
+
+
 class TestConstruction:
     def test_tiny_graph_rejected(self):
         with pytest.raises(GraphError):
@@ -19,84 +24,79 @@ class TestConstruction:
 
     def test_negative_count_rejected(self, path5):
         with pytest.raises(ParameterError):
-            PathSampler(path5, seed=0).sample_many(-1)
+            PathSampler(path5, seed=0).sample(-1)
 
 
 class TestSampleValidity:
     @pytest.mark.parametrize("method", ["bidirectional", "forward"])
     def test_paths_are_valid_shortest_paths(self, grid3x3, method):
-        sampler = PathSampler(grid3x3, seed=0, method=method)
-        for _ in range(50):
-            s = sampler.sample()
-            assert not s.is_null
-            nodes = s.nodes
-            assert nodes[0] == s.source
-            assert nodes[-1] == s.target
-            assert nodes.size == s.distance + 1
+        samples = PathSampler(grid3x3, seed=0, method=method).sample(50)
+        assert np.all(samples.distances >= 0)
+        for source, target, distance, nodes in zip(
+            samples.sources, samples.targets, samples.distances, _paths(samples)
+        ):
+            assert nodes[0] == source
+            assert nodes[-1] == target
+            assert nodes.size == distance + 1
             # consecutive nodes adjacent
             for a, b in zip(nodes, nodes[1:]):
                 assert grid3x3.has_edge(int(a), int(b))
             # length matches true distance
-            dist, _ = bfs_sigma(grid3x3, s.source)
-            assert dist[s.target] == s.distance
+            dist, _ = bfs_sigma(grid3x3, int(source))
+            assert dist[target] == distance
 
     def test_directed_paths_follow_arcs(self):
         g = from_edges([(0, 1), (1, 2), (2, 3), (0, 3)], n=4, directed=True)
-        sampler = PathSampler(g, seed=1)
-        for _ in range(40):
-            s = sampler.sample()
-            if s.is_null:
-                continue
-            for a, b in zip(s.nodes, s.nodes[1:]):
+        for nodes in _paths(PathSampler(g, seed=1).sample(40)):
+            for a, b in zip(nodes, nodes[1:]):
                 assert g.has_edge(int(a), int(b))
 
     def test_null_samples_on_disconnected(self, two_triangles):
         sampler = PathSampler(two_triangles, seed=2)
-        samples = sampler.sample_many(200)
-        nulls = [s for s in samples if s.is_null]
-        live = [s for s in samples if not s.is_null]
+        samples = sampler.sample(200)
+        null = np.diff(samples.offsets) == 0
         # cross-component pairs: 2*9 of 30 ordered pairs => ~60% null
-        assert len(nulls) > 60
-        assert len(live) > 40
-        for s in nulls:
-            assert s.sigma_st == 0.0
-            assert s.distance == -1
+        assert np.count_nonzero(null) > 60
+        assert np.count_nonzero(~null) > 40
+        assert np.all(samples.sigmas[null] == 0.0)
+        assert np.all(samples.distances[null] == -1)
 
     def test_pair_marginals_uniform(self, k4):
-        sampler = PathSampler(k4, seed=3)
-        counts = {}
         n_draws = 3000
-        for _ in range(n_draws):
-            s = sampler.sample()
-            counts[(s.source, s.target)] = counts.get((s.source, s.target), 0) + 1
-        assert len(counts) == 12  # all ordered pairs
+        samples = PathSampler(k4, seed=3).sample(n_draws)
+        _, counts = np.unique(
+            samples.sources * 4 + samples.targets, return_counts=True
+        )
+        assert counts.size == 12  # all ordered pairs
         expected = n_draws / 12
-        for count in counts.values():
+        for count in counts:
             assert abs(count - expected) < 5 * np.sqrt(expected)
 
     def test_sample_pair_fixed_endpoints(self, grid3x3):
         sampler = PathSampler(grid3x3, seed=4)
         s = sampler.sample_pair(0, 8)
-        assert s.source == 0 and s.target == 8
-        assert s.sigma_st == 6.0
+        assert len(s) == 1
+        assert s.sources[0] == 0 and s.targets[0] == 8
+        assert s.sigmas[0] == 6.0
+        assert sampler.cursor == 1
 
     def test_reproducible_with_seed(self, grid3x3):
-        a = PathSampler(grid3x3, seed=9).sample_many(20)
-        b = PathSampler(grid3x3, seed=9).sample_many(20)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.nodes, y.nodes)
+        a = PathSampler(grid3x3, seed=9).sample(20)
+        b = PathSampler(grid3x3, seed=9).sample(20)
+        assert np.array_equal(a.nodes, b.nodes)
+        assert np.array_equal(a.offsets, b.offsets)
 
     def test_bookkeeping_counters(self, grid3x3):
         sampler = PathSampler(grid3x3, seed=5)
-        sampler.sample_many(10)
+        sampler.sample(10)
         assert sampler.total_samples == 10
         assert sampler.total_edges_explored > 0
 
     def test_forward_method_explores_more(self, barbell):
         bi = PathSampler(barbell, seed=6, method="bidirectional")
         fw = PathSampler(barbell, seed=6, method="forward")
-        bi.sample_many(100)
-        fw.sample_many(100)
+        bi.sample(100)
+        fw.sample(100)
         assert bi.total_edges_explored <= fw.total_edges_explored
 
 
@@ -106,28 +106,30 @@ class TestSampleBatch:
         samples = sampler.sample_batch(np.arange(60))
         assert len(samples) == 60
         assert sampler.total_samples == 60
-        for s in samples:
-            assert not s.is_null
-            assert s.nodes[0] == s.source
-            assert s.nodes[-1] == s.target
-            for a, b in zip(s.nodes, s.nodes[1:]):
+        for source, target, nodes in zip(
+            samples.sources, samples.targets, _paths(samples)
+        ):
+            assert nodes.size
+            assert nodes[0] == source
+            assert nodes[-1] == target
+            for a, b in zip(nodes, nodes[1:]):
                 assert grid3x3.has_edge(int(a), int(b))
 
     def test_pair_marginals_uniform(self, k4):
-        sampler = PathSampler(k4, seed=21)
-        counts = {}
         draws = 3000
-        for s in sampler.sample_batch(np.arange(draws)):
-            counts[(s.source, s.target)] = counts.get((s.source, s.target), 0) + 1
-        assert len(counts) == 12
+        samples = PathSampler(k4, seed=21).sample_batch(np.arange(draws))
+        _, counts = np.unique(
+            samples.sources * 4 + samples.targets, return_counts=True
+        )
+        assert counts.size == 12
         expected = draws / 12
-        for count in counts.values():
+        for count in counts:
             assert abs(count - expected) < 5 * np.sqrt(expected)
 
     def test_null_samples_preserved(self, two_triangles):
         sampler = PathSampler(two_triangles, seed=22)
         samples = sampler.sample_batch(np.arange(200))
-        nulls = sum(1 for s in samples if s.is_null)
+        nulls = np.count_nonzero(np.diff(samples.offsets) == 0)
         assert 60 < nulls < 160  # ~60% of ordered pairs cross components
 
     def test_path_law_matches_per_sample(self, grid3x3):
@@ -136,11 +138,13 @@ class TestSampleBatch:
         sampler = PathSampler(grid3x3, seed=23)
         counts: dict[tuple, int] = {}
         draws = 0
-        for s in sampler.sample_batch(np.arange(8000)):
-            if s.source == 0 and s.target == 8:
-                key = tuple(s.nodes.tolist())
-                counts[key] = counts.get(key, 0) + 1
-                draws += 1
+        samples = sampler.sample_batch(np.arange(8000))
+        corner = (samples.sources == 0) & (samples.targets == 8)
+        paths = _paths(samples)
+        for row in np.flatnonzero(corner):
+            key = tuple(paths[row].tolist())
+            counts[key] = counts.get(key, 0) + 1
+            draws += 1
         assert len(counts) == 6  # all six corner-to-corner paths appear
         _, pvalue = scipy_stats.chisquare(list(counts.values()))
         assert pvalue > 1e-3
@@ -161,7 +165,7 @@ class TestSampleBatch:
         sampler = PathSampler(g, seed=24)
         samples = sampler.sample_batch(np.arange(20))
         assert len(samples) == 20
-        assert all(s.distance >= 0 for s in samples)
+        assert np.all(samples.distances >= 0)
 
 
 class TestMethodAgreement:
@@ -176,6 +180,6 @@ class TestMethodAgreement:
             s, t = rng.choice(30, size=2, replace=False)
             a = bi.sample_pair(int(s), int(t))
             b = fw.sample_pair(int(s), int(t))
-            assert a.distance == b.distance
-            assert a.sigma_st == pytest.approx(b.sigma_st)
-            assert a.is_null == b.is_null
+            assert a.distances[0] == b.distances[0]
+            assert a.sigmas[0] == pytest.approx(b.sigmas[0])
+            assert (a.nodes.size == 0) == (b.nodes.size == 0)

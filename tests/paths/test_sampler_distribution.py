@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from repro.coverage import CoverageInstance
 from repro.graph import from_edges, grid_graph
 from repro.paths import PathSampler
 
@@ -97,13 +98,8 @@ def test_estimator_unbiased_against_exact_gbc():
     g = erdos_renyi(30, 0.15, seed=11)
     group = [0, 7, 13]
     exact = exact_gbc(g, group)
-    sampler = PathSampler(g, seed=5)
-    members = set(group)
     n_draws = 20000
-    hits = 0
-    for _ in range(n_draws):
-        sample = sampler.sample()
-        if members.intersection(sample.nodes.tolist()):
-            hits += 1
-    estimate = hits / n_draws * g.num_ordered_pairs
+    instance = CoverageInstance(g.n)
+    instance.add_samples(PathSampler(g, seed=5).sample(n_draws))
+    estimate = instance.covered_count(group) / n_draws * g.num_ordered_pairs
     assert estimate == pytest.approx(exact, rel=0.05)

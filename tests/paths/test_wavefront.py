@@ -11,12 +11,15 @@ topologies; edge cases cover degenerate cohorts and invalid queries.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+import repro.paths.sampler as sampler_module
 from repro.exceptions import ParameterError
 from repro.graph import barabasi_albert, erdos_renyi, watts_strogatz
-from repro.paths import DEFAULT_COHORT, wavefront_search
+from repro.paths import DEFAULT_COHORT, PackedSamples, wavefront_search
 from repro.paths.bidirectional import bidirectional_search
 
 
@@ -173,23 +176,24 @@ class TestScalarRangeValidation:
 
 
 class TestSamplerCrossKernel:
-    def test_sample_cohort_kernels_identical(self):
+    def test_sample_cohort_kernels_identical(self, monkeypatch):
         """The cohort draw reads the same per-index uniforms as the
         scalar oracle ``sample_batch``, so the sampled paths (not just
-        the searches) are bit-identical at every cohort width."""
+        the searches) are bit-identical at every cohort width of the
+        search kernel the sampler calls."""
         from repro.paths import PathSampler
 
         graph = barabasi_albert(100, 2, seed=41)
         reference = PathSampler(graph, seed=77).sample_batch(np.arange(150))
         for cohort_size in (None, 13):
-            sampler = PathSampler(graph, seed=77)
-            samples = sampler.sample_cohort(np.arange(150), cohort_size=cohort_size)
-            for a, b in zip(reference, samples):
-                assert a.source == b.source
-                assert a.target == b.target
-                assert np.array_equal(a.nodes, b.nodes)
-                assert a.sigma_st == b.sigma_st
-                assert a.edges_explored == b.edges_explored
+            monkeypatch.setattr(
+                sampler_module,
+                "wavefront_search",
+                functools.partial(wavefront_search, cohort_size=cohort_size),
+            )
+            samples = PathSampler(graph, seed=77).sample_cohort(np.arange(150))
+            for name in ("sources", "targets", "nodes", "offsets", "sigmas", "edges"):
+                assert np.array_equal(getattr(reference, name), getattr(samples, name))
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_cohort_draw_is_split_invariant(self, weighted):
@@ -212,14 +216,18 @@ class TestSamplerCrossKernel:
         sampler = PathSampler(graph, seed=3)
         order = np.random.default_rng(2).permutation(count)
         cut = count // 3
-        parts = sampler.sample_cohort(order[:cut]) + sampler.sample_cohort(order[cut:])
+        parts = PackedSamples.concat(
+            [sampler.sample_cohort(order[:cut]), sampler.sample_cohort(order[cut:])]
+        )
         back = np.argsort(order)
         for name in ("sources", "targets", "distances", "sigmas"):
             np.testing.assert_array_equal(
                 getattr(parts, name)[back], getattr(cohort, name)
             )
+        part_paths = np.split(parts.nodes, parts.offsets[1:-1])
+        cohort_paths = np.split(cohort.nodes, cohort.offsets[1:-1])
         for i, j in enumerate(back.tolist()):
-            np.testing.assert_array_equal(parts[j].nodes, cohort[i].nodes)
+            np.testing.assert_array_equal(part_paths[j], cohort_paths[i])
 
     def test_cohort_requires_bidirectional(self, grid3x3):
         from repro.paths import PathSampler

@@ -8,6 +8,7 @@ the whole weighted pipeline end to end.
 import numpy as np
 import pytest
 
+from repro.coverage import CoverageInstance
 from repro.graph import from_weighted_edges
 from repro.paths import (
     PathSampler,
@@ -68,13 +69,14 @@ class TestWeightedDirected:
 
     def test_directed_sampler_valid(self):
         g = _random_weighted(20, 0.15, seed=33, directed=True)
-        sampler = PathSampler(g, seed=3)
-        for _ in range(30):
-            s = sampler.sample()
-            if s.is_null:
+        samples = PathSampler(g, seed=3).sample(30)
+        for source, target, distance in zip(
+            samples.sources, samples.targets, samples.distances
+        ):
+            if distance < 0:
                 continue
-            dist, _, _ = dijkstra_sigma(g, s.source)
-            assert dist[s.target] == s.distance
+            dist, _, _ = dijkstra_sigma(g, int(source))
+            assert dist[target] == distance
 
 
 class TestWeightedExactGBC:
@@ -116,22 +118,24 @@ class TestWeightedSampler:
 
     def test_paths_are_weighted_shortest(self):
         g = _random_weighted(20, 0.25, seed=4)
-        sampler = PathSampler(g, seed=1)
-        for _ in range(40):
-            s = sampler.sample()
-            if s.is_null:
+        samples = PathSampler(g, seed=1).sample(40)
+        for source, target, distance, nodes in zip(
+            samples.sources, samples.targets, samples.distances,
+            np.split(samples.nodes, samples.offsets[1:-1]),
+        ):
+            if distance < 0:
                 continue
-            dist, _, _ = dijkstra_sigma(g, s.source)
-            assert dist[s.target] == s.distance
+            dist, _, _ = dijkstra_sigma(g, int(source))
+            assert dist[target] == distance
             # path length (sum of weights) equals the weighted distance
             total = 0
-            for a, b in zip(s.nodes, s.nodes[1:]):
+            for a, b in zip(nodes, nodes[1:]):
                 nbrs = g.neighbors(int(a))
                 ws = g.neighbor_weights(int(a))
                 match = ws[nbrs == b]
                 assert match.size == 1
                 total += int(match[0])
-            assert total == s.distance
+            assert total == distance
 
     def test_uniform_over_weighted_ties(self):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -153,15 +157,10 @@ class TestWeightedSampler:
         g = _random_weighted(18, 0.25, seed=5)
         group = [0, 5]
         exact = exact_gbc(g, group)
-        sampler = PathSampler(g, seed=6)
-        members = set(group)
         draws = 15000
-        hits = sum(
-            1
-            for _ in range(draws)
-            if members.intersection(sampler.sample().nodes.tolist())
-        )
-        estimate = hits / draws * g.num_ordered_pairs
+        instance = CoverageInstance(g.n)
+        instance.add_samples(PathSampler(g, seed=6).sample(draws))
+        estimate = instance.covered_count(group) / draws * g.num_ordered_pairs
         assert estimate == pytest.approx(exact, rel=0.07)
 
 

@@ -106,7 +106,7 @@ class TestStoreInvalidation:
 
     def test_out_of_range_pair_columns_rejected(self):
         store = SampleStore(10)
-        store.add_path(np.asarray([0, 1], dtype=np.int64))
+        store.add_paths([[0, 1]])
         arrays = store.export_arrays()
         for bad in ({"sources": np.asarray([10])}, {"targets": np.asarray([-2])},
                     {"distances": np.asarray([1, 1])}):
@@ -164,8 +164,7 @@ class TestStoreInvalidation:
         """Snapshots that still carry the per-path ``versions`` and
         ``fingerprints`` columns load, and the columns are dropped."""
         store = SampleStore(10)
-        store.add_path(np.asarray([0, 1], dtype=np.int64))
-        store.add_path(np.asarray([2, 3], dtype=np.int64))
+        store.add_paths([[0, 1], [2, 3]])
         arrays = store.export_arrays()
         assert sorted(arrays) == [
             "degrees", "distances", "flat", "offsets", "schedule", "sources",

@@ -367,6 +367,34 @@ class TestCheckpointResume:
             main(["run", "--edge-list", edge_file, "--algorithm", "puzis",
                   "-k", "2", "--checkpoint", str(tmp_path / "ck.npz")])
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--workers", "2", "--log-json", "LOG"], "--workers"),
+            (["--log-json", "LOG"], "--log-json"),
+        ],
+    )
+    def test_reference_refuses_sampling_flags(self, tmp_path, flags, named):
+        """A reference draws no session: ``--workers`` and
+        ``--log-json`` are refused by name before any file is made."""
+        from repro.graph import barabasi_albert, write_edge_list
+
+        edge_file = tmp_path / "ci_ba.txt"
+        write_edge_list(barabasi_albert(120, 3, seed=7), edge_file)
+        log = tmp_path / "x.jsonl"
+        flags = [str(log) if flag == "LOG" else flag for flag in flags]
+        with pytest.raises(SystemExit, match=named):
+            main(["run", "--edge-list", str(edge_file), "--algorithm",
+                  "yoshida", "-k", "5", "--eps", "0.4", "--seed", "7", *flags])
+        assert not log.exists()
+
+    def test_reference_prints_no_workers_line(self, tmp_path, capsys):
+        edge_file = _star_edge_list(tmp_path)
+        assert main(["run", "--edge-list", str(edge_file), "--algorithm",
+                     "yoshida", "-k", "1", "--eps", "0.4"]) == 0
+        out = capsys.readouterr().out
+        assert "YoshidaSketch" in out and "workers" not in out
+
     def test_parser_knows_new_surface(self):
         args = build_parser().parse_args(
             ["experiment", "sweep-warmstart", "--reuse-sessions"]

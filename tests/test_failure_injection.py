@@ -62,22 +62,23 @@ class TestDegenerateGraphs:
 class TestSamplingEdgeCases:
     def test_two_node_graph_sampler(self):
         g = from_edges([(0, 1)], n=2)
-        sampler = PathSampler(g, seed=0)
-        for _ in range(10):
-            s = sampler.sample()
-            assert sorted(s.nodes.tolist()) == [0, 1]
+        samples = PathSampler(g, seed=0).sample(10)
+        assert np.all(np.diff(samples.offsets) == 2)
+        assert np.all(np.sort(samples.nodes.reshape(-1, 2), axis=1) == [0, 1])
 
     def test_sampler_all_null(self):
         g = empty_graph(5)
-        sampler = PathSampler(g, seed=1)
-        assert all(sampler.sample().is_null for _ in range(20))
+        samples = PathSampler(g, seed=1).sample(20)
+        assert samples.nodes.size == 0
+        assert np.all(samples.distances == -1)
 
     def test_star_every_sample_hits_hub_or_is_short(self):
         g = star_graph(10)
-        sampler = PathSampler(g, seed=2)
-        for _ in range(30):
-            s = sampler.sample()
-            assert 0 in s.nodes or s.distance == 1
+        samples = PathSampler(g, seed=2).sample(30)
+        for distance, nodes in zip(
+            samples.distances, np.split(samples.nodes, samples.offsets[1:-1])
+        ):
+            assert 0 in nodes or distance == 1
 
 
 class TestAlgorithmsAgreeOnObviousInstances:
@@ -103,17 +104,14 @@ class TestAlgorithmsAgreeOnObviousInstances:
 class TestCoverageStress:
     def test_many_null_paths(self):
         inst = CoverageInstance(10)
-        for _ in range(100):
-            inst.add_path([])
-        inst.add_path([3])
+        inst.add_paths([[]] * 100 + [[3]])
         result = greedy_max_cover(inst, 1)
         assert result.group == [3]
         assert result.covered == 1
 
     def test_every_node_in_every_path(self):
         inst = CoverageInstance(5)
-        for _ in range(10):
-            inst.add_path(range(5))
+        inst.add_paths([range(5)] * 10)
         result = greedy_max_cover(inst, 2)
         assert result.covered == 10
         assert result.gains == [10, 0]
@@ -121,8 +119,9 @@ class TestCoverageStress:
     def test_large_sparse_instance(self):
         rng = np.random.default_rng(0)
         inst = CoverageInstance(1000)
-        for _ in range(2000):
-            inst.add_path(rng.choice(1000, size=3, replace=False))
+        inst.add_paths(
+            rng.choice(1000, size=3, replace=False) for _ in range(2000)
+        )
         result = greedy_max_cover(inst, 10)
         assert result.covered > 0
         assert len(result.group) == 10
