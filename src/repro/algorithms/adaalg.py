@@ -34,7 +34,7 @@ from ..bounds.sample_size import adaalg_schedule
 from ..coverage import greedy_max_cover
 from ..exceptions import ParameterError
 from ..graph.csr import CSRGraph
-from ..obs import check_coverage
+from ..obs import check_coverage, check_greedy
 from .base import SamplingAlgorithm, scaled_share
 
 __all__ = ["AdaAlg", "AdaAlgIteration"]
@@ -143,6 +143,8 @@ class AdaAlg(SamplingAlgorithm):
         selection = session.store(0)
         with self.telemetry.span("greedy"):
             cover = greedy_max_cover(selection, k, telemetry=self.telemetry)
+        if self.debug:
+            check_greedy(selection, k, cover)
         self._group = cover.group
         self._estimate = scaled_share(cover.covered, selection, pairs)
         if not self.validation_set:

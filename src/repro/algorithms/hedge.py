@@ -23,6 +23,7 @@ from ..bounds.sample_size import guess_schedule, hedge_sample_size
 from ..coverage import greedy_max_cover
 from ..exceptions import ParameterError
 from ..graph.csr import CSRGraph
+from ..obs import check_greedy
 from .base import SamplingAlgorithm, scaled_share
 
 __all__ = ["Hedge"]
@@ -91,6 +92,8 @@ class Hedge(SamplingAlgorithm):
         pool = session.store(0)
         with self.telemetry.span("greedy"):
             cover = greedy_max_cover(pool, k, telemetry=self.telemetry)
+        if self.debug:
+            check_greedy(pool, k, cover)
         self._group = cover.group
         self._estimate = scaled_share(
             cover.covered, pool, session.graph.num_ordered_pairs

@@ -10,8 +10,10 @@ across iterations, so paths are appended, never rebuilt.
 Storage is flat-array CSR, not Python containers: path node sets live
 in one concatenated int64 array addressed by an offsets array, and the
 node→path incidence is a CSR built lazily from those arrays the first
-time a query needs it after an append.  Appends invalidate the
-incidence; the rebuild is a single stable argsort over the flat array,
+time a query needs it after an append.  Appends (and in-place
+rewrites) invalidate the incidence, together with the greedy run
+:func:`~repro.coverage.greedy_max_cover` memoizes on the instance; the
+rebuild is a single stable argsort over the flat array,
 so with the geometric growth schedules of the algorithms its amortized
 cost stays linear in the final sample volume.  All coverage queries
 (:meth:`covered_count`, :meth:`marginal_gain`, ...) are vectorized
@@ -75,6 +77,11 @@ class CoverageInstance:
         # node -> path CSR incidence, rebuilt lazily after appends
         self._inc_indptr: np.ndarray | None = None
         self._inc_paths: np.ndarray | None = None
+        # the paused CELF run of greedy_max_cover on these paths, dropped
+        # with the incidence.  No lock: the daemon's one compute thread
+        # owns every warm lane, and nothing else shares an instance
+        # across threads.
+        self._greedy = None
         # every append->query transition re-argsorts the whole flat
         # array; these counters make that hidden cost observable
         # (surfaced as EngineStats.coverage_* and telemetry coverage.*)
@@ -93,6 +100,13 @@ class CoverageInstance:
             array = array.view()
             array.setflags(write=False)
         return array
+
+    def _invalidate(self) -> None:
+        """Drop what is derived from the stored paths: the node→path
+        incidence and the memoized greedy run."""
+        self._inc_indptr = None
+        self._inc_paths = None
+        self._greedy = None
 
     # ------------------------------------------------------------------
     @property
@@ -154,8 +168,7 @@ class CoverageInstance:
         self._flat_len = end
         self._num_paths += count
         np.add.at(self._degrees, flat, 1)
-        self._inc_indptr = None
-        self._inc_paths = None
+        self._invalidate()
 
     def add_samples(self, samples, include_endpoints: bool = True) -> None:
         """Append a :class:`~repro.paths.packed.PackedSamples` draw: its
@@ -220,8 +233,7 @@ class CoverageInstance:
         self._flat[: merged.size] = merged
         self._flat_len = int(merged.size)
         self._offsets[: count + 1] = new_offsets
-        self._inc_indptr = None
-        self._inc_paths = None
+        self._invalidate()
 
     def path(self, pid: int) -> np.ndarray:
         """The (sorted, deduplicated) node array of path ``pid``."""

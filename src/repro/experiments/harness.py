@@ -293,7 +293,6 @@ class DatasetContext:
         rng_eval, rng_pool = spawn_seeds(rng, 2)
         self._holdout = self._draw(graph, rng_eval, config.eval_samples)
         self._pool = self._draw(graph, rng_pool, config.exhaust_samples)
-        self._exhaust_cache: dict[int, list[int]] = {}
 
     def _draw(self, graph: CSRGraph, rng, count: int) -> CoverageInstance:
         instance = CoverageInstance(graph.n)
@@ -308,10 +307,9 @@ class DatasetContext:
 
     # ------------------------------------------------------------------
     def exhaust_group(self, k: int) -> list[int]:
-        """The EXHAUST yardstick group for size ``k`` (cached)."""
-        if k not in self._exhaust_cache:
-            self._exhaust_cache[k] = greedy_max_cover(self._pool, k).group
-        return self._exhaust_cache[k]
+        """The EXHAUST yardstick group for size ``k``: a prefix read of
+        the greedy order memoized on the fixed reference pool."""
+        return greedy_max_cover(self._pool, k).group
 
     def evaluate(self, group) -> float:
         """Estimate (or exactly compute) ``B(group)``."""

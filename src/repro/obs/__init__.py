@@ -12,7 +12,7 @@ See ``docs/observability.md`` for the full model.
 from __future__ import annotations
 
 from .clock import Stopwatch, monotonic
-from .invariants import check_coverage, check_instance, check_samples
+from .invariants import check_coverage, check_greedy, check_instance, check_samples
 from .registry import COUNTERS, EVENTS, SPANS, is_counter, is_event, is_span
 from .telemetry import (
     NULL_TELEMETRY,
@@ -37,6 +37,7 @@ __all__ = [
     "check_samples",
     "check_instance",
     "check_coverage",
+    "check_greedy",
     "monotonic",
     "Stopwatch",
     "COUNTERS",

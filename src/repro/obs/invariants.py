@@ -16,6 +16,10 @@ would have caught the historical bookkeeping bugs immediately:
   consistent: degree counters match a recount of the stored paths, the
   lazy incidence CSR agrees with the flat arrays, and the vectorized
   ``covered_count`` matches a brute-force per-path recount.
+* :func:`check_greedy` — a :func:`~repro.coverage.greedy_max_cover`
+  result is the plain-greedy pick sequence of the instance it was
+  asked on, so a memoized CELF run that outlived a change to its pool
+  fails loudly.
 
 All validators raise :class:`~repro.exceptions.InvariantViolation` on
 the first inconsistency.  They re-run traversals and full recounts, so
@@ -35,7 +39,7 @@ from ..paths.bidirectional import bidirectional_search
 from ..paths.dijkstra import dijkstra_sigma
 from ..paths.packed import PackedSamples
 
-__all__ = ["check_samples", "check_instance", "check_coverage"]
+__all__ = ["check_samples", "check_instance", "check_coverage", "check_greedy"]
 
 
 def _fail(message: str) -> None:
@@ -152,3 +156,41 @@ def check_coverage(instance: CoverageInstance, group) -> int:
             f"but a per-path recount gives {brute}"
         )
     return fast
+
+
+def check_greedy(instance: CoverageInstance, k: int, result) -> None:
+    """Validate a :func:`~repro.coverage.greedy_max_cover` result for
+    ``k`` against plain greedy on ``instance``.
+
+    Plain greedy prices every node with
+    :meth:`~CoverageInstance.marginal_gains`, takes the largest gain
+    (ties to the smallest id) and stops at gain 0 — exactly the
+    sequence CELF with ``(-gain, node)`` heap keys picks.  Members past
+    the recomputed picks must be padding with gain 0.
+    """
+    nodes = np.arange(instance.num_nodes, dtype=np.int64)
+    covered = np.zeros(instance.num_paths, dtype=bool)
+    picks: list[int] = []
+    gains: list[int] = []
+    while len(picks) < k:
+        marginal = instance.marginal_gains(nodes, covered)
+        best = int(np.argmax(marginal))
+        if marginal[best] <= 0:
+            break
+        picks.append(best)
+        gains.append(int(marginal[best]))
+        instance.mark_covered(best, covered)
+    count = len(picks)
+    group, result_gains = list(result.group), list(result.gains)
+    if group[:count] != picks or result_gains[:count] != gains:
+        _fail(
+            f"greedy for k={k} returned group {group[:count]} with gains "
+            f"{result_gains[:count]} but plain greedy on the instance picks "
+            f"{picks} with gains {gains}"
+        )
+    if any(result_gains[count:]) or result.covered != sum(gains):
+        _fail(
+            f"greedy for k={k} reports {result.covered} paths covered and "
+            f"padding gains {result_gains[count:]}; plain greedy covers "
+            f"{sum(gains)} with {count} picks"
+        )

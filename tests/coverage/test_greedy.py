@@ -1,13 +1,17 @@
 """Unit tests for the CELF lazy greedy max-cover."""
 
+import gc
+import types
+import weakref
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from repro.coverage import CoverageInstance, greedy_max_cover
-from repro.exceptions import ParameterError
-from repro.obs import Telemetry
+from repro.exceptions import InvariantViolation, ParameterError
+from repro.obs import Telemetry, check_greedy
 
 
 def _instance(paths, n):
@@ -143,9 +147,11 @@ class TestLazyEvaluationCounts:
         # every path hits exactly one node: after a pick, the next
         # pop's stale entry is re-evaluated once (its gain is
         # unchanged) and then accepted fresh on the following pop —
-        # k - 1 evaluations in total, not k
-        inst = _instance([[0], [0], [0], [1], [1], [2]], 4)
+        # k - 1 evaluations in total, not k.  A fresh instance per k
+        # pins the fresh-run schedule (a reused one would resume its
+        # memoized run and spend only the difference).
         for k in (1, 2, 3):
+            inst = _instance([[0], [0], [0], [1], [1], [2]], 4)
             result = greedy_max_cover(inst, k, batch=1)
             assert result.evaluations == k - 1
             assert result.eval_batches == result.evaluations
@@ -246,3 +252,161 @@ class TestBatchedEvaluation:
         inst = _instance([[0]], 2)
         with pytest.raises(ParameterError):
             greedy_max_cover(inst, 1, batch=0)
+
+
+def _random_paths(rng, n, count, longest=6):
+    return [
+        rng.choice(n, size=rng.integers(0, longest), replace=False)
+        for _ in range(count)
+    ]
+
+
+class TestMemoizedOrder:
+    """The CELF run is kept on the instance: every call is a prefix of
+    one greedy order, so it must equal a fresh run on an identical
+    copy, whatever K sequence came before it."""
+
+    @staticmethod
+    def _same(result, fresh):
+        assert result.group == fresh.group
+        assert result.gains == fresh.gains
+        assert result.covered == fresh.covered
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "ks",
+        [
+            (1, 2, 5, 9, 14),
+            (14, 9, 5, 2, 1),
+            (6, 6, 6),
+            (3, 12, 1, 7, 40, 2, 40),
+        ],
+        ids=["ascending", "descending", "repeated", "mixed"],
+    )
+    def test_any_k_sequence_equals_fresh_runs(self, seed, ks):
+        rng = np.random.default_rng(seed)
+        n = 40
+        paths = _random_paths(rng, n, 200)
+        inst = _instance(paths, n)
+        for k in ks:
+            result = greedy_max_cover(inst, k)
+            self._same(result, greedy_max_cover(_instance(paths, n), k))
+
+    @pytest.mark.parametrize("pad", [True, False])
+    def test_exhausted_pool_equals_fresh_runs(self, pad):
+        # two useful nodes: K beyond them pads (or stops) the same way
+        paths = [[0], [0], [3]]
+        inst = _instance(paths, 6)
+        for k in (5, 1, 6, 2):
+            result = greedy_max_cover(inst, k, pad=pad)
+            self._same(result, greedy_max_cover(_instance(paths, 6), k, pad=pad))
+
+    def test_append_drops_the_memo(self):
+        rng = np.random.default_rng(30)
+        paths = _random_paths(rng, 30, 120)
+        extra = _random_paths(rng, 30, 80)
+        inst = _instance(paths, 30)
+        greedy_max_cover(inst, 8)
+        inst.add_paths(extra)
+        self._same(
+            greedy_max_cover(inst, 8), greedy_max_cover(_instance(paths + extra, 30), 8)
+        )
+
+    def test_replace_drops_the_memo(self):
+        rng = np.random.default_rng(31)
+        paths = _random_paths(rng, 30, 120)
+        inst = _instance(paths, 30)
+        greedy_max_cover(inst, 8)
+        ids = np.arange(0, 120, 3)
+        fresh = [np.unique(p) for p in _random_paths(rng, 30, ids.size)]
+        offsets = np.zeros(ids.size + 1, dtype=np.int64)
+        np.cumsum([p.size for p in fresh], out=offsets[1:])
+        inst.replace_paths(ids, np.concatenate(fresh), offsets)
+        rewritten = list(paths)
+        for i, nodes in zip(ids, fresh):
+            rewritten[i] = nodes
+        self._same(
+            greedy_max_cover(inst, 8), greedy_max_cover(_instance(rewritten, 30), 8)
+        )
+
+    def test_repeat_and_smaller_k_spend_no_evaluations(self):
+        rng = np.random.default_rng(32)
+        inst = _instance(_random_paths(rng, 50, 400), 50)
+        first = greedy_max_cover(inst, 10)
+        assert first.evaluations > 0
+        hub = Telemetry()
+        for k in (10, 4, 1):
+            result = greedy_max_cover(inst, k, telemetry=hub)
+            assert (result.evaluations, result.eval_batches) == (0, 0)
+        assert hub.snapshot()["counters"].get("coverage.batched_evals", 0) == 0
+
+    def test_resumed_run_spends_the_rest_of_a_fresh_run(self):
+        rng = np.random.default_rng(33)
+        paths = _random_paths(rng, 50, 400)
+        inst = _instance(paths, 50)
+        spent = sum(
+            greedy_max_cover(inst, k, batch=1).evaluations for k in (3, 7, 12)
+        )
+        assert spent == greedy_max_cover(_instance(paths, 50), 12, batch=1).evaluations
+
+    def test_other_batch_starts_a_fresh_run(self):
+        rng = np.random.default_rng(34)
+        paths = _random_paths(rng, 50, 400)
+        inst = _instance(paths, 50)
+        greedy_max_cover(inst, 10, batch=1)
+        result = greedy_max_cover(inst, 10, batch=4)
+        assert result.evaluations == greedy_max_cover(
+            _instance(paths, 50), 10, batch=4
+        ).evaluations
+
+    def test_memo_makes_no_reference_cycle(self):
+        # with the cycle collector off, a dead pool must still be freed
+        # at once: the memo may not point back at its instance
+        inst = _instance([[0, 1], [1], [2]], 3)
+        greedy_max_cover(inst, 2)
+        alive = weakref.ref(inst)
+        gc.disable()
+        try:
+            del inst
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
+class TestCheckGreedy:
+    def _instance(self):
+        rng = np.random.default_rng(40)
+        return _instance(_random_paths(rng, 30, 150), 30)
+
+    @pytest.mark.parametrize("k", [1, 5, 30])
+    def test_accepts_celf_results(self, k):
+        inst = self._instance()
+        check_greedy(inst, k, greedy_max_cover(inst, k))
+
+    def test_accepts_padded_results(self):
+        inst = _instance([[0], [0], [3]], 6)
+        check_greedy(inst, 5, greedy_max_cover(inst, 5))
+        check_greedy(inst, 5, greedy_max_cover(inst, 5, pad=False))
+
+    def test_rejects_a_corrupted_group(self):
+        inst = self._instance()
+        result = greedy_max_cover(inst, 4)
+        swapped = [result.group[1], result.group[0], *result.group[2:]]
+        with pytest.raises(InvariantViolation):
+            check_greedy(inst, 4, replace(result, group=swapped))
+
+    def test_rejects_a_memo_kept_across_an_append(self):
+        inst = _instance([[0], [0], [1]], 3)
+        greedy_max_cover(inst, 1)
+
+        def keep_memo(self):
+            memo = self._greedy
+            CoverageInstance._invalidate(self)
+            self._greedy = memo
+
+        inst._invalidate = types.MethodType(keep_memo, inst)
+        inst.add_paths([[1], [1]])
+        stale = greedy_max_cover(inst, 1)
+        assert stale.group == [0]  # the stale memo answered
+        with pytest.raises(InvariantViolation):
+            check_greedy(inst, 1, stale)

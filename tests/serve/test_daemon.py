@@ -155,6 +155,24 @@ class TestAnswerPaths:
             assert daemon.counter("serve.batched") == 1
             assert daemon.counter("serve.samples_reused") == reused
 
+    def test_smaller_k_reads_the_lane_greedy_memo(self, ba60):
+        """After a K=50 query, a K=5 query on the same lane reads its
+        groups off the greedy order memoized on the lane's pools: no
+        CELF evaluation, and the answer a fresh daemon gives."""
+        with _Harness(_config(ba60)) as daemon:
+            with daemon.client() as client:
+                client.query("ba", k=50, eps=0.6, gamma=0.1, seed=5)
+                before = daemon.counter("coverage.batched_evals")
+                warm = client.query("ba", k=5, eps=0.6, gamma=0.1, seed=5)
+            assert before > 0
+            assert daemon.counter("coverage.batched_evals") == before
+        assert warm["served"]["source"] == "computed"
+        assert warm["served"]["samples_reused"] > 0
+        with _Harness(_config(ba60)) as daemon:
+            with daemon.client() as client:
+                fresh = client.query("ba", k=5, eps=0.6, gamma=0.1, seed=5)
+        assert warm["result"] == fresh["result"]
+
     def test_concurrent_identical_queries_coalesce(self, ba60):
         """N equal in-flight queries cost ONE sampling pass: the
         followers ride the leader's future (``serve.coalesced`` counts

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import AdaAlg, CentRa, Exhaust, Hedge
+from repro.coverage import greedy_max_cover
 from repro.exceptions import CheckpointError, ParameterError
 from repro.graph import (
     DeltaGraph,
@@ -182,6 +183,25 @@ class TestStoreInvalidation:
 
 
 class TestSessionMigration:
+    def test_migrate_drops_the_greedy_memo(self):
+        """Greedy on a migrated lane equals greedy on a fresh copy of
+        its store, though each lane ran greedy before the update."""
+        graph = barabasi_albert(60, 2, seed=3)
+        with SamplingSession(graph, lanes=2, seed=5) as sess:
+            for lane in (0, 1):
+                sess.extend(300, lane=lane)
+                greedy_max_cover(sess.store(lane), 20)
+            deletes = [_first_edge(graph, u) for u in range(0, 12, 3)]
+            stats = sess.apply_update(GraphUpdate.from_ops(deletes=deletes))
+            assert stats["redrawn"] > 0
+            for lane in (0, 1):
+                store = sess.store(lane)
+                copy = SampleStore.from_arrays(store.num_nodes, store.export_arrays())
+                for k in (20, 5):
+                    kept, fresh = greedy_max_cover(store, k), greedy_max_cover(copy, k)
+                    assert kept.group == fresh.group
+                    assert kept.gains == fresh.gains
+
     def test_migrate_rejects_node_universe_change(self):
         with SamplingSession(barabasi_albert(30, 2, seed=0), seed=1) as sess:
             with pytest.raises(ParameterError, match="node universes"):
