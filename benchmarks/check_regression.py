@@ -19,6 +19,8 @@ The CI gates:
 
 * worker fan-out — ``--metric speedup_epoch_vs_serial_w2
   --workload-keys n m targets seed``;
+* unweighted wavefront — ``--metric speedup_wavefront_vs_scalar
+  --workload-keys n m draws seed``;
 * weighted wavefront — ``--metric speedup_wavefront_vs_scalar
   --workload-keys n m draws max_weight seed``;
 * dynamic graphs — ``--metric reuse_fraction --workload-keys n m pool

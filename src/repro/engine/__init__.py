@@ -17,8 +17,8 @@ samples are computed, never which:
 
 A draw holds its output, the sparse search state of one chunk (the
 nodes its queries discovered short of their outermost levels) and the
-cohort's two ``(cohort_size, n)`` sigma planes — never a length-``n``
-row per sample.
+chunk's discovered marks, 128·n bytes for 512 samples — never a
+length-``n`` row per sample.
 """
 
 from __future__ import annotations

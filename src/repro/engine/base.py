@@ -80,6 +80,7 @@ def sampler_work(sampler: PathSampler) -> tuple[int, ...]:
     return (
         sampler.total_traversals,
         sampler.total_edges_explored,
+        sampler.total_search_rounds,
         sampler.total_weighted_cohorts,
         sampler.total_bucket_relaxations,
     )
@@ -102,6 +103,10 @@ class EngineStats:
         ticket for the epoch engine.
     edges_explored:
         Total arcs touched across all traversals.
+    search_rounds:
+        Lock-step rounds of the unweighted search kernel, summed over
+        its calls (one call per chunk of a cohort draw) — the count its
+        per-round cost follows.
     workers:
         Worker processes backing the engine (0 = in-process).
     worker_samples:
@@ -130,6 +135,7 @@ class EngineStats:
     traversals: int = 0
     batches: int = 0
     edges_explored: int = 0
+    search_rounds: int = 0
     workers: int = 0
     worker_samples: dict[int, int] = field(default_factory=dict)
     pool_startups: int = 0
@@ -140,9 +146,10 @@ class EngineStats:
 
     def add_work(self, work: tuple[int, ...]) -> None:
         """Fold a :func:`sampler_work` difference into the counters."""
-        traversals, edges, cohorts, relaxations = work
+        traversals, edges, rounds, cohorts, relaxations = work
         self.traversals += traversals
         self.edges_explored += edges
+        self.search_rounds += rounds
         self.weighted_cohorts += cohorts
         self.bucket_relaxations += relaxations
 
@@ -267,6 +274,7 @@ class SampleEngine(abc.ABC):
             stats.samples,
             stats.traversals,
             stats.edges_explored,
+            stats.search_rounds,
             stats.weighted_cohorts,
             stats.bucket_relaxations,
         )
@@ -276,13 +284,15 @@ class SampleEngine(abc.ABC):
         telemetry.count("engine.draw_calls", 1)
         telemetry.count("engine.traversals", stats.traversals - before[1])
         telemetry.count("engine.edges_explored", stats.edges_explored - before[2])
-        if stats.weighted_cohorts != before[3]:
+        if stats.search_rounds != before[3]:
+            telemetry.count("paths.search_rounds", stats.search_rounds - before[3])
+        if stats.weighted_cohorts != before[4]:
             telemetry.count(
-                "paths.weighted_cohorts", stats.weighted_cohorts - before[3]
+                "paths.weighted_cohorts", stats.weighted_cohorts - before[4]
             )
-        if stats.bucket_relaxations != before[4]:
+        if stats.bucket_relaxations != before[5]:
             telemetry.count(
-                "paths.bucket_relaxations", stats.bucket_relaxations - before[4]
+                "paths.bucket_relaxations", stats.bucket_relaxations - before[5]
             )
         if self.debug:
             check_samples(self.graph, samples)

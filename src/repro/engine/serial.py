@@ -3,15 +3,16 @@
 :class:`SerialEngine`, the default everywhere, serves ``draw(count)``
 as one packed cohort draw of the next ``count`` stream indices
 (:meth:`~repro.paths.sampler.PathSampler.sample_cohort`): their pairs
-are resolved in chunks by the wavefront kernel — the level-synchronous
+are resolved in chunks by the wavefront kernel — the lock-step
 bidirectional BFS (:mod:`repro.paths.wavefront`) on unweighted graphs,
 the bucketed delta-stepping cohort (:mod:`repro.paths.wavefront_weighted`)
 on weighted ones — and each chunk's paths are drawn by one vectorized
 walk into a single :class:`~repro.paths.packed.PackedSamples` record,
 which :meth:`~repro.engine.base.SampleEngine.extend` ingests with one
 vectorized append.  A draw holds the sparse search state of one chunk
-(the nodes its queries discovered) plus the cohort's two
-``(cohort_size, n)`` sigma planes, never a dense row per sample.
+(the nodes its queries discovered) plus its discovered marks, one bit
+per (query, node) and side — 128·n bytes per chunk of 512 samples —
+never a dense row per sample.
 
 The samples are bit-identical to the scalar oracle
 :meth:`~repro.paths.sampler.PathSampler.sample_batch` of the same

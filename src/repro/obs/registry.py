@@ -37,6 +37,8 @@ COUNTERS: frozenset[str] = frozenset(
         # dynamic graph tier (repro.graph.delta)
         "graph.delta.updates",  # update batches applied to a DeltaGraph
         "graph.delta.edges_changed",  # edge inserts/deletes/reweights applied
+        # unweighted wavefront kernel (repro.paths.wavefront)
+        "paths.search_rounds",  # lock-step search rounds, summed over calls
         # weighted wavefront kernel (repro.paths.wavefront_weighted)
         "paths.weighted_cohorts",  # weighted cohort draws executed
         "paths.bucket_relaxations",  # delta-stepping level relaxation rounds

@@ -9,7 +9,7 @@ from .exact_gbc import exact_gbc, normalized_gbc
 from .pair_sampler import PairSample, PairSampler, shortest_path_dag
 from .packed import PackedSamples
 from .sampler import PathSampler
-from .wavefront import DEFAULT_COHORT, WavefrontResults, wavefront_search
+from .wavefront import WavefrontResults, wavefront_search
 from .wavefront_weighted import WeightedSearchResult, wavefront_weighted_search
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "PairSampler",
     "shortest_path_dag",
     "PathSampler",
-    "DEFAULT_COHORT",
     "WavefrontResults",
     "wavefront_search",
     "WeightedSearchResult",

@@ -40,15 +40,18 @@ from .bfs import bfs_sigma, cohort_neighbors
 from .bidirectional import BidirectionalResult, bidirectional_search
 from .dijkstra import dijkstra_sigma
 from .packed import PackedSamples
-from .wavefront import DEFAULT_COHORT, WavefrontResults, wavefront_search
+from .wavefront import WavefrontResults, wavefront_search
 from .wavefront_weighted import wavefront_weighted_search
 
 __all__ = ["PackedSamples", "PathSampler"]
 
 #: Samples resolved per search call of a cohort draw.  The unweighted
-#: kernel hands back sparse state (the nodes each query discovered),
-#: the weighted one two dense length-``n`` rows per query, so what a
-#: draw holds besides its output is bounded by these, not by ``count``.
+#: kernel searches a chunk in lock step — about as many rounds as its
+#: largest distance, so a narrower chunk pays more rounds per sample —
+#: with 128·n bytes of discovered marks per 512 samples, and hands back
+#: sparse state (the nodes each query discovered); the weighted one two
+#: dense length-``n`` rows per query.  So what a draw holds besides its
+#: output is bounded by these, not by ``count``.
 _CHUNK = 512
 _WEIGHTED_CHUNK = 64
 
@@ -159,6 +162,7 @@ class PathSampler:
         self.total_edges_explored = 0
         self.total_samples = 0
         self.total_traversals = 0
+        self.total_search_rounds = 0
         self.total_weighted_cohorts = 0
         self.total_bucket_relaxations = 0
 
@@ -203,7 +207,7 @@ class PathSampler:
         The pairs of all the indices are drawn up front, then resolved
         in chunks — each chunk's searches first, then its uniform path
         walks.  The searches execute through a vectorized multi-query
-        kernel — the level-synchronous bidirectional BFS
+        kernel — the lock-step bidirectional BFS
         (:func:`~repro.paths.wavefront.wavefront_search`) on unweighted
         graphs, the bucketed delta-stepping cohort
         (:func:`~repro.paths.wavefront_weighted.wavefront_weighted_search`)
@@ -224,24 +228,17 @@ class PathSampler:
         if self.method == "dijkstra":
             packed = self._weighted_cohort(indices, sources, targets)
         else:
-            # one pair of sigma planes serves every chunk: each search
-            # leaves them all-zero.  They are not kept past the call —
-            # a sampler per warm lane would hold them for its lifetime
-            capacity = min(DEFAULT_COHORT, count, _CHUNK)
-            planes = np.zeros((2, max(capacity, 1), self.graph.n))
-            packed = PackedSamples.concat([
-                self._walk_cohort(
-                    indices[lo:lo + _CHUNK],
-                    wavefront_search(
-                        self.graph,
-                        sources[lo:lo + _CHUNK],
-                        targets[lo:lo + _CHUNK],
-                        frontiers=False,
-                        planes=planes,
-                    ),
+            parts = []
+            for lo in range(0, count, _CHUNK):
+                found = wavefront_search(
+                    self.graph,
+                    sources[lo:lo + _CHUNK],
+                    targets[lo:lo + _CHUNK],
+                    frontiers=False,
                 )
-                for lo in range(0, count, _CHUNK)
-            ])
+                self.total_search_rounds += found.rounds
+                parts.append(self._walk_cohort(indices[lo:lo + _CHUNK], found))
+            packed = PackedSamples.concat(parts)
         self.total_samples += count
         self.total_traversals += count
         self.total_edges_explored += int(packed.edges.sum())

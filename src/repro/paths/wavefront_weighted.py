@@ -57,7 +57,6 @@ import numpy as np
 
 from ..exceptions import GraphError, ParameterError
 from ..graph.weighted import WeightedCSRGraph
-from .wavefront import _distinct
 
 __all__ = [
     "DEFAULT_COHORT",
@@ -66,13 +65,22 @@ __all__ = [
     "wavefront_weighted_search",
 ]
 
-#: Queries sharing the stacked planes at any moment; same default as the
-#: unweighted wavefront kernel (three length-``n`` rows per slot).
+#: Queries sharing the stacked planes at any moment (three length-``n``
+#: rows per slot).
 DEFAULT_COHORT = 64
 
 #: "Unreached" tentative distance.  Half the int64 range so a candidate
 #: ``level + weight`` computed against it can never overflow.
 _INF = np.int64(2**62)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a small int64 array (sorting beats hashing
+    at the sizes one round produces)."""
+    ordered = np.sort(keys)
+    if ordered.size > 1:
+        ordered = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return ordered
 
 
 def auto_delta(graph: WeightedCSRGraph) -> int:

@@ -27,6 +27,7 @@ from repro.engine import epoch as epoch_module
 from repro.engine.serial import SerialEngine
 from repro.exceptions import CheckpointError, EngineError, ParameterError
 from repro.graph import barabasi_albert
+from repro.obs import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +150,26 @@ class TestStats:
         assert stats.traversals > 0
         assert sum(stats.worker_samples.values()) == 300
         assert stats.as_dict()["batches"] == 20
+
+    def test_search_rounds_identical_across_worker_counts(self, ba200):
+        """Tickets and the in-process draw cut the stream into the same
+        512-sample search calls, so the lock-step rounds they report —
+        in the stats and as the ``paths.search_rounds`` counter — agree
+        for 0, 1 and 2 workers."""
+        seen = []
+        for workers in (0, 1, 2):
+            hub = Telemetry()
+            instance = CoverageInstance(ba200.n)
+            with create_engine(
+                ba200, seed=7, workers=workers, telemetry=hub
+            ) as engine:
+                engine.extend(instance, 700)
+                engine.extend(instance, 1_300)
+                rounds = engine.stats.search_rounds
+            assert hub.snapshot()["counters"]["paths.search_rounds"] == rounds
+            seen.append(rounds)
+        assert seen[0] > 0
+        assert seen == [seen[0]] * 3
 
     def test_persistent_workers_survive_draws(self, ba200):
         engine = _epoch(ba200, workers=1)

@@ -2,18 +2,16 @@
 
 ``SerialEngine`` (the default everywhere) resolves its draws with the
 vectorized search and one vectorized walk per chunk, through
-:meth:`~repro.paths.PathSampler.sample_cohort`, with the search
-kernel at any cohort width;
+:meth:`~repro.paths.PathSampler.sample_cohort`, at any chunk width;
 the oracle :meth:`~repro.paths.PathSampler.sample_batch` runs one
 scalar search and one scalar walk per sample.  All must yield
 bit-identical samples — and hence identical coverage instances — for
-every seed, cohort width, endpoint convention, and draw size below or
+every seed, chunk width, endpoint convention, and draw size below or
 above ``n``.  A draw's memory must follow the samples drawn, not ``n``.
 """
 
 from __future__ import annotations
 
-import functools
 import pickle
 import tracemalloc
 
@@ -24,7 +22,7 @@ import repro.paths.sampler as sampler_module
 from repro.coverage import CoverageInstance
 from repro.engine import PackedSamples, SampleEngine, SerialEngine
 from repro.graph import barabasi_albert, erdos_renyi
-from repro.paths import DEFAULT_COHORT, PathSampler, wavefront_search
+from repro.paths import PathSampler
 
 _COLUMNS = ("sources", "targets", "distances", "sigmas", "edges", "nodes", "offsets")
 
@@ -84,19 +82,15 @@ def _assert_same_instance(first: CoverageInstance, second: CoverageInstance):
 
 class TestOracle:
     @pytest.mark.parametrize("seed", [0, 3, 11])
-    @pytest.mark.parametrize("cohort_size", [None, 1, 5])
+    @pytest.mark.parametrize("chunk", [None, 1, 5])
     @pytest.mark.parametrize("graph_name", ["ba", "sparse_digraph"])
     def test_engines_draw_bit_identical_samples(
-        self, request, monkeypatch, graph_name, seed, cohort_size
+        self, request, monkeypatch, graph_name, seed, chunk
     ):
         graph = request.getfixturevalue(graph_name)
-        if cohort_size is not None:
-            # the search kernel's width, as the sampler module calls it
-            monkeypatch.setattr(
-                sampler_module,
-                "wavefront_search",
-                functools.partial(wavefront_search, cohort_size=cohort_size),
-            )
+        if chunk is not None:
+            # the pairs one search kernel call resolves in lock step
+            monkeypatch.setattr(sampler_module, "_CHUNK", chunk)
         # one draw below n, one above: both go through the same path
         counts = (graph.n // 3, 2 * graph.n + 7)
         draws = []
@@ -176,7 +170,7 @@ class TestDrawMemory:
     def test_extend_memory_follows_samples_not_n(self):
         """4,000 samples on n=20,000: dense per-sample search rows would
         take 4000 * 4 * n * 8 bytes; the packed draw keeps the cohort's
-        two sigma planes plus a small per-sample amount."""
+        discovered marks of one chunk plus a small per-sample amount."""
         graph = barabasi_albert(20_000, 2, seed=1)
         count = 4_000
         engine = SerialEngine(graph, seed=2)
@@ -189,6 +183,5 @@ class TestDrawMemory:
             tracemalloc.stop()
         assert instance.num_paths == count
         dense_rows = count * 4 * graph.n * 8
-        planes = 2 * DEFAULT_COHORT * graph.n * 8
         assert peak < dense_rows / 100
-        assert peak < planes + 2048 * count
+        assert peak < 2 * 32 * graph.n * 8 + 2048 * count
